@@ -11,13 +11,13 @@ from .exact import (
     Field, InputError, InternalInconsistencyError, Matrix, PrimeField, QQ,
     Rationals, ResourceError, field_from_json, field_to_json, identity_matrix,
     inverse, is_invertible, is_j_independent, mat_mul, mat_vec, matrix,
-    nullspace, rank_of_vectors, rref, solve, unit_vector, vector,
-    vectors_parallel,
+    normalize_coords, nullspace, rank_of_vectors, rref, solve, unit_vector,
+    vector, vectors_parallel,
 )
 from .multiaffine import (
     AffineMap, DEFAULT_POINT_BUDGET, MultiAffineMap, UnivariateCurve,
     affine_identity, compose, curve_lies_in_line, delta_to_mask, evaluate,
-    fix_coordinate, grid_points, identity_map, index_point, load_map,
+    fix_coordinate, grid_points, identity_map, load_map,
     map_from_json, map_to_json, mask_to_delta, point_index, reduce_mod,
     restrict_to_line, tabulate,
 )
@@ -41,7 +41,7 @@ from .projective import (
     ProjLinearMap, ProjPoint, ProjReport, ProjTable, ProjViolation,
     UndecidableByFrame, affine_to_projective, check_projective_hypotheses,
     compose_proj, decide_projective_linear, embed_affine, embed_affine_table,
-    invert_proj, lines_through, load_proj_table, normalize_coords, pg_points,
+    invert_proj, lines_through, load_proj_table, pg_points,
     proj_general_position, proj_identity, proj_point, proj_table_from_json,
     proj_table_from_map, proj_table_to_json, split,
     transform_from_correspondence,

@@ -29,7 +29,7 @@ from .constraints import (
 )
 from .exact import (
     Field, InputError, InternalInconsistencyError, PrimeField, QQ,
-    ResourceError,
+    ResourceError, unit_vector,
 )
 from .multiaffine import (
     DEFAULT_POINT_BUDGET, load_map, map_to_json, reduce_mod, tabulate,
@@ -56,6 +56,24 @@ def parse_field(text: str) -> Field:
     raise InputError(f"field must be 'q' or 'p:<prime>', got {text!r}")
 
 
+def parse_rational(text, what: str) -> Fraction:
+    """A rational literal such as "-3", "2/5" or "1.5"; anything else,
+    "1/0" included, is an InputError naming `what`."""
+    try:
+        return Fraction(str(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad {what} {text!r}") from exc
+
+
+def parse_x0(text: str) -> Tuple[int, int]:
+    """An integer pair "a,b" (the --x0 pinning point)."""
+    try:
+        a, b = (int(c) for c in text.split(","))  # a wrong count is a ValueError too
+    except ValueError as exc:
+        raise InputError(f"--x0 must be two integers like '1,1', got {text!r}") from exc
+    return a, b
+
+
 def parse_directions(text: str, n: int) -> List[Tuple[Fraction, ...]]:
     """Parse "e1,e2,e3,1,1,-1" style lists: e-tokens are unit vectors, bare
     numbers are grouped into vectors of length n, semicolons force breaks."""
@@ -74,12 +92,9 @@ def parse_directions(text: str, n: int) -> List[Tuple[Fraction, ...]]:
                 i = int(m.group(1))
                 if not 1 <= i <= n:
                     raise InputError(f"unit direction {token!r} out of range for n={n}")
-                dirs.append(tuple(Fraction(int(j == i - 1)) for j in range(n)))
+                dirs.append(unit_vector(QQ, n, i - 1))
                 continue
-            try:
-                buffer.append(Fraction(token))
-            except ValueError as exc:
-                raise InputError(f"bad direction entry {token!r}") from exc
+            buffer.append(parse_rational(token, "direction entry"))
             if len(buffer) == n:
                 dirs.append(tuple(buffer))
                 buffer = []
@@ -104,7 +119,9 @@ def _load_directions(args, n: int) -> List[Tuple[Fraction, ...]]:
     if getattr(args, "dirs_file", None):
         with open(args.dirs_file) as fh:
             raw = json.load(fh)
-        return [tuple(Fraction(str(c)) for c in v) for v in raw]
+        if not isinstance(raw, list) or not all(isinstance(v, list) for v in raw):
+            raise InputError("--dirs-file must hold a JSON list of direction vectors")
+        return [tuple(parse_rational(c, "--dirs-file entry") for c in v) for v in raw]
     if getattr(args, "dirs", None):
         return parse_directions(args.dirs, n)
     raise InputError("need --dirs or --dirs-file")
@@ -187,14 +204,14 @@ _EXAMPLES = {
 
 def cmd_example(args) -> int:
     field = parse_field(args.field)
-    alpha = field.convert(Fraction(str(args.alpha)))
+    alpha = field.convert(parse_rational(args.alpha, "--alpha"))
     _emit(map_to_json(_EXAMPLES[args.name](field, alpha)), args.out)
     return 0
 
 
 def cmd_refute_fifth(args) -> int:
     field = parse_field(args.field)
-    alpha = field.convert(Fraction(str(args.alpha)))
+    alpha = field.convert(parse_rational(args.alpha, "--alpha"))
     map_ = four_direction_form(alpha, args.variant, field)
     u = parse_directions(args.u, 3)
     if len(u) != 1:
@@ -249,12 +266,10 @@ def cmd_scalar_lemmas(args) -> int:
         payload = {"p": p, "scaled_identity_only": rep.scaled_identity_only,
                    "f2_equal_one": [list(t) for t in rep.f2_equal_one], "ok": ok}
     elif args.lemma == "diag2str":
-        x0 = tuple(int(c) for c in args.x0.split(","))
-        report = verify_diagonal_rigidity(p, 2, x0)
+        report = verify_diagonal_rigidity(p, 2, parse_x0(args.x0))
         payload, ok = report.to_json(), report.ok
     else:  # add1str
-        x0 = tuple(int(c) for c in args.x0.split(","))
-        report = verify_additive_rigidity(p, 2, x0)
+        report = verify_additive_rigidity(p, 2, parse_x0(args.x0))
         payload, ok = report.to_json(), report.ok
     _emit(payload, args.out)
     return 0 if ok else 1

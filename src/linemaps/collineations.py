@@ -11,13 +11,15 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exact import (
-    Field, InputError, InternalInconsistencyError, PrimeField, QQ,
-    ResourceError, Vector, rank_of_vectors, vector, vectors_parallel,
+    Field, InputError, InternalInconsistencyError, Matrix, PrimeField, QQ,
+    ResourceError, Vector, inverse, mat_vec, normalize_coords,
+    rank_of_vectors, unit_vector, vector, vectors_parallel,
 )
-from .multiaffine import grid_points, index_point, point_index
+from .multiaffine import grid_points, point_index
 
 Point = Tuple[int, ...]
 
@@ -56,10 +58,9 @@ class LineFamily:
 
 def standard_family(field: Field, n: int, with_diagonal: bool = False) -> LineFamily:
     """L(e_1, ..., e_n) or L(e_1, ..., e_n, e_1+...+e_n)."""
-    one, zero = field.one(), field.zero()
-    dirs = [tuple(one if j == i else zero for j in range(n)) for i in range(n)]
+    dirs = [unit_vector(field, n, i) for i in range(n)]
     if with_diagonal:
-        dirs.append(tuple(one for _ in range(n)))
+        dirs.append((field.one(),) * n)
     return LineFamily(field, n, tuple(dirs))
 
 
@@ -73,9 +74,7 @@ def s_family(n: int, field: Field = QQ) -> LineFamily:
     if n < 2:
         raise InputError("s_family needs n >= 2")
     one, zero = field.one(), field.zero()
-    raw: List[Vector] = []
-    for i in range(n):
-        raw.append(tuple(one if j == i else zero for j in range(n)))
+    raw: List[Vector] = [unit_vector(field, n, i) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             raw.append(tuple(one if t in (i, j) else zero for t in range(n)))
@@ -89,16 +88,16 @@ def s_family(n: int, field: Field = QQ) -> LineFamily:
 
 def _family_directions_mod(fam: LineFamily, p: int) -> List[Point]:
     """Family directions as residue vectors, deduplicated up to scaling."""
+    if isinstance(fam.field, PrimeField) and fam.field.p != p:
+        raise InputError(f"family over {fam.field} checked against a table over Z_{p}")
     gf = PrimeField(p)
     out: List[Point] = []
     seen = set()
     for d in fam.directions:
         dd = tuple(gf.convert(c) for c in d)
-        if all(c == 0 for c in dd):
+        if not any(dd):
             raise InputError("direction reduces to zero mod p")
-        i0 = next(i for i, c in enumerate(dd) if c)
-        scale = pow(dd[i0], p - 2, p)
-        canon = tuple(c * scale % p for c in dd)
+        canon = normalize_coords(p, dd)
         if canon not in seen:
             seen.add(canon)
             out.append(dd)
@@ -124,13 +123,18 @@ class FiniteMapTable:
             raise InputError("dimensions must be >= 1")
         if len(self.values) != self.p ** self.n:
             raise InputError(f"expected {self.p ** self.n} values, got {len(self.values)}")
-        vals = []
-        for v in self.values:
-            v = tuple(int(c) for c in v)
-            if len(v) != self.m or any(not 0 <= c < self.p for c in v):
+        p, m = self.p, self.m
+        vals = tuple(map(tuple, self.values))
+        for v in vals:
+            if len(v) != m:
                 raise InputError("table value out of range")
-            vals.append(v)
-        object.__setattr__(self, "values", tuple(vals))
+            for c in v:
+                # exactly int: a float, bool or str entry is rejected, never truncated
+                if type(c) is not int:
+                    raise InputError(f"table entry {c!r} is not an int")
+                if not 0 <= c < p:
+                    raise InputError("table value out of range")
+        object.__setattr__(self, "values", vals)
 
     def apply(self, point: Sequence[int]) -> Point:
         if len(point) != self.n:
@@ -198,9 +202,39 @@ def enumerate_lines(p: int, n: int, direction: Sequence[int]) -> List[List[Point
     return lines
 
 
+# A cached direction holds about 80 bytes per grid point.  The bound keeps
+# every direction of perfbench's families (28 keys in its grid-oracle
+# workload) and caps what a family with many directions can pin.
+@lru_cache(maxsize=32)
+def _line_kernel(p: int, n: int, direction: Point) -> Tuple[Tuple[Point, Tuple[int, ...]], ...]:
+    """The lines of `enumerate_lines(p, n, direction)`, each as its base
+    point line[0] and the flat indices of its points into a value table.
+    Keyed by the canonical direction (see `_lines`)."""
+    return tuple((line[0], tuple(point_index(p, x) for x in line))
+                 for line in enumerate_lines(p, n, direction))
+
+
+def _lines(p: int, n: int, direction: Point) -> Tuple[Tuple[Point, Tuple[int, ...]], ...]:
+    """Every line of (Z_p)^n parallel to the direction: (line[0], indices)."""
+    return _line_kernel(p, n, normalize_coords(p, direction))
+
+
 def points_collinear(p: int, pts: Sequence[Point]) -> bool:
     """All points on one affine line of (Z_p)^m (where m = len of each point)."""
     first = pts[0]
+    if len(first) == 2:
+        # the plane case runs in the scalar-rigidity searches' inner loop:
+        # (ex, ey) is the first nonzero difference from the first point
+        x0, y0 = first
+        ex = ey = 0
+        for x, y in pts:
+            dx, dy = (x - x0) % p, (y - y0) % p
+            if ex or ey:
+                if (ex * dy - ey * dx) % p:
+                    return False
+            else:
+                ex, ey = dx, dy
+        return True
     d0: Optional[Point] = None
     for q in pts[1:]:
         d = tuple((a - b) % p for a, b in zip(q, first))
@@ -245,46 +279,87 @@ def check_family(table: FiniteMapTable, fam: LineFamily, mode: str = "onto") -> 
         raise InputError(f"mode must be 'into' or 'onto', got {mode!r}")
     if fam.n != table.n:
         raise InputError("family dimension != table dimension")
-    p = table.p
+    p, values = table.p, table.values
+    onto = mode == "onto"
     violations: List[Violation] = []
     for d in _family_directions_mod(fam, p):
-        for line in enumerate_lines(p, table.n, d):
-            images = sorted(set(table.apply(x) for x in line))
+        for base, idx in _lines(p, table.n, d):
+            images = [values[i] for i in idx]
             if not points_collinear(p, images):
-                violations.append(Violation(d, line[0], "not-a-line"))
-            elif mode == "onto" and len(images) < p:
-                violations.append(Violation(d, line[0], "not-onto"))
+                violations.append(Violation(d, base, "not-a-line"))
+            elif onto and len(set(images)) < p:
+                violations.append(Violation(d, base, "not-onto"))
     return FamilyReport(not violations, tuple(violations))
+
+
+def _parallel_violations(table: FiniteMapTable, fam: LineFamily) -> Optional[Tuple[Violation, ...]]:
+    """One pass over the family lines of an injective table: None as soon as
+    a line is not mapped onto a line (for an injective table, onto = into),
+    else the lines whose image is not parallel to the image of the first line
+    of their direction."""
+    if fam.n != table.n:
+        raise InputError("family dimension != table dimension")
+    p, values = table.p, table.values
+    gf = PrimeField(p)
+    violations: List[Violation] = []
+    for d in _family_directions_mod(fam, p):
+        ref: Optional[Point] = None
+        for base, idx in _lines(p, table.n, d):
+            images = [values[i] for i in idx]
+            if not points_collinear(p, images):
+                return None
+            delta = tuple((a - b) % p for a, b in zip(images[1], images[0]))
+            if ref is None:
+                ref = delta
+            elif not vectors_parallel(gf, ref, delta):
+                violations.append(Violation(d, base, "not-parallel"))
+    return tuple(violations)
 
 
 def parallelism_report(table: FiniteMapTable, fam: LineFamily) -> FamilyReport:
     """Within each direction, do all family lines have parallel images?"""
     if not table.is_injective():
         raise InputError("parallelism check needs an injective table")
-    if not check_family(table, fam, "onto").ok:
+    violations = _parallel_violations(table, fam)
+    if violations is None:
         raise InputError("parallelism check requires the onto check to pass first")
-    p = table.p
-    violations: List[Violation] = []
-    for d in _family_directions_mod(fam, p):
-        ref: Optional[Point] = None
-        for line in enumerate_lines(p, table.n, d):
-            images = sorted(set(table.apply(x) for x in line))
-            delta = tuple((a - b) % p for a, b in zip(images[1], images[0]))
-            if ref is None:
-                ref = delta
-                continue
-            parallel = True
-            for i in range(len(delta)):
-                for j in range(i + 1, len(delta)):
-                    if (ref[i] * delta[j] - ref[j] * delta[i]) % p:
-                        parallel = False
-            if not parallel:
-                violations.append(Violation(d, line[0], "not-parallel"))
-    return FamilyReport(not violations, tuple(violations))
+    return FamilyReport(not violations, violations)
 
 
 def check_parallelism(table: FiniteMapTable, fam: LineFamily) -> bool:
     return parallelism_report(table, fam).ok
+
+
+def _diagonal_hypothesis(table: FiniteMapTable, fam: LineFamily) -> Tuple[List[Point], Optional[str]]:
+    """The family's directions mod p and the first hypothesis of the
+    diagonal-form lemma that the table fails (None when it meets them all):
+    n independent directions, injective, every family line onto a line,
+    parallel family lines onto parallel lines."""
+    p, n = table.p, table.n
+    dirs = _family_directions_mod(fam, p)
+    if len(dirs) != n:
+        raise InputError(f"need exactly n={n} directions, got {len(dirs)}")
+    if rank_of_vectors(PrimeField(p), dirs) != n:
+        return dirs, "directions are not linearly independent"
+    if not table.is_injective():
+        return dirs, "table is not injective"
+    violations = _parallel_violations(table, fam)
+    if violations is None:
+        return dirs, "a family line is not mapped onto a line"
+    if violations:
+        return dirs, "parallel family lines have non-parallel images"
+    return dirs, None
+
+
+def _from_origin(table: FiniteMapTable) -> Tuple[Point, Callable[[Point], Point]]:
+    """F(0) and the map x -> F(x) - F(0) (mod p) of the table."""
+    p = table.p
+    base = table.apply((0,) * table.n)
+
+    def g(x: Point) -> Point:
+        return tuple((a - b) % p for a, b in zip(table.apply(x), base))
+
+    return base, g
 
 
 # ===========================================================================
@@ -325,29 +400,11 @@ def verify_span_invariants(table: FiniteMapTable, fam: LineFamily) -> SpanInvari
     of the hypotheses are reported as such, not as conclusion failures.
     """
     p, n, m = table.p, table.n, table.m
-    dirs = _family_directions_mod(fam, p)
-    if len(dirs) != n:
-        raise InputError(f"need exactly n={n} directions, got {len(dirs)}")
+    dirs, failure = _diagonal_hypothesis(table, fam)
+    if failure is not None:
+        return SpanInvariantReport(False, False, failure)
     gf = PrimeField(p)
-
-    def hyp(msg: str) -> SpanInvariantReport:
-        return SpanInvariantReport(False, False, msg)
-
-    if rank_of_vectors(gf, dirs) != n:
-        return hyp("directions are not linearly independent")
-    if not table.is_injective():
-        return hyp("table is not injective")
-    if not check_family(table, fam, "onto").ok:
-        return hyp("a family line is not mapped onto a line")
-    if not check_parallelism(table, fam):
-        return hyp("parallel family lines have non-parallel images")
-
-    base = table.apply((0,) * n)
-
-    def g(x: Point) -> Point:
-        y = table.apply(x)
-        return tuple((a - b) % p for a, b in zip(y, base))
-
+    _base, g = _from_origin(table)
     gv = [g(v) for v in dirs]
     for k in range(2, n + 1):
         if rank_of_vectors(gf, gv[:k]) != k:
@@ -389,12 +446,14 @@ class DiagonalForm:
     def m(self) -> int:
         return len(self.base)
 
+    @cached_property
+    def _u_inverse(self) -> Matrix:
+        """The inverse of the matrix with columns u, taking x to its alphas."""
+        u_cols = Matrix(PrimeField(self.p), tuple(zip(*self.u)))
+        return inverse(u_cols)
+
     def apply(self, x: Sequence[int]) -> Point:
-        from .exact import Matrix, inverse, mat_vec
-        gf = PrimeField(self.p)
-        u_cols = Matrix(gf, tuple(tuple(self.u[j][i] for j in range(self.n))
-                                  for i in range(self.n)))
-        alpha = mat_vec(inverse(u_cols), tuple(int(c) % self.p for c in x))
+        alpha = mat_vec(self._u_inverse, tuple(int(c) % self.p for c in x))
         return self._from_alpha(alpha)
 
     def _from_alpha(self, alpha: Sequence[int]) -> Point:
@@ -412,11 +471,7 @@ class DiagonalForm:
 
 
 def tabulate_diagonal_form(form: DiagonalForm) -> FiniteMapTable:
-    from .exact import Matrix, inverse, mat_vec
-    gf = PrimeField(form.p)
-    u_cols = Matrix(gf, tuple(tuple(form.u[j][i] for j in range(form.n))
-                              for i in range(form.n)))
-    u_inv = inverse(u_cols)
+    u_inv = form._u_inverse
     values = []
     for x in grid_points(form.p, form.n):
         values.append(form._from_alpha(mat_vec(u_inv, x)))
@@ -442,25 +497,11 @@ def recover_diagonal_form(table: FiniteMapTable, fam: LineFamily) -> DiagonalFor
     mismatch means the preconditions were mis-checked and raises an internal
     inconsistency error rather than returning a bogus form.
     """
-    p, n = table.p, table.n
-    dirs = _family_directions_mod(fam, p)
-    if len(dirs) != n:
-        raise InputError(f"need exactly n={n} directions, got {len(dirs)}")
-    if rank_of_vectors(PrimeField(p), dirs) != n:
-        raise InputError("directions are not linearly independent")
-    if not table.is_injective():
-        raise InputError("table is not injective")
-    if not check_family(table, fam, "onto").ok:
-        raise InputError("a family line is not mapped onto a line")
-    if not check_parallelism(table, fam):
-        raise InputError("parallel family lines have non-parallel images")
-
-    base = table.apply((0,) * n)
-
-    def g(x: Point) -> Point:
-        y = table.apply(x)
-        return tuple((a - b) % p for a, b in zip(y, base))
-
+    p = table.p
+    dirs, failure = _diagonal_hypothesis(table, fam)
+    if failure is not None:
+        raise InputError(failure)
+    base, g = _from_origin(table)
     w = tuple(g(v) for v in dirs)
     f = []
     for i, v in enumerate(dirs):
@@ -521,16 +562,10 @@ def recover_plane_form(table: FiniteMapTable) -> PlaneForm:
     if not table.is_injective():
         raise InputError("table is not injective")
     p = table.p
-    axes = LineFamily(PrimeField(p), 2, ((1, 0), (0, 1)))
-    if not check_family(table, axes, "onto").ok:
+    if not check_family(table, standard_family(PrimeField(p), 2), "onto").ok:
         raise InputError("an axis-parallel line is not mapped onto a line")
 
-    base = table.apply((0, 0))
-
-    def g_(x: Point) -> Point:
-        y = table.apply(x)
-        return tuple((a - b) % p for a, b in zip(y, base))
-
+    base, g_ = _from_origin(table)
     u1, u2 = g_((1, 0)), g_((0, 1))
     u12 = g_((1, 1))
     u3 = tuple((u12[j] - u1[j] - u2[j]) % p for j in range(table.m))
@@ -573,8 +608,7 @@ def exhaustive_bijection_search(p: int, n: int, fam: LineFamily,
     # lines as index tuples, grouped by the position at which they complete
     finishers: List[List[Tuple[int, ...]]] = [[] for _ in range(total)]
     for d in _family_directions_mod(fam, p):
-        for line in enumerate_lines(p, n, d):
-            idx = tuple(point_index(p, x) for x in line)
+        for _base, idx in _lines(p, n, d):
             finishers[max(idx)].append(idx)
 
     collinear_cache: Dict[Tuple[Point, ...], bool] = {}

@@ -23,9 +23,10 @@ from functools import lru_cache
 from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .collineations import enumerate_lines, standard_family
 from .exact import (
     Field, InputError, InternalInconsistencyError, Matrix, QQ, Scalar,
-    Vector, nullspace, rref, vector, zero_vector,
+    Vector, nullspace, rref, unit_vector, vector, zero_vector,
 )
 from .multiaffine import (
     MultiAffineMap, UnivariateCurve, curve_lies_in_line, grid_points,
@@ -166,13 +167,6 @@ class StandardFamilyReport:
                                 "degree": v.degree} for v in self.violations]}
 
 
-def _standard_directions(field: Field, n: int) -> List[Vector]:
-    one, zero = field.one(), field.zero()
-    dirs = [tuple(one if j == i else zero for j in range(n)) for i in range(n)]
-    dirs.append(tuple(one for _ in range(n)))
-    return dirs
-
-
 def _symbolic_excess_degree(map_: MultiAffineMap, b: Vector) -> int:
     """Largest k >= 2 for which the t^k coefficient of F(w + t b) is a nonzero
     polynomial in the (symbolic) base point w; 0 if none.
@@ -224,14 +218,13 @@ def check_standard_family(map_: MultiAffineMap) -> StandardFamilyReport:
         raise InputError("map does not satisfy the constraint system")
     F = map_.field
     violations: List[LineDegreeViolation] = []
-    dirs = _standard_directions(F, map_.n)
+    dirs = standard_family(F, map_.n, True).directions
     if F.kind == "rational":
         for b in dirs:
             excess = _symbolic_excess_degree(map_, b)
             if excess >= 2:
                 violations.append(LineDegreeViolation(b, None, excess))
     else:
-        from .collineations import enumerate_lines
         p = F.p
         for b in dirs:
             for line in enumerate_lines(p, map_.n, b):
@@ -286,12 +279,9 @@ def construct_sharp_map(dim: int) -> SharpMapSpec:
     alpha_vec = basis[0]
     alphas = {m: alpha_vec[col[m]] for m in unknowns if alpha_vec[col[m]] != 0}
 
-    one, zero = QQ.one(), QQ.zero()
-    coeffs: Dict[int, Vector] = {}
-    for i in range(dim):
-        coeffs[1 << i] = tuple(one if j == i else zero for j in range(dim))
+    coeffs: Dict[int, Vector] = {1 << i: unit_vector(QQ, dim, i) for i in range(dim)}
     for m, a in alphas.items():
-        coeffs[m] = tuple(a if j == dim - 1 else zero for j in range(dim))
+        coeffs[m] = (QQ.zero(),) * (dim - 1) + (a,)
     map_ = MultiAffineMap(dim, dim, QQ, coeffs)
 
     if not satisfies_constraints(map_).ok:
@@ -304,9 +294,7 @@ def construct_sharp_map(dim: int) -> SharpMapSpec:
 def sharp_r4_map(field: Field = QQ) -> MultiAffineMap:
     """(x1, x2, x3, x4 + x1 x2 - x1 x3): the corrected dimension-4 sharp map."""
     one, zero = field.one(), field.zero()
-    coeffs: Dict[int, Vector] = {}
-    for i in range(4):
-        coeffs[1 << i] = tuple(one if j == i else zero for j in range(4))
+    coeffs: Dict[int, Vector] = {1 << i: unit_vector(field, 4, i) for i in range(4)}
     coeffs[0b0011] = (zero, zero, zero, one)               # +x1 x2
     coeffs[0b0101] = (zero, zero, zero, field.neg(one))    # -x1 x3
     return MultiAffineMap(4, 4, field, coeffs)
@@ -318,9 +306,7 @@ def noninjective_r4_variant(field: Field = QQ) -> MultiAffineMap:
     when x2 = -1, so the map is NOT injective.  Shipped as a cautionary
     executable example; see the collision exhibited in the test suite."""
     one, zero = field.one(), field.zero()
-    coeffs: Dict[int, Vector] = {}
-    for i in range(4):
-        coeffs[1 << i] = tuple(one if j == i else zero for j in range(4))
+    coeffs: Dict[int, Vector] = {1 << i: unit_vector(field, 4, i) for i in range(4)}
     coeffs[0b0110] = (zero, zero, zero, field.neg(one))    # -x2 x3
     coeffs[0b1010] = (zero, zero, zero, one)               # +x2 x4
     return MultiAffineMap(4, 4, field, coeffs)

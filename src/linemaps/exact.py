@@ -30,16 +30,37 @@ Scalar = Union[Fraction, int]
 Vector = Tuple[Scalar, ...]
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below the least
+# strong pseudoprime to all of them, psi_13 (Sorenson and Webster, 2017).
+# The first 12 bases alone pass psi_12 = 318665857834031151167461, which is
+# composite.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981  # psi_13
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic primality test; ResourceError where it is not exact."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    if p >= _MR_BOUND:
+        raise ResourceError(f"primality of {p} is only decided below {_MR_BOUND}")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -240,7 +261,23 @@ def zero_vector(field: Field, n: int) -> Vector:
     return (field.zero(),) * n
 
 def unit_vector(field: Field, n: int, i: int) -> Vector:
-    return tuple(field.one() if j == i else field.zero() for j in range(n))
+    e = [field.zero()] * n
+    e[i] = field.one()
+    return tuple(e)
+
+
+def normalize_coords(p: int, raw: Sequence[int]) -> Tuple[int, ...]:
+    """Residues mod p, scaled so that the first nonzero entry is 1."""
+    c = [int(x) % p for x in raw]
+    for pivot in c:
+        if pivot:
+            break
+    else:
+        raise InputError("homogeneous coordinates must not all vanish")
+    if pivot == 1:
+        return tuple(c)
+    inv = pow(pivot, p - 2, p)
+    return tuple([x * inv % p for x in c])
 
 
 def vectors_parallel(field: Field, a: Vector, b: Vector) -> bool:

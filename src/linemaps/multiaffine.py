@@ -15,8 +15,8 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .exact import (
     Field, InputError, Matrix, PrimeField, QQ, ResourceError, Scalar, Vector,
-    field_from_json, field_to_json, mat_vec, vec_add, vec_is_zero, vec_scale,
-    vec_sub, vector, vectors_parallel, zero_vector,
+    field_from_json, field_to_json, mat_vec, unit_vector, vec_add, vec_is_zero,
+    vec_scale, vec_sub, vector, vectors_parallel, zero_vector,
 )
 
 
@@ -70,10 +70,7 @@ class MultiAffineMap:
 
 
 def identity_map(field: Field, n: int) -> MultiAffineMap:
-    one, zero = field.one(), field.zero()
-    coeffs = {}
-    for i in range(n):
-        coeffs[1 << i] = tuple(one if j == i else zero for j in range(n))
+    coeffs = {1 << i: unit_vector(field, n, i) for i in range(n)}
     return MultiAffineMap(n, n, field, coeffs)
 
 
@@ -322,14 +319,6 @@ def point_index(p: int, point: Sequence[int]) -> int:
     for x in point:
         idx = idx * p + x % p
     return idx
-
-
-def index_point(p: int, n: int, idx: int) -> Tuple[int, ...]:
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        out[i] = idx % p
-        idx //= p
-    return tuple(out)
 
 
 def tabulate(map_: MultiAffineMap, budget: int = DEFAULT_POINT_BUDGET):

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .exact import (
     Field, InputError, InternalInconsistencyError, Matrix, PrimeField, QQ,
     Vector, identity_matrix, inverse, is_j_independent, mat_mul, mat_vec,
-    rank_of_vectors, solve, vector,
+    normalize_coords, rank_of_vectors, solve, vector,
 )
 
 Coords = Tuple[int, ...]
@@ -68,13 +68,8 @@ def pg_points(p: int, n: int) -> Tuple[Coords, ...]:
     """All points of PG(n,p) as normalized tuples, lexicographically sorted —
     the canonical order used by tables."""
     PrimeField(p)
-    pts = set()
-    for raw in itertools.product(range(p), repeat=n + 1):
-        pivot = next((x for x in raw if x), None)
-        if pivot is None:
-            continue
-        inv = pow(pivot, p - 2, p)
-        pts.add(tuple(x * inv % p for x in raw))
+    pts = {normalize_coords(p, raw)
+           for raw in itertools.product(range(p), repeat=n + 1) if any(raw)}
     out = tuple(sorted(pts))
     expected = (p ** (n + 1) - 1) // (p - 1)
     if len(out) != expected:
@@ -85,15 +80,6 @@ def pg_points(p: int, n: int) -> Tuple[Coords, ...]:
 @lru_cache(maxsize=None)
 def _pg_index(p: int, n: int) -> Dict[Coords, int]:
     return {c: i for i, c in enumerate(pg_points(p, n))}
-
-
-def normalize_coords(p: int, raw: Sequence[int]) -> Coords:
-    c = tuple(int(x) % p for x in raw)
-    pivot = next((x for x in c if x), None)
-    if pivot is None:
-        raise InputError("homogeneous coordinates must not all vanish")
-    inv = pow(pivot, p - 2, p)
-    return tuple(x * inv % p for x in c)
 
 
 # ===========================================================================
@@ -233,6 +219,8 @@ class ProjTable:
             raise InputError(f"expected {len(pts)} values")
         vals = []
         for v in self.values:
+            if len(v) != self.n + 1:
+                raise InputError(f"table value {v!r} does not have n+1 = {self.n + 1} coordinates")
             vals.append(normalize_coords(self.p, v))
         object.__setattr__(self, "values", tuple(vals))
 

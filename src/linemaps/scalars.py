@@ -10,8 +10,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from .collineations import points_collinear
 from .exact import InputError, PrimeField, ResourceError
 
 Table = Tuple[int, ...]
@@ -218,21 +219,6 @@ def _line_through(p: int, c: Tuple[int, int], d: Tuple[int, int]) -> List[Tuple[
     return [((c[0] + s * d[0]) % p, (c[1] + s * d[1]) % p) for s in range(p)]
 
 
-def _plane_points_collinear(p: int, pts: Sequence[Tuple[int, int]]) -> bool:
-    (x0, y0) = pts[0]
-    d = None
-    for (x, y) in pts[1:]:
-        e = ((x - x0) % p, (y - y0) % p)
-        if e == (0, 0):
-            continue
-        if d is None:
-            d = e
-            continue
-        if (d[0] * e[1] - d[1] * e[0]) % p:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class DiagonalRigidityReport:
     p: int
@@ -280,7 +266,7 @@ def verify_diagonal_rigidity(p: int, n: int = 2,
         for f2 in bijections_fixing_0_1(p):
             count += 1
             v1, v2 = f1.values, f2.values
-            if all(_plane_points_collinear(
+            if all(points_collinear(
                     p, [(v1[x], v2[y]) for (x, y) in line]) for line in pencils):
                 survivors.append((v1, v2))
     identity_only = survivors == [(ident, ident)]
@@ -353,7 +339,7 @@ def verify_additive_rigidity(p: int, n: int = 2,
                 fa, fb = apply(a), apply(b)
                 if apply(s) != ((fa[0] + fb[0]) % p, (fa[1] + fb[1]) % p):
                     all_additive = False
-        if not all(_plane_points_collinear(p, [apply(x) for x in line])
+        if not all(points_collinear(p, [apply(x) for x in line])
                    for line in pencil):
             all_lines = False
     expected = (p * p - 1) * (p * p - p)

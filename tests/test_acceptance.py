@@ -15,7 +15,8 @@ lines with c != 0.  The related unit tests are
 `test_example_survives_the_full_diagonal` and
 `test_example_map_sends_parallel_lines_to_skew_lines` in
 `tests/test_collineations.py`, and `test_restriction_degrees` in
-`tests/test_multiaffine.py`.  The whole suite is expected to give 181 passed.
+`tests/test_multiaffine.py`.  The expected pass count of the whole suite is
+kept in the "Tier-1 verify" section of ROADMAP.md.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -322,3 +323,46 @@ def test_scalar_lemmas_cli(capsys):
     for flags, expected in cases:
         assert main(["scalar-lemmas", *flags]) == expected, flags
         capsys.readouterr()
+
+
+def test_bad_flag_values_are_input_errors(capsys, tmp_path):
+    # each of these once escaped as a traceback with exit 1 (a ZeroDivisionError,
+    # a ValueError, an IndexError or a TypeError from the parse site)
+    bad_entry = tmp_path / "bad_entry.json"
+    bad_entry.write_text(json.dumps([[1, 0], ["a", 1]]))
+    zero_den = tmp_path / "zero_den.json"
+    zero_den.write_text(json.dumps([["1/0", 1]]))
+    not_vectors = tmp_path / "not_vectors.json"
+    not_vectors.write_text(json.dumps([1, 0]))
+    cases = [
+        ("example", "--alpha", "1/0"),
+        ("example", "--alpha", "x"),
+        ("refute-fifth", "--variant", "1", "--alpha", "1/0"),
+        ("scalar-lemmas", "--p", "5", "--lemma", "diag2str", "--x0", "a,b"),
+        ("scalar-lemmas", "--p", "5", "--lemma", "add1str", "--x0", "1"),
+        ("exhaust", "--p", "3", "--n", "2", "--dirs", "1/0,1"),
+        ("exhaust", "--p", "3", "--n", "2", "--dirs-file", str(bad_entry)),
+        ("exhaust", "--p", "3", "--n", "2", "--dirs-file", str(zero_den)),
+        ("exhaust", "--p", "3", "--n", "2", "--dirs-file", str(not_vectors)),
+    ]
+    for argv in cases:
+        assert main(list(argv)) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: "), argv
+
+
+def test_dirs_file_accepts_rational_entries(capsys, tmp_path):
+    dirs = tmp_path / "dirs.json"
+    dirs.write_text(json.dumps([[1, 0], ["0", "1/2"]]))
+    code, out = run(capsys, "exhaust", "--p", "3", "--n", "2", "--dirs-file", str(dirs))
+    assert code == 0 and json.loads(out)["count"] == 432
+
+
+def test_huge_prime_hits_the_guard_at_once(capsys):
+    # 2^61 - 1 is prime: it used to take trial division past 15 s to see that
+    t0 = time.perf_counter()
+    code = main(["scalar-lemmas", "--p", str(2 ** 61 - 1), "--lemma", "ratio"])
+    assert code == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.startswith("resource guard: ")

@@ -4,8 +4,11 @@ span invariants, and the exhaustive bijection search."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linemaps import (
+    FiniteMapTable,
     InputError,
     LineFamily,
     PrimeField,
@@ -19,6 +22,7 @@ from linemaps import (
     grid_points,
     parallelism_report,
     points_collinear,
+    rank_of_vectors,
     recover_diagonal_form,
     recover_plane_form,
     reduce_mod,
@@ -78,6 +82,33 @@ def test_enumerate_lines_partitions_the_grid():
             assert line == sorted(line)
             seen.update(line)
         assert len(seen) == 125
+
+
+@st.composite
+def point_sets(draw, length):
+    """1 to 6 points of (Z_p)^length, often on one line, sometimes with one
+    point moved off it."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    coord = st.integers(0, p - 1)
+    base = draw(st.lists(coord, min_size=length, max_size=length))
+    step = draw(st.lists(coord, min_size=length, max_size=length))
+    ts = draw(st.lists(coord, min_size=1, max_size=6))
+    pts = [tuple((b + t * s) % p for b, s in zip(base, step)) for t in ts]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(pts) - 1))
+        pts[i] = tuple(draw(st.lists(coord, min_size=length, max_size=length)))
+    return p, pts
+
+
+@pytest.mark.parametrize("length", (1, 2, 3, 4))  # 2 takes the plane branch
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_collinearity_agrees_with_the_rank_of_the_differences(length, data):
+    p, pts = data.draw(point_sets(length))
+    diffs = [tuple((a - b) % p for a, b in zip(q, pts[0])) for q in pts]
+    expected = rank_of_vectors(PrimeField(p), diffs) <= 1
+    assert points_collinear(p, pts) == expected
+    assert points_collinear(p, pts[::-1]) == expected
 
 
 def test_collinearity_predicate():
@@ -170,6 +201,25 @@ def test_parallelism_requires_injectivity():
     proj = table_from_function(3, 2, 2, lambda x: (x[0], 0))
     with pytest.raises(InputError):
         parallelism_report(proj, standard_family(QQ, 2))
+
+
+def test_parallelism_requires_every_family_line_onto_a_line():
+    # the identity of (Z_5)^2 with the images of (0,0) and (1,1) swapped is
+    # injective, but tears the e1-line and the e2-line through the origin;
+    # the (1,1)-lines stay lines (the swap stays inside one of them)
+    swap = {(0, 0): (1, 1), (1, 1): (0, 0)}
+    torn = table_from_function(5, 2, 2, lambda x: swap.get(x, x))
+    assert torn.is_injective()
+    for dirs in (((1, 0), (0, 1)), ((1, 1), (0, 1))):
+        fam = LineFamily(QQ, 2, dirs)
+        with pytest.raises(InputError, match="onto check"):
+            parallelism_report(torn, fam)
+        report = verify_span_invariants(torn, fam)
+        assert not report.hypothesis_ok
+        assert report.failure == "a family line is not mapped onto a line"
+        with pytest.raises(InputError, match="not mapped onto a line"):
+            recover_diagonal_form(torn, fam)
+    assert parallelism_report(torn, LineFamily(QQ, 2, ((1, 1),))).ok
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +375,30 @@ def test_table_json_round_trip(example_table_p5):
     back = table_from_json(table_to_json(example_table_p5))
     assert back.values == example_table_p5.values
     assert (back.p, back.n, back.m) == (5, 3, 3)
+
+
+def test_table_rejects_entries_that_are_not_ints():
+    ints = [[x] for x in range(3)]
+    assert table_from_json({"p": 3, "n": 1, "m": 1, "values": ints}).values == ((0,), (1,), (2,))
+    # int() would truncate 0.9 to 0 and 1.5 to 1, and take True for 1 and "2" for 2
+    for bad in (0.9, 1.5, True, "2"):
+        values = ((0,), (bad,), (2,))
+        with pytest.raises(InputError, match="not an int"):
+            FiniteMapTable(3, 1, 1, values)
+        with pytest.raises(InputError):
+            table_from_json({"p": 3, "n": 1, "m": 1, "values": [list(v) for v in values]})
+
+
+def test_family_over_another_prime_field_is_rejected():
+    table = identity_table(5, 2)
+    assert check_family(table, standard_family(PrimeField(5), 2)).ok
+    # over GF(7), (1, 5) is not parallel to (1, 0); mod 5 it would be
+    # reduced to the e1 direction
+    fam = LineFamily(PrimeField(7), 2, ((1, 0), (0, 1)))
+    for oracle in (check_family, parallelism_report, verify_span_invariants,
+                   recover_diagonal_form):
+        with pytest.raises(InputError, match="GF\\(7\\)"):
+            oracle(table, fam)
 
 
 def test_table_validation():

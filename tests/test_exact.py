@@ -13,6 +13,7 @@ from linemaps import (
     Matrix,
     PrimeField,
     QQ,
+    ResourceError,
     identity_matrix,
     inverse,
     is_invertible,
@@ -30,6 +31,7 @@ from linemaps import (
     vector,
     vectors_parallel,
 )
+from linemaps.exact import _is_prime
 
 # ---------------------------------------------------------------------------
 # fields
@@ -60,6 +62,26 @@ def test_prime_field_rejects_two_and_composites():
         PrimeField(9)
     with pytest.raises(InputError):
         PrimeField(1)
+
+
+def _trial_division_is_prime(p):
+    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
+def test_primality_agrees_with_trial_division_below_ten_thousand():
+    for p in range(-2, 10 ** 4):
+        assert _is_prime(p) == _trial_division_is_prime(p), p
+
+
+def test_primality_of_large_numbers():
+    assert _is_prime(2 ** 61 - 1)
+    assert not _is_prime(2 ** 61 + 1)  # divisible by 3
+    # the least strong pseudoprime to the first 12 prime bases: base 41 exposes it
+    assert not _is_prime(318665857834031151167461)
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    assert PrimeField(2 ** 61 - 1).p == 2 ** 61 - 1
+    with pytest.raises(ResourceError):
+        PrimeField(2 ** 89 - 1)  # prime, but past the bound where the test is exact
 
 
 def test_prime_field_converts_fractions_via_modular_inverse():

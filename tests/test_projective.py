@@ -298,6 +298,13 @@ def test_embedded_general_affine_map_is_not_identity_on_the_frontier():
     assert decide_projective_linear(embedded) is None
 
 
+def test_proj_table_rejects_values_of_the_wrong_length():
+    pts = pg_points(3, 2)
+    for bad in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(InputError, match="n\\+1 = 3"):
+            ProjTable(3, 2, (bad,) + pts[1:])
+
+
 def test_proj_table_json_round_trip():
     table = proj_table_from_map(proj_identity(PrimeField(3), 2), 3)
     back = proj_table_from_json(proj_table_to_json(table))

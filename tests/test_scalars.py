@@ -21,7 +21,8 @@ from linemaps import (
     verify_diagonal_rigidity,
     verify_multiplicative_rigidity,
 )
-from linemaps.scalars import _line_through, _plane_points_collinear
+from linemaps import points_collinear
+from linemaps.scalars import _line_through
 
 # ---------------------------------------------------------------------------
 # scalar tables
@@ -156,7 +157,7 @@ def test_one_pencil_is_not_enough():
         for d in dirs:
             line = _line_through(p, center, d)
             images = {(cube(x), cube(y)) for x, y in line}
-            if len(images) != p or not _plane_points_collinear(p, sorted(images)):
+            if len(images) != p or not points_collinear(p, sorted(images)):
                 return False
         return True
 
