@@ -4,8 +4,11 @@ the stock examples, and emit machine-readable reports.
 Exit codes:
   0  every requested check passed / the object was constructed
   1  a verified mathematical violation (the report carries the details)
-  2  bad input: unparsable files, malformed flags, dimension mismatches
+  2  bad input: unreadable or unparsable files, malformed flags, dimension
+     mismatches
   3  a resource guard tripped (table or search too large for the budget)
+  4  an internal inconsistency: a verified precondition later failed, which
+     signals a checker bug rather than a property of the input
 """
 
 from __future__ import annotations
@@ -371,7 +374,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ResourceError as exc:
@@ -379,7 +382,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except InternalInconsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
-        return 1
+        return 4
 
 
 if __name__ == "__main__":

@@ -21,16 +21,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .collineations import enumerate_lines, standard_family
+from .collineations import standard_family
 from .exact import (
     Field, InputError, InternalInconsistencyError, Matrix, QQ, Scalar,
     Vector, nullspace, rref, unit_vector, vector, zero_vector,
 )
 from .multiaffine import (
-    MultiAffineMap, UnivariateCurve, curve_lies_in_line, grid_points,
-    mask_to_delta, restrict_to_line,
+    MultiAffineMap, curve_lies_in_line, mask_to_delta, restrict_to_line,
 )
 
 RowLabel = Tuple  # ("vanish", mask) or ("sum", k, sorted index tuple)
@@ -53,9 +52,6 @@ class ConstraintSystem:
     rows: Matrix                     # over QQ, one row per condition
     labels: Tuple[RowLabel, ...]     # what each row encodes
 
-    def column_of(self, mask: int) -> int:
-        return self.unknowns.index(mask)
-
     def solution_dimension(self) -> int:
         return len(self.unknowns) - rref(self.rows).rank
 
@@ -66,23 +62,32 @@ class ConstraintSystem:
         }
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _zero_sum_row(unknowns: Tuple[int, ...], k: int, subset: Tuple[int, ...]) -> Vector:
+    """The row of sum over {|delta| = k, delta >= S} of u_delta = 0: a 1 in
+    the column of each such unknown mask, 0 elsewhere."""
+    s_mask = 0
+    for i in subset:
+        s_mask |= 1 << i
+    return tuple([_ONE if m & s_mask == s_mask and m.bit_count() == k else _ZERO
+                  for m in unknowns])
+
+
 @lru_cache(maxsize=None)
 def build_constraints(n: int) -> ConstraintSystem:
     if n < 2:
         raise InputError("constraint system needs n >= 2")
     unknowns = _ordered_masks(n)
-    col = {m: i for i, m in enumerate(unknowns)}
     rows: List[Vector] = []
     labels: List[RowLabel] = []
 
-    def blank() -> List[Scalar]:
-        return [Fraction(0)] * len(unknowns)
-
     # vanishing conditions: u_delta = 0 for 2|delta| >= n+2
-    for mask in unknowns:
+    for ci, mask in enumerate(unknowns):
         if 2 * mask.bit_count() >= n + 2:
-            row = blank()
-            row[col[mask]] = Fraction(1)
+            row = [_ZERO] * len(unknowns)
+            row[ci] = _ONE
             rows.append(tuple(row))
             labels.append(("vanish", mask))
 
@@ -92,14 +97,7 @@ def build_constraints(n: int) -> ConstraintSystem:
             break
         for l in range(0, k - 1):
             for subset in itertools.combinations(range(n), l):
-                row = blank()
-                s_mask = 0
-                for i in subset:
-                    s_mask |= 1 << i
-                for mask in unknowns:
-                    if mask.bit_count() == k and (mask & s_mask) == s_mask:
-                        row[col[mask]] = Fraction(1)
-                rows.append(tuple(row))
+                rows.append(_zero_sum_row(unknowns, k, subset))
                 labels.append(("sum", k, subset))
 
     return ConstraintSystem(n, unknowns, Matrix(QQ, tuple(rows)), tuple(labels))
@@ -149,7 +147,6 @@ def satisfies_constraints(map_: MultiAffineMap) -> ConstraintCheck:
 @dataclass(frozen=True)
 class LineDegreeViolation:
     direction: Tuple
-    base: Optional[Tuple]      # grid point over Z_p; None for a symbolic base
     degree: int
 
 
@@ -163,7 +160,6 @@ class StandardFamilyReport:
         return {"ok": self.ok,
                 "directions_checked": self.directions_checked,
                 "violations": [{"direction": [str(c) for c in v.direction],
-                                "base": None if v.base is None else list(v.base),
                                 "degree": v.degree} for v in self.violations]}
 
 
@@ -174,8 +170,8 @@ def _symbolic_excess_degree(map_: MultiAffineMap, b: Vector) -> int:
     The t^k coefficient at the w-monomial T is
         sum over {delta >= T, |delta| = |T| + k} of u_delta * prod_{i in
         delta minus T} b_i,
-    and a multiaffine polynomial vanishes identically over an infinite field
-    iff all these coefficients vanish.
+    and, being multiaffine in w, it vanishes at every point of the field (Q
+    or Z_p alike) iff all these coefficients vanish.
     """
     F = map_.field
     totals: Dict[Tuple[int, int], List[Scalar]] = {}
@@ -210,28 +206,21 @@ def check_standard_family(map_: MultiAffineMap) -> StandardFamilyReport:
     """For a map satisfying the constraint system, confirm that every line
     parallel to an axis or to the main diagonal is carried with degree <= 1.
 
-    Over Z_p every line is expanded from every base point of a transversal
-    (exhaustive); over the rationals the base point is left symbolic, so the
-    conclusion has no sampling gap.
+    One path serves Q and Z_p: the base point w of the line w + t b is left
+    symbolic, and b is reported with the largest k >= 2 for which the t^k
+    coefficient of F(w + t b) is a nonzero polynomial in w.  This settles
+    every line, with no sampling gap, over both fields: a line's degree in t
+    does not depend on which of its points is the base, and a nonzero
+    multiaffine polynomial is nonzero at some point, over Z_p as over Q.
     """
     if not satisfies_constraints(map_).ok:
         raise InputError("map does not satisfy the constraint system")
-    F = map_.field
     violations: List[LineDegreeViolation] = []
-    dirs = standard_family(F, map_.n, True).directions
-    if F.kind == "rational":
-        for b in dirs:
-            excess = _symbolic_excess_degree(map_, b)
-            if excess >= 2:
-                violations.append(LineDegreeViolation(b, None, excess))
-    else:
-        p = F.p
-        for b in dirs:
-            for line in enumerate_lines(p, map_.n, b):
-                curve = restrict_to_line(map_, line[0], b)
-                if curve.degree > 1:
-                    violations.append(
-                        LineDegreeViolation(b, line[0], curve.degree))
+    dirs = standard_family(map_.field, map_.n, True).directions
+    for b in dirs:
+        excess = _symbolic_excess_degree(map_, b)
+        if excess >= 2:
+            violations.append(LineDegreeViolation(b, excess))
     return StandardFamilyReport(not violations, len(dirs), tuple(violations))
 
 
@@ -259,20 +248,12 @@ def construct_sharp_map(dim: int) -> SharpMapSpec:
         raise InputError("sharp construction needs an even dimension >= 4")
     k = dim // 2
     last_bit = 1 << (dim - 1)
-    unknowns = [m for m in _ordered_masks(dim)
-                if m.bit_count() == k and not m & last_bit]
+    unknowns = tuple(m for m in _ordered_masks(dim)
+                     if m.bit_count() == k and not m & last_bit)
     col = {m: i for i, m in enumerate(unknowns)}
-    rows: List[Vector] = []
-    for subset in itertools.combinations(range(dim), k - 2):
-        row = [Fraction(0)] * len(unknowns)
-        s_mask = 0
-        for i in subset:
-            s_mask |= 1 << i
-        for m in unknowns:
-            if (m & s_mask) == s_mask:
-                row[col[m]] = Fraction(1)
-        rows.append(tuple(row))
-    basis = nullspace(Matrix(QQ, tuple(rows)))
+    rows = tuple(_zero_sum_row(unknowns, k, subset)
+                 for subset in itertools.combinations(range(dim), k - 2))
+    basis = nullspace(Matrix(QQ, rows))
     if not basis:
         raise InternalInconsistencyError(
             "restricted zero-sum system unexpectedly has a trivial kernel")

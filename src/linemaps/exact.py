@@ -245,14 +245,8 @@ def vector(field: Field, entries: Iterable) -> Vector:
 def vec_add(field: Field, a: Vector, b: Vector) -> Vector:
     return tuple(field.add(x, y) for x, y in zip(a, b))
 
-def vec_sub(field: Field, a: Vector, b: Vector) -> Vector:
-    return tuple(field.sub(x, y) for x, y in zip(a, b))
-
 def vec_scale(field: Field, c: Scalar, a: Vector) -> Vector:
     return tuple(field.mul(c, x) for x in a)
-
-def vec_neg(field: Field, a: Vector) -> Vector:
-    return tuple(field.neg(x) for x in a)
 
 def vec_is_zero(field: Field, a: Vector) -> bool:
     return all(field.is_zero(x) for x in a)

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .exact import (
-    Field, InputError, Matrix, PrimeField, QQ, ResourceError, Scalar, Vector,
+    Field, InputError, Matrix, PrimeField, ResourceError, Scalar, Vector,
     field_from_json, field_to_json, mat_vec, unit_vector, vec_add, vec_is_zero,
-    vec_scale, vec_sub, vector, vectors_parallel, zero_vector,
+    vec_scale, vector, vectors_parallel, zero_vector,
 )
 
 

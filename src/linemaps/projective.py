@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import (
-    Field, InputError, InternalInconsistencyError, Matrix, PrimeField, QQ,
+    Field, InputError, InternalInconsistencyError, Matrix, PrimeField,
     Vector, identity_matrix, inverse, is_j_independent, mat_mul, mat_vec,
     normalize_coords, rank_of_vectors, solve, vector,
 )
@@ -221,6 +221,10 @@ class ProjTable:
         for v in self.values:
             if len(v) != self.n + 1:
                 raise InputError(f"table value {v!r} does not have n+1 = {self.n + 1} coordinates")
+            for c in v:
+                # exactly int: a float, bool or str entry is rejected, never truncated
+                if type(c) is not int:
+                    raise InputError(f"table entry {c!r} is not an int")
             vals.append(normalize_coords(self.p, v))
         object.__setattr__(self, "values", tuple(vals))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .collineations import points_collinear
 from .exact import InputError, PrimeField, ResourceError

@@ -23,7 +23,7 @@ from linemaps import (
     tabulate,
 )
 from linemaps.cli import main, parse_directions, parse_field
-from linemaps.exact import InputError
+from linemaps.exact import InputError, InternalInconsistencyError
 
 
 @pytest.fixture()
@@ -350,6 +350,38 @@ def test_bad_flag_values_are_input_errors(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("input error: "), argv
+
+
+def test_unreadable_files_are_input_errors(capsys, tmp_path):
+    # a directory or a non-UTF-8 file once escaped as a traceback with exit 1
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\x80\xff{}")
+    cases = []
+    for path in (str(tmp_path), str(not_utf8)):
+        cases += [
+            ("verify-family", "--table", path, "--dirs", "e1"),
+            ("verify-family", "--map", path, "--field", "p:5", "--dirs", "e1"),
+            ("decide-proj", "--table", path),
+            ("exhaust", "--p", "3", "--n", "2", "--dirs-file", path),
+        ]
+    for argv in cases:
+        assert main(list(argv)) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: "), argv
+
+
+def test_internal_inconsistency_has_its_own_exit_code(capsys, monkeypatch):
+    import linemaps.cli as cli_module
+
+    def broken(dim):
+        raise InternalInconsistencyError("sharp map violates the constraint system")
+
+    monkeypatch.setattr(cli_module, "construct_sharp_map", broken)
+    assert main(["construct-sharp", "--dim", "4"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("inconsistency: ")
 
 
 def test_dirs_file_accepts_rational_entries(capsys, tmp_path):

@@ -18,6 +18,7 @@ from linemaps import (
     check_family,
     check_standard_family,
     construct_sharp_map,
+    enumerate_lines,
     evaluate,
     example_r3_map,
     fifth_direction_refutation,
@@ -30,9 +31,11 @@ from linemaps import (
     sample_constrained_map,
     satisfies_constraints,
     sharp_r4_map,
+    standard_family,
     tabulate,
     vector,
 )
+from linemaps.constraints import _symbolic_excess_degree
 
 # ---------------------------------------------------------------------------
 # the linear system on coefficients
@@ -128,6 +131,39 @@ def test_sampled_solutions_pass_both_checks():
             assert satisfies_constraints(mp)
             assert check_standard_family(mp).ok
             assert check_standard_family(reduce_mod(mp, 5)).ok
+
+
+def _oracle_maps(p, n, rng):
+    """Reduced constraint solutions, the same with one coefficient bumped,
+    and fully random maps over Z_p."""
+    F = PrimeField(p)
+    for _ in range(4):
+        solution = reduce_mod(sample_constrained_map(n, 2, rng), p)
+        yield solution
+        bumped = dict(solution.coeffs)
+        bumped[rng.randrange(1 << n)] = (rng.randrange(1, p), rng.randrange(p))
+        yield MultiAffineMap(n, 2, F, bumped)
+        yield MultiAffineMap(n, 2, F, {
+            mask: (rng.randrange(p), rng.randrange(p)) for mask in range(1 << n)
+            if rng.random() < 0.5})
+
+
+@pytest.mark.parametrize("p", (3, 5))
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_symbolic_excess_degree_matches_every_line_over_zp(p, n):
+    # the per-line expansion at one base point of every line is the
+    # exhaustive oracle for the symbolic line degree check_standard_family uses
+    rng = Random(100 * p + n)
+    passing = excess_seen = 0
+    for mp in _oracle_maps(p, n, rng):
+        passing += satisfies_constraints(mp).ok
+        for b in standard_family(mp.field, n, True).directions:
+            worst = max(restrict_to_line(mp, line[0], b).degree
+                        for line in enumerate_lines(p, n, b))
+            excess = _symbolic_excess_degree(mp, b)
+            assert excess == (worst if worst >= 2 else 0), (mp, b)
+            excess_seen += excess >= 2
+    assert 0 < passing < 12 and excess_seen > 0
 
 
 def test_sampling_is_deterministic_given_the_seed():

@@ -305,6 +305,13 @@ def test_proj_table_rejects_values_of_the_wrong_length():
             ProjTable(3, 2, (bad,) + pts[1:])
 
 
+def test_proj_table_rejects_entries_that_are_not_ints():
+    pts = pg_points(3, 1)
+    for bad in ((1.5, 0.9), (True, 0), ("1", 0)):
+        with pytest.raises(InputError, match="is not an int"):
+            ProjTable(3, 1, (bad,) + pts[1:])
+
+
 def test_proj_table_json_round_trip():
     table = proj_table_from_map(proj_identity(PrimeField(3), 2), 3)
     back = proj_table_from_json(proj_table_to_json(table))
