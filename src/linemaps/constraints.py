@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from .collineations import standard_family
 from .exact import (
     Field, InputError, InternalInconsistencyError, Matrix, QQ, Scalar,
-    Vector, nullspace, rref, unit_vector, vector, zero_vector,
+    Vector, nullspace, rank, unit_vector, vector, zero_vector,
 )
 from .multiaffine import (
     MultiAffineMap, curve_lies_in_line, mask_to_delta, restrict_to_line,
@@ -39,10 +39,36 @@ RowLabel = Tuple  # ("vanish", mask) or ("sum", k, sorted index tuple)
 # system construction
 # ===========================================================================
 
+@lru_cache(maxsize=None)
 def _ordered_masks(n: int) -> Tuple[int, ...]:
     """All 2^n masks, descending-lexicographic in the (d_1,...,d_n) tuples,
     so the high-degree unknowns that must vanish come first."""
     return tuple(sorted(range(1 << n), key=lambda m: mask_to_delta(m, n), reverse=True))
+
+
+@lru_cache(maxsize=None)
+def _row_labels(n: int) -> Tuple[RowLabel, ...]:
+    """The conditions of the system on n variables, in row order: first
+    u_delta = 0 for 2|delta| >= n+2, in column order, then the zero sums for
+    2 <= k < (n+2)/2 and |S| <= k-2."""
+    if n < 2:
+        raise InputError("constraint system needs n >= 2")
+    labels: List[RowLabel] = [("vanish", mask) for mask in _ordered_masks(n)
+                              if 2 * mask.bit_count() >= n + 2]
+    for k in range(2, n + 1):
+        if 2 * k >= n + 2:
+            break
+        for l in range(0, k - 1):
+            for subset in itertools.combinations(range(n), l):
+                labels.append(("sum", k, subset))
+    return tuple(labels)
+
+
+def _subset_mask(subset: Tuple[int, ...]) -> int:
+    s_mask = 0
+    for i in subset:
+        s_mask |= 1 << i
+    return s_mask
 
 
 @dataclass(frozen=True)
@@ -53,7 +79,7 @@ class ConstraintSystem:
     labels: Tuple[RowLabel, ...]     # what each row encodes
 
     def solution_dimension(self) -> int:
-        return len(self.unknowns) - rref(self.rows).rank
+        return len(self.unknowns) - rank(self.rows)
 
     def to_json(self) -> dict:
         return {
@@ -68,39 +94,25 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 def _zero_sum_row(unknowns: Tuple[int, ...], k: int, subset: Tuple[int, ...]) -> Vector:
     """The row of sum over {|delta| = k, delta >= S} of u_delta = 0: a 1 in
     the column of each such unknown mask, 0 elsewhere."""
-    s_mask = 0
-    for i in subset:
-        s_mask |= 1 << i
+    s_mask = _subset_mask(subset)
     return tuple([_ONE if m & s_mask == s_mask and m.bit_count() == k else _ZERO
                   for m in unknowns])
 
 
 @lru_cache(maxsize=None)
 def build_constraints(n: int) -> ConstraintSystem:
-    if n < 2:
-        raise InputError("constraint system needs n >= 2")
+    labels = _row_labels(n)
     unknowns = _ordered_masks(n)
+    column = {mask: ci for ci, mask in enumerate(unknowns)}
     rows: List[Vector] = []
-    labels: List[RowLabel] = []
-
-    # vanishing conditions: u_delta = 0 for 2|delta| >= n+2
-    for ci, mask in enumerate(unknowns):
-        if 2 * mask.bit_count() >= n + 2:
+    for label in labels:
+        if label[0] == "vanish":
             row = [_ZERO] * len(unknowns)
-            row[ci] = _ONE
+            row[column[label[1]]] = _ONE
             rows.append(tuple(row))
-            labels.append(("vanish", mask))
-
-    # zero-sum conditions: for 2 <= k < (n+2)/2 and |S| <= k-2
-    for k in range(2, n + 1):
-        if 2 * k >= n + 2:
-            break
-        for l in range(0, k - 1):
-            for subset in itertools.combinations(range(n), l):
-                rows.append(_zero_sum_row(unknowns, k, subset))
-                labels.append(("sum", k, subset))
-
-    return ConstraintSystem(n, unknowns, Matrix(QQ, tuple(rows)), tuple(labels))
+        else:
+            rows.append(_zero_sum_row(unknowns, label[1], label[2]))
+    return ConstraintSystem(n, unknowns, Matrix(QQ, tuple(rows)), labels)
 
 
 # ===========================================================================
@@ -120,23 +132,27 @@ class ConstraintCheck:
 
 def satisfies_constraints(map_: MultiAffineMap) -> ConstraintCheck:
     """Does every output coordinate of the map satisfy every condition row?
-    Reports the first violated row (and the coordinate it fails in)."""
-    system = build_constraints(map_.n)
+    Reports the first violated row (and the coordinate it fails in).
+
+    Each condition is evaluated over the map's own nonzero coefficients,
+    without building the system's rows."""
     F = map_.field
-    for ri, row in enumerate(system.rows.rows):
-        tally = list(zero_vector(F, map_.m))
-        for ci, coeff in enumerate(row):
-            if coeff == 0:
-                continue
-            u = map_.coeffs.get(system.unknowns[ci])
-            if u is None:
-                continue
-            c = F.convert(coeff)
-            for j in range(map_.m):
-                tally[j] = F.add(tally[j], F.mul(c, u[j]))
+    by_degree: Dict[int, List[Tuple[int, Vector]]] = {}
+    for mask, u in map_.coeffs.items():
+        by_degree.setdefault(mask.bit_count(), []).append((mask, u))
+    for ri, label in enumerate(_row_labels(map_.n)):
+        if label[0] == "vanish":
+            terms = [map_.coeffs[label[1]]] if label[1] in map_.coeffs else []
+        else:
+            s_mask = _subset_mask(label[2])
+            terms = [u for mask, u in by_degree.get(label[1], ())
+                     if mask & s_mask == s_mask]
         for j in range(map_.m):
-            if not F.is_zero(tally[j]):
-                return ConstraintCheck(False, ri, system.labels[ri], j)
+            tally = F.zero()
+            for u in terms:
+                tally = F.add(tally, u[j])
+            if not F.is_zero(tally):
+                return ConstraintCheck(False, ri, label, j)
     return ConstraintCheck(True)
 
 

@@ -1,5 +1,9 @@
 """Exact scalars (arbitrary-precision rationals, prime fields Z_p with p odd)
-and dense exact linear algebra: RREF, rank, solve, nullspace, independence.
+and exact linear algebra: RREF, rank, solve, nullspace, independence.
+
+Matrices are dense tuples, but every reduction runs through one sparse
+integer elimination kernel (`_echelon`): rational rows are cleared of
+denominators and updated fraction-free, prime-field rows are reduced mod p.
 
 Everything here is a pure function over immutable values.  No floats, ever:
 rationals are `fractions.Fraction` (canonical lowest terms), prime-field
@@ -11,7 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from math import gcd, lcm
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 
 class InputError(ValueError):
@@ -119,7 +124,7 @@ class Rationals:
     def parse(self, s) -> Fraction:
         if isinstance(s, str):
             return Fraction(s)
-        if isinstance(s, int):
+        if type(s) is int:
             return Fraction(s)
         raise InputError(f"bad rational literal {s!r}")
 
@@ -198,7 +203,7 @@ class PrimeField:
         return a % self.p
 
     def parse(self, s) -> int:
-        if isinstance(s, int):
+        if type(s) is int:
             return s % self.p
         if isinstance(s, str):
             return int(s) % self.p
@@ -219,13 +224,21 @@ Field = Union[Rationals, PrimeField]
 QQ = Rationals()
 
 
+def exact_int(x, what: str) -> int:
+    """x if it is exactly an int: a float, bool or str is rejected, never
+    truncated or coerced."""
+    if type(x) is not int:
+        raise InputError(f"{what} {x!r} is not an int")
+    return x
+
+
 def field_from_json(obj) -> Field:
     if not isinstance(obj, dict) or "type" not in obj:
         raise InputError(f"bad field spec {obj!r}")
     if obj["type"] == "rational":
         return QQ
     if obj["type"] == "prime":
-        return PrimeField(int(obj["p"]))
+        return PrimeField(exact_int(obj["p"], "p"))
     raise InputError(f"unknown field type {obj['type']!r}")
 
 
@@ -367,33 +380,126 @@ class RrefResult:
     pivots: Tuple[int, ...]
 
 
-def rref(m: Matrix) -> RrefResult:
-    """Reduced row echelon form (Gauss-Jordan with exact arithmetic)."""
-    F = m.field
-    rows = [list(r) for r in m.rows]
-    nrows, ncols = len(rows), len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not F.is_zero(rows[i][c]):
-                pivot_row = i
-                break
-        if pivot_row is None:
+def _integer_rows(field: Field, rows: Sequence[Vector]) -> Iterator[Dict[int, int]]:
+    """Each row as a sparse {column: int} dict holding only its nonzero
+    entries.  Over Q the row is scaled to a primitive integer vector (the
+    denominators cleared, the content divided out); over Z_p the entries are
+    already residues."""
+    rational = isinstance(field, Rationals)
+    for row in rows:
+        if not rational:
+            yield {j: x for j, x in enumerate(row) if x}
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
-        for i in range(nrows):
-            if i != r and not F.is_zero(rows[i][c]):
-                factor = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return RrefResult(Matrix(F, tuple(tuple(row) for row in rows)), r, tuple(pivots))
+        nz = [(j, x) for j, x in enumerate(row) if x.numerator]
+        den = lcm(*[x.denominator for _, x in nz])
+        ints = {j: x.numerator * (den // x.denominator) for j, x in nz}
+        g = gcd(*ints.values())
+        yield {j: v // g for j, v in ints.items()} if g > 1 else ints
+
+
+def _clear(row: Dict[int, int], piv: Dict[int, int], c: int, p: int) -> None:
+    """Make row[c] zero by subtracting a multiple of the pivot row piv, whose
+    pivot column is c.  Only piv's nonzero columns are touched, except that
+    over Q (p = 0) the row is first scaled so that the update stays integral
+    and is afterwards divided by its content."""
+    a = row[c]
+    if p:                                   # piv[c] == 1
+        for k, v in piv.items():
+            x = (row.get(k, 0) - a * v) % p
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+        return
+    pv = piv[c]
+    g = gcd(a, pv)
+    s, t = pv // g, a // g                  # s > 0: pivots are kept positive
+    if s != 1:
+        for k in row:
+            row[k] *= s
+    for k, v in piv.items():
+        x = row.get(k, 0) - t * v
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+    g = gcd(*row.values())
+    if g > 1:
+        for k in row:
+            row[k] //= g
+
+
+def _echelon(field: Field, rows: Sequence[Vector]) -> Dict[int, Dict[int, int]]:
+    """The nonzero rows of the RREF, each up to a scalar factor, keyed by
+    pivot column: integer rows (primitive, positive pivot) over Q, rows with
+    pivot 1 over Z_p.
+
+    Rows are inserted one at a time.  A new row is cleared at every existing
+    pivot column, takes its first nonzero column as its pivot, and that
+    column is then cleared from the earlier rows.  So every stored row is
+    zero at every other row's pivot, and its own pivot is its first nonzero
+    column: the stored rows are the RREF rows up to scaling, because the RREF
+    of a matrix is unique.  Each update is sparse, so blocks of columns that
+    no row shares never fill each other in.
+    """
+    p = field.p if isinstance(field, PrimeField) else 0
+    basis: Dict[int, Dict[int, int]] = {}
+    for row in _integer_rows(field, rows):
+        for c in [c for c in row if c in basis]:
+            _clear(row, basis[c], c, p)
+        if not row:
+            continue
+        c0 = min(row)
+        if p:
+            inv = pow(row[c0], p - 2, p)
+            if inv != 1:
+                for k in row:
+                    row[k] = row[k] * inv % p
+        elif row[c0] < 0:
+            for k in row:
+                row[k] = -row[k]
+        for other in basis.values():
+            if c0 in other:
+                _clear(other, row, c0, p)
+        basis[c0] = row
+    return basis
+
+
+def _reduced_rows(field: Field, rows: Sequence[Vector]) -> List[Tuple[int, Dict[int, Scalar]]]:
+    """(pivot column, sparse RREF row) pairs in pivot order, the entries in
+    the field: each integer row divided by its pivot.  Each integer row is
+    dropped as soon as its field row is built."""
+    basis = _echelon(field, rows)
+    out = []
+    for c in sorted(basis):
+        row = basis.pop(c)
+        if isinstance(field, Rationals):
+            pv = row[c]
+            row = ({k: Fraction(v) for k, v in row.items()} if pv == 1 else
+                   {k: Fraction(v, pv) for k, v in row.items()})
+        out.append((c, row))
+    return out
+
+
+def rref(m: Matrix) -> RrefResult:
+    """Reduced row echelon form, exact: the nonzero rows in pivot order,
+    then the zero rows."""
+    F = m.field
+    zero = F.zero()
+    reduced = _reduced_rows(F, m.rows)
+    rows = []
+    for _, row in reduced:
+        dense = [zero] * m.ncols
+        for k, v in row.items():
+            dense[k] = v
+        rows.append(tuple(dense))
+    rows += [(zero,) * m.ncols] * (m.nrows - len(rows))
+    return RrefResult(Matrix(F, tuple(rows)), len(reduced),
+                      tuple(c for c, _ in reduced))
+
+
+def rank(m: Matrix) -> int:
+    return len(_echelon(m.field, m.rows))
 
 
 def nullspace(m: Matrix) -> list:
@@ -404,15 +510,23 @@ def nullspace(m: Matrix) -> list:
     on by deterministic constructions downstream.
     """
     F = m.field
-    red = rref(m)
-    pivot_set = set(red.pivots)
-    free_cols = [c for c in range(m.ncols) if c not in pivot_set]
+    zero, one = F.zero(), F.one()
+    # for each free column j: the (pivot column, -entry) pairs of column j
+    in_column: Dict[int, List[Tuple[int, Scalar]]] = {}
+    pivots = set()
+    for pc, row in _reduced_rows(F, m.rows):
+        pivots.add(pc)
+        for k, v in row.items():
+            if k != pc:
+                in_column.setdefault(k, []).append((pc, F.neg(v)))
     basis = []
-    for j in free_cols:
-        v = [F.zero()] * m.ncols
-        v[j] = F.one()
-        for i, pc in enumerate(red.pivots):
-            v[pc] = F.neg(red.matrix.rows[i][j])
+    for j in range(m.ncols):
+        if j in pivots:
+            continue
+        v = [zero] * m.ncols
+        v[j] = one
+        for pc, x in in_column.get(j, ()):
+            v[pc] = x
         basis.append(tuple(v))
     return basis
 
@@ -423,12 +537,12 @@ def solve(m: Matrix, rhs: Vector) -> Optional[Vector]:
         raise InputError("rhs length mismatch")
     F = m.field
     aug = Matrix(F, tuple(r + (b,) for r, b in zip(m.rows, rhs)))
-    red = rref(aug)
-    if m.ncols in red.pivots:
-        return None  # a pivot in the rhs column: inconsistent
-    x = [F.zero()] * m.ncols
-    for i, pc in enumerate(red.pivots):
-        x[pc] = red.matrix.rows[i][m.ncols]
+    zero = F.zero()
+    x = [zero] * m.ncols
+    for pc, row in _reduced_rows(F, aug.rows):
+        if pc == m.ncols:
+            return None  # a pivot in the rhs column: inconsistent
+        x[pc] = row.get(m.ncols, zero)
     return tuple(x)
 
 
@@ -436,7 +550,7 @@ def rank_of_vectors(field: Field, vectors_: Sequence[Vector]) -> int:
     vs = [v for v in vectors_ if not vec_is_zero(field, v)]
     if not vs:
         return 0
-    return rref(Matrix(field, tuple(vs))).rank
+    return rank(Matrix(field, tuple(vs)))
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -445,14 +559,16 @@ def inverse(m: Matrix) -> Matrix:
     F = m.field
     n = m.nrows
     aug = Matrix(F, tuple(r + unit_vector(F, n, i) for i, r in enumerate(m.rows)))
-    red = rref(aug)
-    if red.rank < n or red.pivots[:n] != tuple(range(n)):
+    reduced = _reduced_rows(F, aug.rows)
+    if [pc for pc, _ in reduced[:n]] != list(range(n)):
         raise InputError("matrix is singular")
-    return Matrix(F, tuple(r[n:] for r in red.matrix.rows))
+    zero = F.zero()
+    return Matrix(F, tuple(tuple(row.get(k, zero) for k in range(n, 2 * n))
+                           for _, row in reduced))
 
 
 def is_invertible(m: Matrix) -> bool:
-    return m.nrows == m.ncols and rref(m).rank == m.nrows
+    return m.nrows == m.ncols and rank(m) == m.nrows
 
 
 def is_j_independent(field: Field, vectors_: Sequence[Vector], j: int) -> bool:

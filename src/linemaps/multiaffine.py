@@ -15,7 +15,7 @@ from typing import Dict, Sequence, Tuple
 
 from .exact import (
     Field, InputError, Matrix, PrimeField, ResourceError, Scalar, Vector,
-    field_from_json, field_to_json, mat_vec, unit_vector, vec_add, vec_is_zero,
+    field_from_json, field_to_json, exact_int, mat_vec, unit_vector, vec_add, vec_is_zero,
     vec_scale, vector, vectors_parallel, zero_vector,
 )
 
@@ -27,7 +27,7 @@ def mask_to_delta(mask: int, n: int) -> Tuple[int, ...]:
 def delta_to_mask(delta: Sequence[int]) -> int:
     mask = 0
     for i, d in enumerate(delta):
-        if d not in (0, 1):
+        if type(d) is not int or d not in (0, 1):
             raise InputError(f"delta entries must be 0/1, got {d!r}")
         mask |= d << i
     return mask
@@ -351,7 +351,7 @@ def map_to_json(map_: MultiAffineMap) -> dict:
 
 def map_from_json(obj: dict) -> MultiAffineMap:
     try:
-        n, m = int(obj["n"]), int(obj["m"])
+        n, m = exact_int(obj["n"], "n"), exact_int(obj["m"], "m")
         F = field_from_json(obj["field"])
         coeffs: Dict[int, Vector] = {}
         for entry in obj.get("coeffs", ()):
@@ -362,7 +362,7 @@ def map_from_json(obj: dict) -> MultiAffineMap:
             if mask in coeffs:
                 raise InputError("duplicate delta")
             coeffs[mask] = tuple(F.parse(x) for x in entry["value"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad map JSON: {exc}") from exc
     return MultiAffineMap(n, m, F, coeffs)
 

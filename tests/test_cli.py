@@ -371,6 +371,33 @@ def test_unreadable_files_are_input_errors(capsys, tmp_path):
         assert captured.err.startswith("input error: "), argv
 
 
+def test_map_files_with_coerced_entries_are_input_errors(capsys, tmp_path):
+    # a float n or p, a true delta entry or coefficient was once truncated or
+    # coerced to an int and the command ran on the wrong map
+    def spoil_n(obj):
+        obj["n"] = 3.0
+
+    def spoil_p(obj):
+        obj["field"] = {"type": "prime", "p": 7.9}
+
+    def spoil_delta(obj):
+        obj["coeffs"][0]["delta"][0] = True
+
+    def spoil_value(obj):
+        obj["coeffs"][0]["value"][0] = True
+
+    for spoil in (spoil_n, spoil_p, spoil_delta, spoil_value):
+        obj = map_to_json(example_r3_map(QQ))
+        spoil(obj)
+        path = tmp_path / "spoiled.json"
+        path.write_text(json.dumps(obj))
+        argv = ["verify-family", "--map", str(path), "--field", "p:5", "--dirs", "e1"]
+        assert main(argv) == 2, spoil.__name__
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: "), spoil.__name__
+
+
 def test_internal_inconsistency_has_its_own_exit_code(capsys, monkeypatch):
     import linemaps.cli as cli_module
 

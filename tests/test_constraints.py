@@ -3,7 +3,9 @@ four-direction examples with their fifth-direction refutation."""
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
+from math import comb
 from random import Random
 
 import pytest
@@ -11,6 +13,7 @@ import pytest
 from linemaps import (
     InputError,
     LineFamily,
+    Matrix,
     MultiAffineMap,
     PrimeField,
     QQ,
@@ -26,6 +29,7 @@ from linemaps import (
     identity_map,
     mask_to_delta,
     noninjective_r4_variant,
+    nullspace,
     reduce_mod,
     restrict_to_line,
     sample_constrained_map,
@@ -72,6 +76,23 @@ def test_four_variable_system_dimension():
     assert system.solution_dimension() == 10
 
 
+def test_solution_dimension_is_the_central_binomial_coefficient():
+    # C(n+1, floor((n+1)/2)) from the paper, checked by rank and by the
+    # nullspace, also with every row times a random sign and in random order
+    rng = Random(11)
+    for n in range(2, 10):
+        system = build_constraints(n)
+        want = comb(n + 1, (n + 1) // 2)
+        rows = [tuple(c * k for c in row) for row in system.rows.rows
+                for k in [rng.choice((-1, 1))]]
+        rng.shuffle(rows)
+        scrambled = Matrix(QQ, tuple(rows))
+        assert system.solution_dimension() == want, n
+        assert len(nullspace(system.rows)) == want, n
+        assert len(nullspace(scrambled)) == want, n
+        assert dataclasses.replace(system, rows=scrambled).solution_dimension() == want, n
+
+
 def test_two_variable_system_kills_the_cross_term():
     system = build_constraints(2)
     assert system.rows.nrows == 1
@@ -88,6 +109,44 @@ def test_identity_and_example_satisfy_the_system():
     assert satisfies_constraints(identity_map(QQ, 3))
     assert satisfies_constraints(example_r3_map(QQ))
     assert satisfies_constraints(example_r3_map(PrimeField(5)))
+
+
+def _first_violated_row(map_):
+    """The dense scan of every row of the built system, column by column:
+    the oracle for the sparse `satisfies_constraints`."""
+    system = build_constraints(map_.n)
+    F = map_.field
+    for ri, row in enumerate(system.rows.rows):
+        for j in range(map_.m):
+            tally = F.zero()
+            for ci, c in enumerate(row):
+                u = map_.coeffs.get(system.unknowns[ci])
+                if c and u is not None:
+                    tally = F.add(tally, F.mul(F.convert(c), u[j]))
+            if not F.is_zero(tally):
+                return ri, system.labels[ri], j
+    return None
+
+
+def test_satisfies_constraints_matches_the_dense_row_scan():
+    rng = Random(5)
+    for n in (2, 3, 4, 5, 6):
+        for field in (QQ, PrimeField(3)):
+            for _ in range(12):
+                mp = sample_constrained_map(n, 2, rng)
+                if field != QQ:
+                    mp = reduce_mod(mp, field.p)
+                coeffs = dict(mp.coeffs)
+                for _ in range(rng.randrange(3)):   # perturb up to two coefficients
+                    mask = rng.randrange(1 << n)
+                    coeffs[mask] = tuple(field.convert(rng.randint(-2, 2)) for _ in range(2))
+                mp = MultiAffineMap(n, 2, field, coeffs)
+                check = satisfies_constraints(mp)
+                want = _first_violated_row(mp)
+                if want is None:
+                    assert check.ok
+                else:
+                    assert (check.row_index, check.label, check.coordinate) == want
 
 
 def test_violation_reports_first_row_and_coordinate():

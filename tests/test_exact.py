@@ -14,6 +14,7 @@ from linemaps import (
     PrimeField,
     QQ,
     ResourceError,
+    build_constraints,
     identity_matrix,
     inverse,
     is_invertible,
@@ -95,6 +96,13 @@ def test_prime_field_converts_fractions_via_modular_inverse():
 def test_field_json_round_trip():
     for F in (QQ, PrimeField(5), PrimeField(13)):
         assert field_from_json(field_to_json(F)) == F
+
+
+def test_field_json_rejects_a_prime_that_is_not_an_int():
+    # "p": 7.9 was once truncated to GF(7)
+    for bad in (7.9, 7.0, True, "7"):
+        with pytest.raises(InputError, match="not an int"):
+            field_from_json({"type": "prime", "p": bad})
 
 
 def test_inverse_of_zero_raises():
@@ -219,3 +227,84 @@ def test_solve_returns_exact_solutions(m, raw):
     x = solve(m, rhs)
     if x is not None:
         assert mat_vec(m, x) == rhs
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel against independent oracles
+# ---------------------------------------------------------------------------
+
+
+def _gauss_jordan(m):
+    """Dense Gauss-Jordan elimination in field arithmetic: the body `rref`
+    had before the sparse integer kernel, kept as an oracle."""
+    F = m.field
+    rows = [list(r) for r in m.rows]
+    nrows, ncols = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if not F.is_zero(rows[i][c])), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(nrows):
+            if i != r and not F.is_zero(rows[i][c]):
+                factor = rows[i][c]
+                rows[i] = [F.sub(x, F.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in rows), r, tuple(pivots)
+
+
+@st.composite
+def sparse_matrices(draw, field):
+    """Wide, tall and square matrices with some rows and columns entirely
+    zero, mostly-zero entries, and (over Q) fractional entries."""
+    nrows = draw(st.integers(min_value=1, max_value=7))
+    ncols = draw(st.integers(min_value=1, max_value=7))
+    zero_rows = draw(st.sets(st.integers(0, nrows - 1), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=2))
+    if isinstance(field, PrimeField):
+        entry = st.integers(min_value=-12, max_value=12)
+    else:
+        entry = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    entries = st.one_of(st.just(0), entry)
+    rows = [[0 if i in zero_rows or j in zero_cols else draw(entries)
+             for j in range(ncols)] for i in range(nrows)]
+    return matrix(field, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([QQ, PrimeField(3), PrimeField(7), PrimeField(101)]).flatmap(sparse_matrices))
+def test_rref_matches_dense_gauss_jordan(m):
+    res = rref(m)
+    rows, rank, pivots = _gauss_jordan(m)
+    assert (res.matrix.rows, res.rank, res.pivots) == (rows, rank, pivots)
+    assert len(nullspace(m)) == m.ncols - rank
+    if m.nrows == m.ncols:
+        assert is_invertible(m) == (rank == m.nrows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_matrices(QQ))
+def test_rref_matches_sympy_over_the_rationals(m):
+    sympy = pytest.importorskip("sympy")
+    reduced, pivots = sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.rows]).rref()
+    res = rref(m)
+    assert res.pivots == tuple(pivots)
+    assert res.matrix.rows == tuple(
+        tuple(Fraction(int(x.p), int(x.q)) for x in reduced.row(i)) for i in range(m.nrows))
+
+
+def test_rref_of_the_constraint_systems_matches_dense_gauss_jordan():
+    # the system is block-diagonal by degree once its columns are grouped:
+    # the sparse kernel must reach the same unique RREF as the dense one
+    for n in range(2, 8):
+        m = build_constraints(n).rows
+        res = rref(m)
+        assert (res.matrix.rows, res.rank, res.pivots) == _gauss_jordan(m), n

@@ -201,3 +201,40 @@ def test_map_json_rejects_duplicate_deltas():
     obj["coeffs"] = obj["coeffs"] + [obj["coeffs"][0]]
     with pytest.raises(InputError):
         map_from_json(obj)
+
+
+# Each of these was once truncated or coerced: n = 2.7 became 2, m = 2.0
+# became 2, a true delta entry or coefficient became 1.
+
+def test_map_json_rejects_dimensions_that_are_not_ints():
+    for key in ("n", "m"):
+        for bad in (2.7, 2.0, True, "2"):
+            obj = map_to_json(identity_map(QQ, 2))
+            obj[key] = bad
+            with pytest.raises(InputError, match="not an int"):
+                map_from_json(obj)
+
+
+def test_map_json_rejects_delta_entries_that_are_not_ints():
+    for bad in (True, 1.0):
+        obj = map_to_json(identity_map(QQ, 2))
+        obj["coeffs"][0]["delta"] = [bad, 0]
+        with pytest.raises(InputError, match="delta entries"):
+            map_from_json(obj)
+
+
+def test_map_json_rejects_bool_coefficients():
+    for field in (QQ, PrimeField(7)):
+        obj = map_to_json(identity_map(field, 2))
+        obj["coeffs"][0]["value"] = [True, 0]
+        with pytest.raises(InputError, match="literal"):
+            map_from_json(obj)
+
+
+def test_map_json_bad_literals_are_input_errors():
+    # a ValueError or ZeroDivisionError from the literal once escaped as such
+    for field, bad in ((QQ, "abc"), (QQ, "1/0"), (PrimeField(7), "abc")):
+        obj = map_to_json(identity_map(field, 2))
+        obj["coeffs"][0]["value"] = [bad, 0]
+        with pytest.raises(InputError):
+            map_from_json(obj)
