@@ -288,10 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact verification toolkit for maps sending line families onto lines")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, budget=False):
         p.add_argument("--out", default=None, help="report path (default: stdout)")
-        p.add_argument("--budget", type=int, default=DEFAULT_POINT_BUDGET,
-                       help="resource guard (grid points / search size)")
+        if budget:
+            p.add_argument("--budget", type=int, default=DEFAULT_POINT_BUDGET,
+                           help="largest grid p^n a map may be tabulated on")
 
     p = sub.add_parser("verify-family", help="check lines-onto-lines for a map or table")
     p.add_argument("--map", help="multiaffine map JSON")
@@ -302,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["into", "onto"], default="onto")
     p.add_argument("--parallelism", action="store_true",
                    help="also require parallel lines to have parallel images")
-    common(p)
+    common(p, budget=True)
     p.set_defaults(fn=cmd_verify_family)
 
     p = sub.add_parser("recover-form", help="recover the plane or diagonal normal form")
@@ -312,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["plane", "diagonal"], required=True)
     p.add_argument("--dirs", help="n independent directions (diagonal kind)")
     p.add_argument("--dirs-file")
-    common(p)
+    common(p, budget=True)
     p.set_defaults(fn=cmd_recover_form)
 
     p = sub.add_parser("constraints", help="emit the coefficient constraint system")

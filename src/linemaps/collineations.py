@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exact import (
     Field, InputError, InternalInconsistencyError, Matrix, PrimeField, QQ,
-    ResourceError, Vector, inverse, mat_vec, normalize_coords,
+    ResourceError, Vector, exact_int, inverse, mat_vec, normalize_coords,
     rank_of_vectors, unit_vector, vector, vectors_parallel,
 )
 from .multiaffine import grid_points, point_index
@@ -121,8 +121,9 @@ class FiniteMapTable:
         PrimeField(self.p)  # validates p (odd prime)
         if self.n < 1 or self.m < 1:
             raise InputError("dimensions must be >= 1")
-        if len(self.values) != self.p ** self.n:
-            raise InputError(f"expected {self.p ** self.n} values, got {len(self.values)}")
+        # p^n > 2^n > the count once n passes its bit length: p**n is never built for a huge n
+        if self.n > len(self.values).bit_length() or len(self.values) != self.p ** self.n:
+            raise InputError(f"expected p^n = {self.p}^{self.n} values, got {len(self.values)}")
         p, m = self.p, self.m
         vals = tuple(map(tuple, self.values))
         for v in vals:
@@ -168,8 +169,8 @@ def table_to_json(table: FiniteMapTable) -> dict:
 
 def table_from_json(obj: dict) -> FiniteMapTable:
     try:
-        return FiniteMapTable(int(obj["p"]), int(obj["n"]), int(obj["m"]),
-                              tuple(tuple(v) for v in obj["values"]))
+        return FiniteMapTable(exact_int(obj["p"], "p"), exact_int(obj["n"], "n"),
+                              exact_int(obj["m"], "m"), tuple(tuple(v) for v in obj["values"]))
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad table JSON: {exc}") from exc
 

@@ -377,8 +377,11 @@ def fifth_direction_refutation(map_: MultiAffineMap, u: Vector) -> bool:
 # ===========================================================================
 
 @lru_cache(maxsize=None)
-def _solution_basis(n: int) -> Tuple[Vector, ...]:
-    return tuple(nullspace(build_constraints(n).rows))
+def _solution_basis(n: int) -> Tuple[Tuple[Tuple[int, Scalar], ...], ...]:
+    """The nullspace basis, each vector as its nonzero (unknown mask, value) pairs."""
+    system = build_constraints(n)
+    return tuple(tuple((mask, val) for mask, val in zip(system.unknowns, vec) if val != 0)
+                 for vec in nullspace(system.rows))
 
 
 def sample_constrained_map(n: int, m: int, rng: Random,
@@ -386,7 +389,6 @@ def sample_constrained_map(n: int, m: int, rng: Random,
     """A random rational map whose every coordinate satisfies the constraint
     system: each output coordinate is an independent small-integer combination
     of the nullspace basis of the system."""
-    system = build_constraints(n)
     basis = _solution_basis(n)
     coeffs: Dict[int, List[Scalar]] = {}
     for j in range(m):
@@ -395,10 +397,7 @@ def sample_constrained_map(n: int, m: int, rng: Random,
         for vec, w in zip(basis, weights):
             if w == 0:
                 continue
-            for ci, val in enumerate(vec):
-                if val == 0:
-                    continue
-                mask = system.unknowns[ci]
+            for mask, val in vec:
                 row = coeffs.setdefault(mask, [Fraction(0)] * m)
                 row[j] += w * val
     return MultiAffineMap(n, m, QQ, {k: tuple(v) for k, v in coeffs.items()})

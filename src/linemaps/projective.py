@@ -13,15 +13,16 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .exact import (
-    Field, InputError, InternalInconsistencyError, Matrix, PrimeField,
-    Vector, identity_matrix, inverse, is_j_independent, mat_mul, mat_vec,
-    normalize_coords, rank_of_vectors, solve, vector,
+    Field, InputError, InternalInconsistencyError, Matrix, PrimeField, Vector, exact_int,
+    identity_matrix, inverse, is_j_independent, mat_mul, mat_vec, normalize_coords,
+    rank_of_vectors, solve, vector,
 )
 
 Coords = Tuple[int, ...]
+Line = Tuple[int, ...]  # the sorted indices into pg_points of a line's points
 
 
 class UndecidableByFrame(RuntimeError):
@@ -65,21 +66,24 @@ def proj_point(field: Field, coords: Sequence) -> ProjPoint:
 
 @lru_cache(maxsize=None)
 def pg_points(p: int, n: int) -> Tuple[Coords, ...]:
-    """All points of PG(n,p) as normalized tuples, lexicographically sorted —
-    the canonical order used by tables."""
+    """All points of PG(n,p) as normalized tuples (zeros, a leading 1, any tail),
+    lexicographically sorted — the canonical order used by tables."""
     PrimeField(p)
-    pts = {normalize_coords(p, raw)
-           for raw in itertools.product(range(p), repeat=n + 1) if any(raw)}
-    out = tuple(sorted(pts))
-    expected = (p ** (n + 1) - 1) // (p - 1)
-    if len(out) != expected:
-        raise InternalInconsistencyError("point count of PG(n,p) is off")
-    return out
+    return tuple((0,) * i + (1,) + tail for i in range(n, -1, -1)
+                 for tail in itertools.product(range(p), repeat=n - i))
 
 
 @lru_cache(maxsize=None)
 def _pg_index(p: int, n: int) -> Dict[Coords, int]:
     return {c: i for i, c in enumerate(pg_points(p, n))}
+
+
+def _point_id(point, p: int, n: int) -> int:
+    coords = point.coords if isinstance(point, ProjPoint) else point
+    idx = _pg_index(p, n).get(normalize_coords(p, coords))
+    if idx is None:
+        raise InputError("point not in PG(n,p)")
+    return idx
 
 
 # ===========================================================================
@@ -214,9 +218,11 @@ class ProjTable:
     values: Tuple[Coords, ...]
 
     def __post_init__(self):
-        pts = pg_points(self.p, self.n)
-        if len(self.values) != len(pts):
-            raise InputError(f"expected {len(pts)} values")
+        p, n, k = self.p, self.n, len(self.values)
+        PrimeField(p)
+        # counted before any point is built, and as in FiniteMapTable before any huge power
+        if not 1 <= n <= k.bit_length() or k != (p ** (n + 1) - 1) // (p - 1):
+            raise InputError(f"need n >= 1 and (p^(n+1)-1)/(p-1) values, got n = {n}, {k} values")
         vals = []
         for v in self.values:
             if len(v) != self.n + 1:
@@ -229,11 +235,7 @@ class ProjTable:
         object.__setattr__(self, "values", tuple(vals))
 
     def apply(self, point) -> Coords:
-        coords = point.coords if isinstance(point, ProjPoint) else point
-        idx = _pg_index(self.p, self.n).get(normalize_coords(self.p, coords))
-        if idx is None:
-            raise InputError("point not in PG(n,p)")
-        return self.values[idx]
+        return self.values[_point_id(point, self.p, self.n)]
 
     def is_injective(self) -> bool:
         return len(set(self.values)) == len(self.values)
@@ -253,7 +255,7 @@ def proj_table_to_json(table: ProjTable) -> dict:
 
 def proj_table_from_json(obj: dict) -> ProjTable:
     try:
-        return ProjTable(int(obj["p"]), int(obj["n"]),
+        return ProjTable(exact_int(obj["p"], "p"), exact_int(obj["n"], "n"),
                          tuple(tuple(v) for v in obj["values"]))
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad projective table JSON: {exc}") from exc
@@ -269,45 +271,40 @@ def load_proj_table(path: str) -> ProjTable:
 # ===========================================================================
 
 @lru_cache(maxsize=None)
-def _all_lines(p: int, n: int) -> Tuple[Tuple[Coords, ...], ...]:
-    pts = pg_points(p, n)
-    seen = set()
-    lines = []
-    for i, a in enumerate(pts):
-        for b in pts[i + 1:]:
-            line = {b}
-            for t in range(p):
-                line.add(normalize_coords(p, tuple(a[k] + t * b[k] for k in range(n + 1))))
-            key = tuple(sorted(line))
-            if key not in seen:
-                seen.add(key)
-                lines.append(key)
-    return tuple(sorted(lines))
+def _incidence(p: int, n: int) -> Tuple[FrozenSet[Line], Tuple[Tuple[Line, ...], ...]]:
+    """The lines of PG(n,p), and each point's pencil: its lines, sorted.
+    Each line is built once, from its reduced basis: b has its leading 1 at
+    column j, and a = head + (0,) + tail for a point head of PG(j-1,p).  b and
+    the a + t*b are normalized already and in sorted order, so nothing is
+    normalized or deduplicated; with j running down, the lines come sorted."""
+    index = _pg_index(p, n)
+    pencils: List[List[Line]] = [[] for _ in index]
+    for j in range(n, 0, -1):
+        for b_tail in itertools.product(range(p), repeat=n - j):
+            b = index[(0,) * j + (1,) + b_tail]
+            for head in pg_points(p, j - 1):
+                for tail in itertools.product(range(p), repeat=n - j):
+                    line = (b,) + tuple(
+                        index[head + (t,) + tuple([(x + t * y) % p for x, y in zip(tail, b_tail)])]
+                        for t in range(p))
+                    for x in line:
+                        pencils[x].append(line)
+    return (frozenset(line for pencil in pencils for line in pencil),
+            tuple(map(tuple, pencils)))
 
 
 def lines_through(point, p: int, n: int) -> List[Tuple[Coords, ...]]:
     """All (p^n - 1)/(p - 1) projective lines through the point, each as a
     sorted tuple of p+1 normalized coordinate tuples."""
-    coords = point.coords if isinstance(point, ProjPoint) else point
-    coords = normalize_coords(p, coords)
-    if len(coords) != n + 1:
-        raise InputError("point dimension mismatch")
-    out = [line for line in _all_lines(p, n) if coords in line]
-    expected = (p ** n - 1) // (p - 1)
-    if len(out) != expected:
-        raise InternalInconsistencyError("pencil size through a point is off")
-    return out
-
-
-def _images_on_a_line(p: int, images: Sequence[Coords]) -> bool:
-    return rank_of_vectors(PrimeField(p), list(images)) <= 2
+    pts, pencil = pg_points(p, n), _incidence(p, n)[1][_point_id(point, p, n)]
+    return [tuple(pts[x] for x in line) for line in pencil]
 
 
 @dataclass(frozen=True)
 class ProjViolation:
     anchor: Coords
     line: Tuple[Coords, ...]
-    reason: str  # "not-a-line" | "not-onto"
+    reason: str  # "not-a-line"
 
 
 @dataclass(frozen=True)
@@ -325,22 +322,23 @@ class ProjReport:
 def check_projective_hypotheses(table: ProjTable, anchors: Sequence,
                                 mode: str = "onto") -> ProjReport:
     """Every projective line through every anchor maps into (or onto) a
-    projective line."""
+    projective line.  The table is injective, so the p+1 images of a line
+    lie on a line only if they are that whole line: into and onto agree."""
     if mode not in ("into", "onto"):
         raise InputError(f"mode must be 'into' or 'onto', got {mode!r}")
     if not table.is_injective():
         raise InputError("hypothesis check needs an injective table")
     p, n = table.p, table.n
+    lines, pencils = _incidence(p, n)
+    pts, index = pg_points(p, n), _pg_index(p, n)
+    image = [index[v] for v in table.values]
     violations: List[ProjViolation] = []
     for anchor in anchors:
-        coords = anchor.coords if isinstance(anchor, ProjPoint) else anchor
-        coords = normalize_coords(p, coords)
-        for line in lines_through(coords, p, n):
-            images = sorted(set(table.apply(x) for x in line))
-            if not _images_on_a_line(p, images):
-                violations.append(ProjViolation(coords, line, "not-a-line"))
-            elif mode == "onto" and len(images) < p + 1:
-                violations.append(ProjViolation(coords, line, "not-onto"))
+        a = _point_id(anchor, p, n)
+        for line in pencils[a]:
+            if tuple(sorted([image[x] for x in line])) not in lines:
+                violations.append(ProjViolation(
+                    pts[a], tuple(pts[x] for x in line), "not-a-line"))
     return ProjReport(not violations, tuple(violations))
 
 

@@ -19,6 +19,7 @@ from linemaps import (
     proj_table_from_map,
     proj_table_to_json,
     reduce_mod,
+    table_from_function,
     table_to_json,
     tabulate,
 )
@@ -424,4 +425,73 @@ def test_huge_prime_hits_the_guard_at_once(capsys):
     code = main(["scalar-lemmas", "--p", str(2 ** 61 - 1), "--lemma", "ratio"])
     assert code == 3
     assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.startswith("resource guard: ")
+
+
+def _exit_code_and_time(capsys, argv):
+    t0 = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert captured.out == "", argv
+    return code, elapsed, captured.err
+
+
+def test_projective_table_with_a_huge_space_is_rejected_before_enumeration(capsys, tmp_path):
+    # PG(4, 10007) has about 10^16 points: they were enumerated before the
+    # (empty) value list was counted, and the command hung
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"p": 10007, "n": 4, "values": []}))
+    code, elapsed, err = _exit_code_and_time(capsys, ["decide-proj", "--table", str(path)])
+    assert code == 2 and err.startswith("input error: ")
+    assert elapsed < 1.0
+
+
+def test_finite_table_with_a_huge_dimension_is_rejected_before_the_power(capsys, tmp_path):
+    # 3**100000000 was computed to count the values, and the command hung
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"p": 3, "n": 100000000, "m": 1, "values": []}))
+    code, elapsed, err = _exit_code_and_time(
+        capsys, ["verify-family", "--table", str(path), "--dirs", "e1"])
+    assert code == 2 and err.startswith("input error: ")
+    assert elapsed < 1.0
+
+
+def test_projective_tables_need_n_at_least_one(capsys, tmp_path):
+    # n = 0 and n = -1 once reached the decision procedure and exited 1
+    # with "decided": false
+    for n, values in ((0, [[1]]), (-1, [])):
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps({"p": 3, "n": n, "values": values}))
+        code, elapsed, err = _exit_code_and_time(capsys, ["decide-proj", "--table", str(path)])
+        assert code == 2 and err.startswith("input error: "), n
+        assert elapsed < 1.0
+
+
+def test_table_files_with_coerced_sizes_are_input_errors(capsys, tmp_path):
+    # int() once truncated or parsed these, and the command ran on the
+    # truncated table with exit 0
+    proj = proj_table_to_json(proj_table_from_map(
+        ProjLinearMap(matrix(PrimeField(3), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))), 3))
+    finite = table_to_json(table_from_function(3, 2, 2, lambda x: x))
+    cases = [(["decide-proj"], proj, {"p": 3.9}), (["decide-proj"], proj, {"p": "3"}),
+             (["decide-proj"], proj, {"n": 2.0})]
+    for spoil in ({"p": 3.5}, {"n": 2.2}, {"m": "2"}, {"p": 3.5, "n": 2.2, "m": "2"}):
+        cases.append((["verify-family", "--dirs", "e1"], finite, spoil))
+    for command, obj, spoil in cases:
+        path = tmp_path / "spoiled.json"
+        path.write_text(json.dumps({**obj, **spoil}))
+        code, elapsed, err = _exit_code_and_time(capsys, [*command, "--table", str(path)])
+        assert code == 2 and err.startswith("input error: "), (command, spoil)
+        assert elapsed < 1.0
+
+
+def test_budget_is_an_option_of_the_tabulating_commands_only(capsys, r3_map_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["scalar-lemmas", "--p", "5", "--lemma", "ratio", "--budget", "5"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    # the r3 map over Z_5 has 125 points
+    assert main(["verify-family", "--map", r3_map_file, "--field", "p:5",
+                 "--dirs", "e1", "--budget", "100"]) == 3
     assert capsys.readouterr().err.startswith("resource guard: ")

@@ -231,6 +231,37 @@ def test_sampling_is_deterministic_given_the_seed():
     assert a.coeffs == b.coeffs
 
 
+def _dense_scan_sample(n, m, rng, coeff_bound=3):
+    """The sampler written over the dense nullspace basis: every entry of
+    every basis vector is scanned for each output coordinate."""
+    system = build_constraints(n)
+    basis = nullspace(system.rows)
+    coeffs = {}
+    for j in range(m):
+        weights = [Fraction(rng.randint(-coeff_bound, coeff_bound)) for _ in basis]
+        for vec, w in zip(basis, weights):
+            if w == 0:
+                continue
+            for ci, val in enumerate(vec):
+                if val != 0:
+                    row = coeffs.setdefault(system.unknowns[ci], [Fraction(0)] * m)
+                    row[j] += w * val
+    return MultiAffineMap(n, m, QQ, {k: tuple(v) for k, v in coeffs.items()})
+
+
+def test_sampling_matches_the_dense_scan_of_the_basis():
+    # the same rng draws in the same order give the same map, coefficient
+    # order included, and leave the generator in the same state
+    for n in range(3, 9):
+        for seed in range(5):
+            for m in (1, 2, 3):
+                rng, oracle_rng = Random(seed), Random(seed)
+                got = sample_constrained_map(n, m, rng)
+                want = _dense_scan_sample(n, m, oracle_rng)
+                assert list(got.coeffs.items()) == list(want.coeffs.items()), (n, seed, m)
+                assert rng.random() == oracle_rng.random()
+
+
 # ---------------------------------------------------------------------------
 # sharp construction: degree n/2 with injectivity, in even dimension
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ linearity decision procedure, and the affine embedding."""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 
 import pytest
@@ -38,6 +40,8 @@ from linemaps import (
     transform_from_correspondence,
     vector,
 )
+from linemaps.exact import normalize_coords, rank_of_vectors
+from linemaps.projective import _incidence
 
 # ---------------------------------------------------------------------------
 # points, spaces, lines
@@ -65,6 +69,139 @@ def test_lines_are_pencils_of_the_right_size():
         lines = lines_through((1, 0, 0, 0)[: n + 1], p, n)
         assert len(lines) == pencil
         assert all(len(line) == p + 1 for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# the incidence structure of PG(n,p), against the pair scan and closed forms
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def pair_scan_lines(p, n):
+    """Every line of PG(n,p) by the pair scan: for each pair of points a, b
+    the normalized points b and a + t*b, duplicates dropped, sorted."""
+    pts = pg_points(p, n)
+    lines = set()
+    for i, a in enumerate(pts):
+        for b in pts[i + 1:]:
+            line = {b} | {normalize_coords(p, [x + t * y for x, y in zip(a, b)])
+                          for t in range(p)}
+            lines.add(tuple(sorted(line)))
+    return tuple(sorted(lines))
+
+
+def pair_scan_pencil(point, p, n):
+    return [line for line in pair_scan_lines(p, n) if point in line]
+
+
+def gaussian_binomial(m, k, q):
+    num = den = 1
+    for i in range(k):
+        num *= q ** (m - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+SMALL_SPACES = ((3, 1), (5, 1), (3, 2), (5, 2), (7, 2), (3, 3), (5, 3))
+
+
+@pytest.mark.parametrize("p,n", SMALL_SPACES + ((7, 3), (3, 4)))
+def test_points_are_the_normalized_nonzero_vectors_in_order(p, n):
+    raw = itertools.product(range(p), repeat=n + 1)
+    assert pg_points(p, n) == tuple(sorted({normalize_coords(p, c) for c in raw if any(c)}))
+
+
+@pytest.mark.parametrize("p,n", ((3, 1), (7, 1), (3, 2), (5, 2), (7, 2), (3, 3),
+                                 (5, 3), (7, 3), (3, 4), (5, 4)))
+def test_line_count_is_the_gaussian_binomial_and_pencils_are_full(p, n):
+    lines, pencils = _incidence(p, n)
+    assert len(lines) == gaussian_binomial(n + 1, 2, p)
+    assert all(len(line) == p + 1 and list(line) == sorted(set(line)) for line in lines)
+    assert len(pencils) == len(pg_points(p, n))
+    for x, pencil in enumerate(pencils):
+        assert len(pencil) == (p ** n - 1) // (p - 1)
+        assert list(pencil) == sorted(pencil)
+        assert all(x in line for line in pencil)
+
+
+@pytest.mark.parametrize("p,n", ((3, 2), (5, 2), (3, 3)))
+def test_two_points_lie_on_exactly_one_line(p, n):
+    pts = pg_points(p, n)
+    for a in pts:
+        pencil = lines_through(a, p, n)
+        for b in pts:
+            if b != a:
+                assert sum(b in line for line in pencil) == 1
+
+
+@pytest.mark.parametrize("p,n", SMALL_SPACES)
+def test_lines_through_matches_the_pair_scan_at_every_point(p, n):
+    for x in pg_points(p, n):
+        assert lines_through(x, p, n) == pair_scan_pencil(x, p, n)
+
+
+def test_lines_through_accepts_any_representative():
+    F = PrimeField(5)
+    want = lines_through((0, 1, 2), 5, 2)
+    assert lines_through((0, 3, 1), 5, 2) == want      # 3 * (0, 1, 2)
+    assert lines_through(proj_point(F, (0, 2, 4)), 5, 2) == want
+    for bad in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(InputError):
+            lines_through(bad, 5, 2)
+    with pytest.raises(InputError):
+        lines_through((0, 0, 0), 5, 2)
+
+
+def rank_oracle_report(table, anchors, mode):
+    """The hypothesis check by rank: a line is bent when its images span
+    more than a plane of the lift, and not onto when they are fewer than
+    p+1 (which an injective table never gives)."""
+    p, n = table.p, table.n
+    violations = []
+    for anchor in anchors:
+        a = normalize_coords(p, anchor)
+        for line in pair_scan_pencil(a, p, n):
+            images = sorted({table.apply(x) for x in line})
+            if rank_of_vectors(PrimeField(p), images) > 2:
+                reason = "not-a-line"
+            elif mode == "onto" and len(images) < p + 1:
+                reason = "not-onto"
+            else:
+                continue
+            violations.append({"anchor": list(a), "line": [list(c) for c in line],
+                               "reason": reason})
+    return {"ok": not violations, "violations": violations}
+
+
+@pytest.mark.parametrize("p,n", ((3, 1), (3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (3, 4)))
+def test_hypothesis_check_matches_the_rank_oracle(p, n):
+    rng = Random(p * 31 + n)
+    pts = pg_points(p, n)
+    linear = proj_table_from_map(random_proj_linear(rng, p, n), p).values
+    for kind in ("permutation", "permutation", "swap", "swap", "linear"):
+        values = list(pts if kind == "permutation" else linear)
+        if kind == "permutation":
+            rng.shuffle(values)
+        elif kind == "swap":
+            i, j = rng.sample(range(len(values)), 2)
+            values[i], values[j] = values[j], values[i]
+        table = ProjTable(p, n, tuple(values))
+        # anchors in any representative: scaled by a unit
+        anchors = [tuple(rng.randrange(1, p) * c for c in x) for x in rng.sample(pts, n + 2)]
+        for mode in ("into", "onto"):
+            got = check_projective_hypotheses(table, anchors, mode).to_json()
+            assert got == rank_oracle_report(table, anchors, mode), (kind, mode)
+
+
+def test_proj_table_rejects_n_below_one_and_wrong_counts_before_enumerating():
+    for n, values in ((0, ((1,),)), (-1, ())):
+        with pytest.raises(InputError, match=f"need n >= 1 .* got n = {n}"):
+            ProjTable(3, n, values)
+    # PG(4, 10007) has about 10^16 points; the count is compared first
+    with pytest.raises(InputError, match="got n = 4, 0 values"):
+        ProjTable(10007, 4, ())
+    with pytest.raises(InputError, match="got n = 2, 12 values"):
+        ProjTable(3, 2, pg_points(3, 2)[1:])
 
 
 def test_general_position():
