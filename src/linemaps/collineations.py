@@ -12,7 +12,8 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .exact import (
     Field, InputError, InternalInconsistencyError, Matrix, PrimeField, QQ,
@@ -218,6 +219,15 @@ def _line_kernel(p: int, n: int, direction: Point) -> Tuple[Tuple[Point, Tuple[i
 def _lines(p: int, n: int, direction: Point) -> Tuple[Tuple[Point, Tuple[int, ...]], ...]:
     """Every line of (Z_p)^n parallel to the direction: (line[0], indices)."""
     return _line_kernel(p, n, normalize_coords(p, direction))
+
+
+def _plane_pencil(p: int, c: Point) -> List[List[Point]]:
+    """The p+1 lines of (Z_p)^2 through c, one per direction (0,1), (1,0),
+    (1,1), ..., (1,p-1), each as its sorted points."""
+    i = point_index(p, c)
+    return [[divmod(j, p) for j in idx]
+            for d in [(0, 1)] + [(1, t) for t in range(p)]
+            for _base, idx in _lines(p, 2, d) if i in idx]
 
 
 def points_collinear(p: int, pts: Sequence[Point]) -> bool:
@@ -583,15 +593,68 @@ def recover_plane_form(table: FiniteMapTable) -> PlaneForm:
 # exhaustive search over all bijections of the grid
 # ===========================================================================
 
+# A search that would pass this many nodes raises a ResourceError.  A node is
+# a value examined at a slot, free or not, so the time to trip is bounded: about
+# 0.3 s at p=5, n=2.  One direction at p=3, n=2 completes in 102,474 nodes.
+SEARCH_NODE_BUDGET = 10 ** 6
+
+
+def _backtrack(domains: Sequence[Sequence[int]],
+               constraints: Sequence[Tuple[Sequence[int], object]],
+               accept: Callable[[List[int], object], bool]) -> List[Tuple[int, ...]]:
+    """Every assignment a of pairwise distinct values to the slots, a[i] from
+    domains[i], with accept(a, item) for each (slots, item) constraint; sorted.
+
+    Slots are filled in the order the constraints first name them, then the
+    slots no constraint names; a constraint is checked as soon as its last
+    slot is filled.  The walk keeps its own stack of domain iterators."""
+    order = list(dict.fromkeys(itertools.chain(
+        (s for slots, _item in constraints for s in slots), range(len(domains)))))
+    depth = {s: d for d, s in enumerate(order)}
+    checks: List[list] = [[] for _ in order]
+    for slots, item in constraints:
+        checks[max(depth[s] for s in slots)].append(item)
+    a: list = [None] * len(order)
+    used, results, stack = set(), [], []
+    nodes = d = 0
+    while d >= 0:
+        if len(stack) == d:  # a slot's iterator always runs out: count its values now
+            nodes += len(domains[order[d]])
+            if nodes > SEARCH_NODE_BUDGET:
+                raise ResourceError(f"search passed its budget of {SEARCH_NODE_BUDGET} nodes")
+            stack.append(iter(domains[order[d]]))
+        slot = order[d]
+        used.discard(a[slot])
+        for v in stack[d]:
+            if v not in used:
+                a[slot] = v
+                for item in checks[d]:
+                    if not accept(a, item):
+                        break
+                else:
+                    break  # every constraint completed at this slot holds
+        else:
+            a[slot] = None
+            stack.pop()
+            d -= 1
+            continue
+        if d + 1 == len(order):
+            results.append(tuple(a))
+        else:
+            used.add(v)
+            d += 1
+    return sorted(results)
+
+
 def exhaustive_bijection_search(p: int, n: int, fam: LineFamily,
                                 mode: str = "onto",
                                 max_points: int = 9) -> List[FiniteMapTable]:
-    """All bijections of (Z_p)^n sending every family line onto a line.
+    """All bijections of (Z_p)^n sending every family line onto a line, in
+    lexicographic order of the value table.
 
-    The permutation tree is walked in lexicographic order of the value table
-    and pruned as soon as a completed line has a non-collinear image, which
-    keeps the default 9!-size search (p=3, n=2) comfortable.  For bijections
-    the into and onto modes coincide (p distinct collinear points fill their
+    The search kernel fills the grid positions line by line and prunes as
+    soon as a completed line has a non-collinear image.  For bijections the
+    into and onto modes coincide (p distinct collinear points fill their
     line), so the mode argument only validates the caller's intent.
     """
     if mode not in ("into", "onto"):
@@ -606,44 +669,11 @@ def exhaustive_bijection_search(p: int, n: int, fam: LineFamily,
     if fam.n != n:
         raise InputError("family dimension != n")
 
-    # lines as index tuples, grouped by the position at which they complete
-    finishers: List[List[Tuple[int, ...]]] = [[] for _ in range(total)]
-    for d in _family_directions_mod(fam, p):
-        for _base, idx in _lines(p, n, d):
-            finishers[max(idx)].append(idx)
-
-    collinear_cache: Dict[Tuple[Point, ...], bool] = {}
-
-    def images_collinear(pts: List[Point]) -> bool:
-        key = tuple(sorted(pts))
-        hit = collinear_cache.get(key)
-        if hit is None:
-            hit = points_collinear(p, key)
-            collinear_cache[key] = hit
-        return hit
-
-    assign = [0] * total
-    used = [False] * total
-    results: List[FiniteMapTable] = []
-
-    def descend(i: int):
-        if i == total:
-            results.append(FiniteMapTable(
-                p, n, n, tuple(points[assign[j]] for j in range(total))))
-            return
-        for v in range(total):
-            if used[v]:
-                continue
-            assign[i] = v
-            ok = True
-            for line in finishers[i]:
-                if not images_collinear([points[assign[j]] for j in line]):
-                    ok = False
-                    break
-            if ok:
-                used[v] = True
-                descend(i + 1)
-                used[v] = False
-
-    descend(0)
-    return results
+    # bounded: a search run up to the node budget would keep a key per node
+    collinear = lru_cache(maxsize=1 << 14)(
+        lambda key: points_collinear(p, [points[v] for v in key]))
+    lines = [(idx, itemgetter(*idx))
+             for d in _family_directions_mod(fam, p) for _base, idx in _lines(p, n, d)]
+    found = _backtrack([range(total)] * total, lines,
+                       lambda a, images: collinear(tuple(sorted(images(a)))))
+    return [FiniteMapTable(p, n, n, tuple(points[v] for v in values)) for values in found]

@@ -16,10 +16,11 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .exact import (
-    Field, InputError, InternalInconsistencyError, Matrix, PrimeField, Vector, exact_int,
-    identity_matrix, inverse, is_j_independent, mat_mul, mat_vec, normalize_coords,
+    Field, InputError, InternalInconsistencyError, Matrix, PrimeField, ResourceError, Vector,
+    exact_int, identity_matrix, inverse, is_j_independent, mat_mul, mat_vec, normalize_coords,
     rank_of_vectors, solve, vector,
 )
+from .multiaffine import DEFAULT_POINT_BUDGET
 
 Coords = Tuple[int, ...]
 Line = Tuple[int, ...]  # the sorted indices into pg_points of a line's points
@@ -67,8 +68,13 @@ def proj_point(field: Field, coords: Sequence) -> ProjPoint:
 @lru_cache(maxsize=None)
 def pg_points(p: int, n: int) -> Tuple[Coords, ...]:
     """All points of PG(n,p) as normalized tuples (zeros, a leading 1, any tail),
-    lexicographically sorted — the canonical order used by tables."""
+    lexicographically sorted — the canonical order used by tables.  A space of
+    more than DEFAULT_POINT_BUDGET points raises ResourceError."""
     PrimeField(p)
+    # the count passes p^n > 2^n, so past the budget's bit length no power is built
+    if (n >= DEFAULT_POINT_BUDGET.bit_length()
+            or (p ** (n + 1) - 1) // (p - 1) > DEFAULT_POINT_BUDGET):
+        raise ResourceError(f"PG({n},{p}) has more than {DEFAULT_POINT_BUDGET} points")
     return tuple((0,) * i + (1,) + tail for i in range(n, -1, -1)
                  for tail in itertools.product(range(p), repeat=n - i))
 
@@ -276,8 +282,12 @@ def _incidence(p: int, n: int) -> Tuple[FrozenSet[Line], Tuple[Tuple[Line, ...],
     Each line is built once, from its reduced basis: b has its leading 1 at
     column j, and a = head + (0,) + tail for a point head of PG(j-1,p).  b and
     the a + t*b are normalized already and in sorted order, so nothing is
-    normalized or deduplicated; with j running down, the lines come sorted."""
+    normalized or deduplicated; with j running down, the lines come sorted.
+    More than DEFAULT_POINT_BUDGET incidences raise ResourceError."""
     index = _pg_index(p, n)
+    if len(index) * ((p ** n - 1) // (p - 1)) > DEFAULT_POINT_BUDGET:
+        raise ResourceError(
+            f"PG({n},{p}) has more than {DEFAULT_POINT_BUDGET} point-line incidences")
     pencils: List[List[Line]] = [[] for _ in index]
     for j in range(n, 0, -1):
         for b_tail in itertools.product(range(p), repeat=n - j):

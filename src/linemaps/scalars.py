@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import factorial, gcd
 from typing import List, Optional, Tuple
 
-from .collineations import points_collinear
+from .collineations import _backtrack, _plane_pencil, points_collinear
 from .exact import InputError, PrimeField, ResourceError
 
 Table = Tuple[int, ...]
@@ -144,8 +144,10 @@ def multiplicative_injections(p: int) -> List[ScalarFunctionTable]:
 
 
 def _brute_force_multiplicative_injections(p: int) -> List[Table]:
-    return [perm for perm in itertools.permutations(range(p))
-            if is_multiplicative(ScalarFunctionTable(p, perm))]
+    """Every bijection of Z_p with f(ab) = f(a)f(b), by the search kernel."""
+    return _backtrack([range(p)] * p,
+                      [((a, b, a * b % p), (a, b)) for a in range(p) for b in range(a, p)],
+                      lambda f, ab: f[ab[0] * ab[1] % p] == f[ab[0]] * f[ab[1]] % p)
 
 
 @dataclass(frozen=True)
@@ -211,14 +213,6 @@ def verify_multiplicative_rigidity(p: int, brute_force_max_p: int = 7) -> MultRi
 # rigidity of plane diagonal maps pinned at two pencils
 # ===========================================================================
 
-def _plane_directions(p: int) -> List[Tuple[int, int]]:
-    return [(1, t) for t in range(p)] + [(0, 1)]
-
-
-def _line_through(p: int, c: Tuple[int, int], d: Tuple[int, int]) -> List[Tuple[int, int]]:
-    return [((c[0] + s * d[0]) % p, (c[1] + s * d[1]) % p) for s in range(p)]
-
-
 @dataclass(frozen=True)
 class DiagonalRigidityReport:
     p: int
@@ -254,23 +248,17 @@ def verify_diagonal_rigidity(p: int, n: int = 2,
     if tuple(x0) == (0, 0) or any(c not in (0, 1) for c in x0):
         raise InputError("x0 must be a nonzero 0/1 vector")
     x0 = (int(x0[0]), int(x0[1]))
-    pencils = []
-    for c in ((0, 0), x0):
-        for d in _plane_directions(p):
-            pencils.append(_line_through(p, c, d))
-
+    # slot x holds f1(x) and slot p+y holds p+f2(y), so all values differ
+    f_domains = [[0], [1]] + [range(2, p)] * (p - 2)
+    domains = f_domains + [[p + v for v in dom] for dom in f_domains]
+    pencils = [(sorted({s for x, y in line for s in (x, p + y)}), line)
+               for line in _plane_pencil(p, (0, 0)) + _plane_pencil(p, x0)]
+    found = _backtrack(domains, pencils, lambda a, line: points_collinear(
+        p, [(a[x], a[p + y] - p) for x, y in line]))
+    survivors = tuple((a[:p], tuple(v - p for v in a[p:])) for a in found)
     ident = tuple(range(p))
-    survivors: List[Tuple[Table, Table]] = []
-    count = 0
-    for f1 in bijections_fixing_0_1(p):
-        for f2 in bijections_fixing_0_1(p):
-            count += 1
-            v1, v2 = f1.values, f2.values
-            if all(points_collinear(
-                    p, [(v1[x], v2[y]) for (x, y) in line]) for line in pencils):
-                survivors.append((v1, v2))
-    identity_only = survivors == [(ident, ident)]
-    return DiagonalRigidityReport(p, x0, count, tuple(survivors), identity_only)
+    return DiagonalRigidityReport(p, x0, factorial(p - 2) ** 2, survivors,
+                                  survivors == ((ident, ident),))
 
 
 # ===========================================================================
@@ -315,7 +303,7 @@ def verify_additive_rigidity(p: int, n: int = 2,
     if p > max_p:
         raise ResourceError(f"matrix enumeration guarded at p <= {max_p}")
     x0 = (int(x0[0]) % p, int(x0[1]) % p)
-    pencil = [_line_through(p, x0, d) for d in _plane_directions(p)]
+    pencil = _plane_pencil(p, x0)
 
     total = 0
     bijections = 0

@@ -311,6 +311,17 @@ def test_exhaust_budget_guard(capsys):
     assert main(["exhaust", "--p", "5", "--n", "3", "--dirs", "e1,e2,e3"]) == 3
 
 
+def test_exhaust_stops_at_the_search_node_budget(capsys):
+    # the grid guard lets both through, so only the node budget stops them;
+    # the second search is 2187 slots deep
+    for argv in (("--p", "5", "--n", "2", "--dirs", "e1,e2", "--budget", "100"),
+                 ("--p", "3", "--n", "7", "--dirs", "e1", "--budget", "3000")):
+        assert main(["exhaust", *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "resource guard: search passed its budget of 1000000 nodes\n"
+
+
 def test_scalar_lemmas_cli(capsys):
     cases = [
         (("--p", "5", "--lemma", "ratio"), 0),

@@ -3,6 +3,8 @@ span invariants, and the exhaustive bijection search."""
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +37,8 @@ from linemaps import (
     tabulate_diagonal_form,
     verify_span_invariants,
 )
+from linemaps import collineations
+from linemaps.collineations import _backtrack
 
 
 def identity_table(p, n):
@@ -364,6 +368,75 @@ def test_exhaustive_search_budget_guard():
     fam = standard_family(QQ, 3)
     with pytest.raises(ResourceError):
         exhaustive_bijection_search(5, 3, fam)
+
+
+def lexicographic_search(p, n, fam):
+    """The search as a recursive descent over the value table in
+    lexicographic order, pruned when a line completes: the kernel's oracle."""
+    points = list(grid_points(p, n))
+    index = {x: i for i, x in enumerate(points)}
+    finishers = [[] for _ in points]
+    for d in fam.directions:
+        for line in enumerate_lines(p, n, tuple(int(c) % p for c in d)):
+            idx = [index[x] for x in line]
+            finishers[max(idx)].append(idx)
+    collinear = lru_cache(maxsize=None)(lambda key: points_collinear(p, key))
+    assign, used, results = [0] * len(points), [False] * len(points), []
+
+    def descend(i):
+        if i == len(points):
+            results.append(tuple(points[v] for v in assign))
+            return
+        for v in range(len(points)):
+            if not used[v]:
+                assign[i] = v
+                if all(collinear(tuple(sorted(points[assign[j]] for j in line)))
+                       for line in finishers[i]):
+                    used[v] = True
+                    descend(i + 1)
+                    used[v] = False
+
+    descend(0)
+    return results
+
+
+@pytest.mark.parametrize("p,n,dirs", (
+    (3, 1, ((1,),)),
+    (3, 2, ((1, 0),)),
+    (3, 2, ((1, 0), (1, 1))),
+    (3, 2, ((0, 1), (1, 0))),
+    (3, 2, ((1, 2), (0, 1), (1, 1))),
+    (3, 2, ((1, 0), (0, 1), (1, 1), (1, 2))),
+))
+def test_search_matches_the_lexicographic_descent(p, n, dirs):
+    fam = LineFamily(QQ, n, dirs)
+    got = [t.values for t in exhaustive_bijection_search(p, n, fam)]
+    assert got == lexicographic_search(p, n, fam)
+
+
+@pytest.mark.parametrize("dirs,nodes", (
+    (((1, 0),), 102474),
+    (((1, 2), (0, 1)), 44154),
+    (((1, 1), (1, 0), (0, 1)), 40266),
+))
+def test_search_node_counts(monkeypatch, dirs, nodes):
+    # slots fill in the order the family's lines name them, and a line is
+    # checked as its last slot fills: that fixes the work of each search
+    fam = LineFamily(QQ, 2, dirs)
+    monkeypatch.setattr(collineations, "SEARCH_NODE_BUDGET", nodes)
+    exhaustive_bijection_search(3, 2, fam)
+    monkeypatch.setattr(collineations, "SEARCH_NODE_BUDGET", nodes - 1)
+    with pytest.raises(ResourceError, match=f"budget of {nodes - 1} nodes"):
+        exhaustive_bijection_search(3, 2, fam)
+
+
+def test_search_kernel_on_a_small_case_and_a_deep_one():
+    # distinct values, the constraint a[2] > a[0], results sorted
+    assert _backtrack([range(3)] * 3, [((2, 0), None)],
+                      lambda a, _item: a[2] > a[0]) == [(0, 1, 2), (0, 2, 1), (1, 0, 2)]
+    # 5000 slots: deeper than the interpreter's recursion limit
+    assert _backtrack([[i] for i in range(5000)], [],
+                      lambda a, _item: True) == [tuple(range(5000))]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from linemaps import (
     ProjLinearMap,
     ProjTable,
     QQ,
+    ResourceError,
     UndecidableByFrame,
     affine_to_projective,
     check_projective_hypotheses,
@@ -202,6 +203,23 @@ def test_proj_table_rejects_n_below_one_and_wrong_counts_before_enumerating():
         ProjTable(10007, 4, ())
     with pytest.raises(InputError, match="got n = 2, 12 values"):
         ProjTable(3, 2, pg_points(3, 2)[1:])
+
+
+def test_spaces_past_the_point_budget_are_resource_errors():
+    # PG(2,1009) has 1,019,091 points; none of these sizes is enumerated
+    for p, n in ((1009, 2), (10007, 4), (3, 10 ** 9)):
+        with pytest.raises(ResourceError, match=f"PG\\({n},{p}\\) has more than 1000000 points"):
+            pg_points(p, n)
+    with pytest.raises(ResourceError):
+        proj_table_from_map(proj_identity(PrimeField(1009), 2), 1009)
+    # PG(2,101) is just past the bound (10,303 points, 102 lines through
+    # each), so a missing guard fails here before PG(3,31) is attempted
+    # (30,784 points, 993 lines through each)
+    for p, n in ((101, 2), (31, 3)):
+        with pytest.raises(ResourceError, match="more than 1000000 point-line incidences"):
+            lines_through((1,) + (0,) * n, p, n)
+    # PG(4,5): 781 points with 156 lines through each, 121,836 incidences
+    assert sum(map(len, _incidence(5, 4)[1])) == 121836
 
 
 def test_general_position():

@@ -4,6 +4,9 @@ conditions forcing the identity."""
 
 from __future__ import annotations
 
+import itertools
+from math import factorial
+
 import pytest
 
 from linemaps import (
@@ -21,8 +24,9 @@ from linemaps import (
     verify_diagonal_rigidity,
     verify_multiplicative_rigidity,
 )
-from linemaps import points_collinear
-from linemaps.scalars import _line_through
+from linemaps import grid_points, points_collinear
+from linemaps.collineations import _plane_pencil
+from linemaps.scalars import _brute_force_multiplicative_injections
 
 # ---------------------------------------------------------------------------
 # scalar tables
@@ -121,6 +125,13 @@ def test_multiplicative_rigidity(p):
         assert report.brute_force_agrees is None
 
 
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_multiplicative_brute_force_matches_the_permutation_scan(p):
+    scan = [perm for perm in itertools.permutations(range(p))
+            if is_multiplicative(ScalarFunctionTable(p, perm))]
+    assert _brute_force_multiplicative_injections(p) == scan
+
+
 # ---------------------------------------------------------------------------
 # two pencils of lines in the plane force diagonal maps to be the identity
 # ---------------------------------------------------------------------------
@@ -133,6 +144,41 @@ def test_diagonal_rigidity_identity_only(p, x0):
     assert report.ok
     assert report.identity_only
     assert report.survivors == ((tuple(range(p)), tuple(range(p))),)
+
+
+def line_through(p, c, d):
+    return [((c[0] + s * d[0]) % p, (c[1] + s * d[1]) % p) for s in range(p)]
+
+
+def plane_directions(p):
+    return [(0, 1)] + [(1, t) for t in range(p)]
+
+
+def product_loop_diagonal_rigidity(p, x0):
+    """The two-pencil search as the full f1 x f2 product loop: the oracle."""
+    pencils = [line_through(p, c, d) for c in ((0, 0), x0) for d in plane_directions(p)]
+    count, survivors = 0, []
+    for f1 in bijections_fixing_0_1(p):
+        for f2 in bijections_fixing_0_1(p):
+            count += 1
+            if all(points_collinear(p, [(f1(x), f2(y)) for x, y in line]) for line in pencils):
+                survivors.append((f1.values, f2.values))
+    return count, tuple(survivors)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+@pytest.mark.parametrize("x0", ((1, 0), (0, 1), (1, 1)))
+def test_diagonal_rigidity_matches_the_product_loop(p, x0):
+    report = verify_diagonal_rigidity(p, x0=x0)
+    assert (report.candidates, report.survivors) == product_loop_diagonal_rigidity(p, x0)
+    assert report.candidates == factorial(p - 2) ** 2
+
+
+def test_plane_pencil_has_one_line_per_direction():
+    for p in (3, 5, 7):
+        for c in grid_points(p, 2):
+            assert _plane_pencil(p, c) == [sorted(line_through(p, c, d))
+                                           for d in plane_directions(p)]
 
 
 def test_diagonal_rigidity_guards():
@@ -151,11 +197,9 @@ def test_one_pencil_is_not_enough():
     # line (t^3 sweeps all of Z_5), but bends lines through (1, 1)
     p = 5
     cube = lambda v: pow(v, 3, p)
-    dirs = [(1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (1, 4)]
 
     def pencil_straight(center):
-        for d in dirs:
-            line = _line_through(p, center, d)
+        for line in _plane_pencil(p, center):
             images = {(cube(x), cube(y)) for x, y in line}
             if len(images) != p or not points_collinear(p, sorted(images)):
                 return False
