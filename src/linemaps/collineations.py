@@ -665,9 +665,11 @@ def exhaustive_bijection_search(p: int, n: int, fam: LineFamily,
         raise ResourceError(
             f"{total}! candidate bijections exceed the search guard "
             f"(grid of {total} > {max_points} points)")
-    points = list(grid_points(p, n))
     if fam.n != n:
         raise InputError("family dimension != n")
+    # the identity table checks every grid point once; survivors are
+    # permutations of its values, so they are built without a check per entry
+    points = FiniteMapTable(p, n, n, tuple(grid_points(p, n))).values
 
     # bounded: a search run up to the node budget would keep a key per node
     collinear = lru_cache(maxsize=1 << 14)(
@@ -676,4 +678,13 @@ def exhaustive_bijection_search(p: int, n: int, fam: LineFamily,
              for d in _family_directions_mod(fam, p) for _base, idx in _lines(p, n, d)]
     found = _backtrack([range(total)] * total, lines,
                        lambda a, images: collinear(tuple(sorted(images(a)))))
-    return [FiniteMapTable(p, n, n, tuple(points[v] for v in values)) for values in found]
+    return [_unchecked_table(p, n, tuple(map(points.__getitem__, values))) for values in found]
+
+
+def _unchecked_table(p: int, n: int, values: Tuple[Point, ...]) -> FiniteMapTable:
+    """A FiniteMapTable of a self-map of (Z_p)^n whose values are already
+    checked grid points: built without __post_init__'s check per entry."""
+    table = object.__new__(FiniteMapTable)
+    for name, value in (("p", p), ("n", n), ("m", n), ("values", values)):
+        object.__setattr__(table, name, value)
+    return table

@@ -13,12 +13,13 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .exact import (
     Field, InputError, InternalInconsistencyError, Matrix, PrimeField, ResourceError, Vector,
-    exact_int, identity_matrix, inverse, is_j_independent, mat_mul, mat_vec, normalize_coords,
-    rank_of_vectors, solve, vector,
+    _echelon, exact_int, identity_matrix, inverse, is_j_independent, mat_mul, mat_vec,
+    normalize_coords, rank_of_vectors, solve, vector,
 )
 from .multiaffine import DEFAULT_POINT_BUDGET
 
@@ -369,16 +370,16 @@ def decide_projective_linear(table: ProjTable) -> Optional[ProjLinearMap]:
         raise InputError("decision procedure needs an injective table")
     p, n = table.p, table.n
     gf = PrimeField(p)
-    pts = pg_points(p, n)
+    pts, values = pg_points(p, n), table.values
+
+    def independent(lifts: List[Coords]) -> bool:
+        return len(_echelon(gf, lifts)) == len(lifts)
 
     def generic(prefix: List[Coords], extra: Coords) -> bool:
-        lifts = prefix + [extra]
-        if len(lifts) <= n + 1:
-            return rank_of_vectors(gf, lifts) == len(lifts)
-        for subset in itertools.combinations(lifts[:-1], n):
-            if rank_of_vectors(gf, list(subset) + [extra]) != n + 1:
-                return False
-        return True
+        if len(prefix) < n + 1:
+            return independent(prefix + [extra])
+        return all(independent(list(subset) + [extra])
+                   for subset in itertools.combinations(prefix, n))
 
     frame: List[Coords] = []
     images: List[Coords] = []
@@ -387,8 +388,7 @@ def decide_projective_linear(table: ProjTable) -> Optional[ProjLinearMap]:
         if len(frame) == n + 2:
             return True
         for idx in range(start, len(pts)):
-            cand = pts[idx]
-            img = table.apply(cand)
+            cand, img = pts[idx], values[idx]
             if generic(frame, cand) and generic(images, img):
                 frame.append(cand)
                 images.append(img)
@@ -405,8 +405,9 @@ def decide_projective_linear(table: ProjTable) -> Optional[ProjLinearMap]:
     m = transform_from_correspondence(
         [ProjPoint(gf, c) for c in frame],
         [ProjPoint(gf, c) for c in images])
-    for c in pts:
-        if m.apply(ProjPoint(gf, c)).coords != table.apply(c):
+    rows = m.matrix.rows
+    for c, v in zip(pts, values):
+        if normalize_coords(p, [sum(map(mul, row, c)) for row in rows]) != v:
             return None
     return m
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import factorial, gcd
-from typing import List, Optional, Tuple
+from operator import itemgetter
+from typing import List, Optional, Sequence, Tuple
 
-from .collineations import _backtrack, _plane_pencil, points_collinear
-from .exact import InputError, PrimeField, ResourceError
+from .collineations import _backtrack, _lines, _plane_pencil
+from .exact import InputError, PrimeField, ResourceError, exact_int
 
 Table = Tuple[int, ...]
 
@@ -213,6 +214,23 @@ def verify_multiplicative_rigidity(p: int, brute_force_max_p: int = 7) -> MultRi
 # rigidity of plane diagonal maps pinned at two pencils
 # ===========================================================================
 
+def _pinning_point(x0) -> Tuple[int, int]:
+    """x0 as a pair of exact ints: a float, bool or str coordinate, or a
+    length other than 2, is an InputError, never truncated or coerced."""
+    try:
+        a, b = x0  # a wrong length is a ValueError, a non-iterable a TypeError
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"x0 must be a pair of ints, got {x0!r}") from exc
+    return exact_int(a, "x0 coordinate"), exact_int(b, "x0 coordinate")
+
+
+def _line_triples(lines):
+    """Each line's first two points with each of its other points.  Under an
+    injective map the images of a line are distinct, so they are collinear
+    iff the images of every triple are."""
+    return [(line[0], line[1], q) for line in lines for q in line[2:]]
+
+
 @dataclass(frozen=True)
 class DiagonalRigidityReport:
     p: int
@@ -245,16 +263,20 @@ def verify_diagonal_rigidity(p: int, n: int = 2,
         raise ResourceError("only the plane case n=2 is within the search guard")
     if p > max_p:
         raise ResourceError(f"((p-2)!)^2 enumeration guarded at p <= {max_p}")
-    if tuple(x0) == (0, 0) or any(c not in (0, 1) for c in x0):
+    x0 = _pinning_point(x0)
+    if x0 == (0, 0) or any(c not in (0, 1) for c in x0):
         raise InputError("x0 must be a nonzero 0/1 vector")
-    x0 = (int(x0[0]), int(x0[1]))
     # slot x holds f1(x) and slot p+y holds p+f2(y), so all values differ
     f_domains = [[0], [1]] + [range(2, p)] * (p - 2)
     domains = f_domains + [[p + v for v in dom] for dom in f_domains]
-    pencils = [(sorted({s for x, y in line for s in (x, p + y)}), line)
-               for line in _plane_pencil(p, (0, 0)) + _plane_pencil(p, x0)]
-    found = _backtrack(domains, pencils, lambda a, line: points_collinear(
-        p, [(a[x], a[p + y] - p) for x, y in line]))
+    # F is injective, so each line is checked as its triples, each as soon
+    # as its own slots fill.  A triple lists the slots of its three points.
+    triples = [tuple(s for x, y in tri for s in (x, p + y))
+               for tri in _line_triples(_plane_pencil(p, (0, 0)) + _plane_pencil(p, x0))]
+    # the p offsets of the f2 slots cancel in the differences
+    found = _backtrack(domains, [(sorted(set(t)), t) for t in triples], lambda a, t: (
+        (a[t[2]] - a[t[0]]) * (a[t[5]] - a[t[1]])
+        - (a[t[3]] - a[t[1]]) * (a[t[4]] - a[t[0]])) % p == 0)
     survivors = tuple((a[:p], tuple(v - p for v in a[p:])) for a in found)
     ident = tuple(range(p))
     return DiagonalRigidityReport(p, x0, factorial(p - 2) ** 2, survivors,
@@ -302,34 +324,38 @@ def verify_additive_rigidity(p: int, n: int = 2,
         raise ResourceError("only the plane case n=2 is within the search guard")
     if p > max_p:
         raise ResourceError(f"matrix enumeration guarded at p <= {max_p}")
-    x0 = (int(x0[0]) % p, int(x0[1]) % p)
-    pencil = _plane_pencil(p, x0)
+    x0 = tuple(c % p for c in _pinning_point(x0))
+    # points as flat indices x*p + y, so i // p and i % p are its coordinates
+    size = p * p
+    add = [[(i // p + j // p) % p * p + (i + j) % p for j in range(size)] for i in range(size)]
+    lines = {idx for d in [(0, 1)] + [(1, t) for t in range(p)] for _base, idx in _lines(p, 2, d)}
+    pencil = sorted(line for line in lines if x0[0] * p + x0[1] in line)
 
     total = 0
     bijections = 0
     all_additive = True
     all_lines = True
-    points = [(a, b) for a in range(p) for b in range(p)]
     for m in itertools.product(range(p), repeat=4):
         total += 1
         det = (m[0] * m[3] - m[1] * m[2]) % p
         if det == 0:
             continue
         bijections += 1
-
-        def apply(v):
-            return ((m[0] * v[0] + m[1] * v[1]) % p,
-                    (m[2] * v[0] + m[3] * v[1]) % p)
-
-        for a in points:
-            for b in points:
-                s = ((a[0] + b[0]) % p, (a[1] + b[1]) % p)
-                fa, fb = apply(a), apply(b)
-                if apply(s) != ((fa[0] + fb[0]) % p, (fa[1] + fb[1]) % p):
-                    all_additive = False
-        if not all(points_collinear(p, [apply(x) for x in line])
-                   for line in pencil):
+        img = [(m[0] * x + m[1] * y) % p * p + (m[2] * x + m[3] * y) % p
+               for x in range(p) for y in range(p)]
+        if not _is_additive_image(img, add):
+            all_additive = False
+        # img is a bijection: the p images of a line lie on a line iff they are one
+        if not all(tuple(sorted([img[i] for i in line])) in lines for line in pencil):
             all_lines = False
     expected = (p * p - 1) * (p * p - p)
     return AdditiveRigidityReport(p, x0, total, bijections, expected,
                                   all_additive, all_lines)
+
+
+def _is_additive_image(img: Sequence[int], add: Sequence[Sequence[int]]) -> bool:
+    """F(a+b) = F(a) + F(b) for every ordered pair of points, where F maps
+    flat index i to img[i] and add[a][b] is the flat index of a+b.  Row a
+    compares the images F(a+b) with the sums F(a) + F(b), for every b at once."""
+    pick = itemgetter(*img)  # pick(row) = (row[img[0]], row[img[1]], ...)
+    return all(itemgetter(*row)(img) == pick(add[img[a]]) for a, row in enumerate(add))

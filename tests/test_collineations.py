@@ -414,6 +414,16 @@ def test_search_matches_the_lexicographic_descent(p, n, dirs):
     assert got == lexicographic_search(p, n, fam)
 
 
+@pytest.mark.parametrize("p,n,dirs", ((3, 1, ((1,),)), (3, 2, ((1, 0), (0, 1)))))
+def test_search_survivors_equal_checked_tables(p, n, dirs):
+    # survivors are built without a check per entry; each equals the table
+    # the public constructor builds, and hashes alike
+    tables = exhaustive_bijection_search(p, n, LineFamily(QQ, n, dirs))
+    checked = [FiniteMapTable(p, n, n, t.values) for t in tables]
+    assert tables == checked
+    assert [hash(t) for t in tables] == [hash(t) for t in checked]
+
+
 @pytest.mark.parametrize("dirs,nodes", (
     (((1, 0),), 102474),
     (((1, 2), (0, 1)), 44154),

@@ -14,6 +14,7 @@ from linemaps import (
     InputError,
     PrimeField,
     ProjLinearMap,
+    ProjPoint,
     ProjTable,
     QQ,
     ResourceError,
@@ -41,6 +42,7 @@ from linemaps import (
     transform_from_correspondence,
     vector,
 )
+from linemaps import projective
 from linemaps.exact import normalize_coords, rank_of_vectors
 from linemaps.projective import _incidence
 
@@ -405,6 +407,69 @@ def test_decide_on_the_projective_line():
     decided = decide_projective_linear(table)
     assert decided is not None
     assert decided.matrix.rows == ((0, 1), (1, 0))
+
+
+def rank_decision(table):
+    """The decision procedure with the generic Matrix rank and a ProjPoint
+    comparison at every point: the oracle of the integer kernel.  Returns
+    the frame, its images and the map (None when the table disagrees)."""
+    p, n = table.p, table.n
+    gf = PrimeField(p)
+    pts = pg_points(p, n)
+
+    def generic(prefix, extra):
+        lifts = prefix + [extra]
+        if len(lifts) <= n + 1:
+            return rank_of_vectors(gf, lifts) == len(lifts)
+        return all(rank_of_vectors(gf, list(subset) + [extra]) == n + 1
+                   for subset in itertools.combinations(lifts[:-1], n))
+
+    def search(frame, images, start):
+        if len(frame) == n + 2:
+            return frame, images
+        for idx in range(start, len(pts)):
+            cand, img = pts[idx], table.apply(pts[idx])
+            if generic(frame, cand) and generic(images, img):
+                found = search(frame + [cand], images + [img], idx + 1)
+                if found:
+                    return found
+        return None
+
+    found = search([], [], 0)
+    if found is None:
+        raise UndecidableByFrame("no frame")
+    frame, images = found
+    m = transform_from_correspondence([ProjPoint(gf, c) for c in frame],
+                                      [ProjPoint(gf, c) for c in images])
+    agrees = all(m.apply(ProjPoint(gf, c)).coords == table.apply(c) for c in pts)
+    return frame, images, m if agrees else None
+
+
+@pytest.mark.parametrize("p,n", ((3, 2), (3, 3), (5, 2), (3, 4)))
+def test_decide_matches_the_rank_oracle(monkeypatch, p, n):
+    # the same frame is found and the same map returned, on linear tables,
+    # tables with two images swapped, and shuffled tables
+    seen = []
+
+    def spy(src, dst):
+        seen.append(([c.coords for c in src], [c.coords for c in dst]))
+        return transform_from_correspondence(src, dst)
+
+    monkeypatch.setattr(projective, "transform_from_correspondence", spy)
+    rng = Random(1000 * p + n)
+    for kind in ("linear", "swapped", "shuffled") * 3:
+        values = list(proj_table_from_map(random_proj_linear(rng, p, n), p).values)
+        if kind == "swapped":
+            i, j = rng.sample(range(len(values)), 2)
+            values[i], values[j] = values[j], values[i]
+        elif kind == "shuffled":
+            rng.shuffle(values)
+        table = ProjTable(p, n, tuple(values))
+        frame, images, want = rank_decision(table)
+        assert decide_projective_linear(table) == want
+        assert seen.pop() == (frame, images)
+        if kind == "linear":
+            assert want is not None
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,11 @@ from linemaps import (
     verify_diagonal_rigidity,
     verify_multiplicative_rigidity,
 )
-from linemaps import grid_points, points_collinear
+from linemaps import collineations, grid_points, points_collinear
 from linemaps.collineations import _plane_pencil
-from linemaps.scalars import _brute_force_multiplicative_injections
+from linemaps.scalars import (
+    _brute_force_multiplicative_injections, _is_additive_image, _line_triples,
+)
 
 # ---------------------------------------------------------------------------
 # scalar tables
@@ -174,6 +176,34 @@ def test_diagonal_rigidity_matches_the_product_loop(p, x0):
     assert report.candidates == factorial(p - 2) ** 2
 
 
+@pytest.mark.parametrize("p,nodes", ((3, 6), (5, 63), (7, 1773)))
+def test_diagonal_search_node_counts(monkeypatch, p, nodes):
+    # each pencil line is checked as triples (its first two points and one
+    # other), each as soon as its slots fill: that fixes the work per p
+    for x0 in ((1, 0), (0, 1), (1, 1)):
+        monkeypatch.setattr(collineations, "SEARCH_NODE_BUDGET", nodes)
+        assert verify_diagonal_rigidity(p, x0=x0).ok
+        monkeypatch.setattr(collineations, "SEARCH_NODE_BUDGET", nodes - 1)
+        with pytest.raises(ResourceError, match=f"budget of {nodes - 1} nodes"):
+            verify_diagonal_rigidity(p, x0=x0)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_line_triples_find_every_bent_line(p):
+    # for each line, a bijection of the plane that bends it at its last point
+    # only: the identity with that point swapped for one off the line
+    lines = sorted({tuple(line) for c in grid_points(p, 2) for line in _plane_pencil(p, c)})
+    for line in lines:
+        F = {x: x for x in grid_points(p, 2)}
+        off = next(x for x in F if x not in line)
+        F[line[-1]], F[off] = off, line[-1]
+        bent = {ln[:2] for ln in lines if not points_collinear(p, [F[x] for x in ln])}
+        flagged = {(a, b) for a, b, q in _line_triples(lines)
+                   if not points_collinear(p, [F[a], F[b], F[q]])}
+        assert line[:2] in bent
+        assert flagged == bent
+
+
 def test_plane_pencil_has_one_line_per_direction():
     for p in (3, 5, 7):
         for c in grid_points(p, 2):
@@ -190,6 +220,17 @@ def test_diagonal_rigidity_guards():
         verify_diagonal_rigidity(3, x0=(0, 0))
     with pytest.raises(InputError):
         verify_diagonal_rigidity(3, x0=(2, 1))
+
+
+@pytest.mark.parametrize("verify,x0", (
+    (verify_additive_rigidity, (1.5, 0)),      # int() would truncate it to (1, 0)
+    (verify_additive_rigidity, (1, 2, 3)),     # indexing would drop the 3
+    (verify_additive_rigidity, (1,)),          # indexing would raise IndexError
+    (verify_diagonal_rigidity, (True, False)), # a bool would pass as (1, 0)
+))
+def test_pinning_point_must_be_a_pair_of_ints(verify, x0):
+    with pytest.raises(InputError, match="x0"):
+        verify(3, 2, x0)
 
 
 def test_one_pencil_is_not_enough():
@@ -229,3 +270,52 @@ def test_additive_rigidity_guards():
         verify_additive_rigidity(7)
     with pytest.raises(InputError):
         verify_additive_rigidity(9, max_p=11)
+
+
+def apply_loop_additive_rigidity(p, x0):
+    """The additive check on point tuples: each matrix applied to every
+    pair of points, the pencil tested with points_collinear: the oracle."""
+    pencil = _plane_pencil(p, x0)
+    points = list(grid_points(p, 2))
+    total = bijections = 0
+    all_additive = all_lines = True
+    for m in itertools.product(range(p), repeat=4):
+        total += 1
+        if (m[0] * m[3] - m[1] * m[2]) % p == 0:
+            continue
+        bijections += 1
+
+        def apply(v):
+            return ((m[0] * v[0] + m[1] * v[1]) % p, (m[2] * v[0] + m[3] * v[1]) % p)
+
+        for a in points:
+            for b in points:
+                fa, fb, fs = apply(a), apply(b), apply(((a[0] + b[0]) % p, (a[1] + b[1]) % p))
+                if fs != ((fa[0] + fb[0]) % p, (fa[1] + fb[1]) % p):
+                    all_additive = False
+        if not all(points_collinear(p, [apply(x) for x in line]) for line in pencil):
+            all_lines = False
+    expected = (p * p - 1) * (p * p - p)
+    return {"p": p, "x0": list(x0), "matrices_total": total, "bijections": bijections,
+            "expected_bijections": expected, "all_additive": all_additive,
+            "all_lines_ok": all_lines,
+            "ok": bijections == expected and all_additive and all_lines}
+
+
+@pytest.mark.parametrize("p", (3, 5))
+@pytest.mark.parametrize("x0", ((0, 0), (1, 2), (2, 1)))
+def test_additive_rigidity_matches_the_apply_loop(p, x0):
+    assert verify_additive_rigidity(p, 2, x0).to_json() == apply_loop_additive_rigidity(p, x0)
+
+
+def test_additivity_check_rejects_a_swapped_table():
+    # flat indices x*p + y; the identity is additive, and stops being so
+    # once two images are swapped, so all_additive cannot pass vacuously
+    p = 3
+    add = [[(i // p + j // p) % p * p + (i + j) % p for j in range(p * p)] for i in range(p * p)]
+    img = list(range(p * p))
+    assert _is_additive_image(img, add)
+    for i, j in ((1, 2), (0, 4), (7, 8)):
+        swapped = img[:]
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        assert not _is_additive_image(swapped, add)
