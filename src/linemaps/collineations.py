@@ -156,7 +156,7 @@ class FiniteMapTable:
 def table_from_function(p: int, n: int, m: int, fn: Callable[[Point], Sequence[int]]) -> FiniteMapTable:
     values = []
     for x in grid_points(p, n):
-        y = tuple(int(c) % p for c in fn(x))
+        y = tuple(exact_int(c, "function value") % p for c in fn(x))
         if len(y) != m:
             raise InputError("function returned a value of the wrong length")
         values.append(y)
@@ -192,7 +192,7 @@ def enumerate_lines(p: int, n: int, direction: Sequence[int]) -> List[List[Point
     ordered by the hyperplane representative used to generate it.
     """
     PrimeField(p)
-    b = tuple(int(c) % p for c in direction)
+    b = tuple(exact_int(c, "direction entry") % p for c in direction)
     if all(c == 0 for c in b):
         raise InputError("direction must be nonzero")
     i0 = next(i for i, c in enumerate(b) if c)
@@ -221,12 +221,17 @@ def _lines(p: int, n: int, direction: Point) -> Tuple[Tuple[Point, Tuple[int, ..
     return _line_kernel(p, n, normalize_coords(p, direction))
 
 
+def _plane_directions(p: int) -> List[Point]:
+    """The p+1 directions of (Z_p)^2 up to scaling: (0,1), (1,0), ..., (1,p-1)."""
+    return [(0, 1)] + [(1, t) for t in range(p)]
+
+
 def _plane_pencil(p: int, c: Point) -> List[List[Point]]:
-    """The p+1 lines of (Z_p)^2 through c, one per direction (0,1), (1,0),
-    (1,1), ..., (1,p-1), each as its sorted points."""
+    """The p+1 lines of (Z_p)^2 through c, one per direction of
+    `_plane_directions`, each as its sorted points."""
     i = point_index(p, c)
     return [[divmod(j, p) for j in idx]
-            for d in [(0, 1)] + [(1, t) for t in range(p)]
+            for d in _plane_directions(p)
             for _base, idx in _lines(p, 2, d) if i in idx]
 
 
@@ -234,8 +239,9 @@ def points_collinear(p: int, pts: Sequence[Point]) -> bool:
     """All points on one affine line of (Z_p)^m (where m = len of each point)."""
     first = pts[0]
     if len(first) == 2:
-        # the plane case runs in the scalar-rigidity searches' inner loop:
-        # (ex, ey) is the first nonzero difference from the first point
+        # plane images are the common case (the n = 2 tables and the searches),
+        # and the unrolled test is several times faster there than the pivot
+        # test below: (ex, ey) is the first nonzero difference from the first point
         x0, y0 = first
         ex = ey = 0
         for x, y in pts:
@@ -246,18 +252,22 @@ def points_collinear(p: int, pts: Sequence[Point]) -> bool:
             else:
                 ex, ey = dx, dy
         return True
-    d0: Optional[Point] = None
+    # e is the first nonzero difference from the first point and k its first
+    # nonzero entry: a later difference d = q - first is a multiple of e iff
+    # e[k]*d - d[k]*e = 0 (e[k] is a unit), m products per point
+    e: Optional[List[int]] = None
     for q in pts[1:]:
-        d = tuple((a - b) % p for a, b in zip(q, first))
-        if all(c == 0 for c in d):
-            continue
-        if d0 is None:
-            d0 = d
-            continue
-        for i in range(len(d)):
-            for j in range(i + 1, len(d)):
-                if (d0[i] * d[j] - d0[j] * d[i]) % p:
+        if e is not None:
+            dk = q[k] - first[k]
+            for a, b, f in zip(q, first, e):
+                if (ek * (a - b) - dk * f) % p:
                     return False
+        else:
+            d = [(a - b) % p for a, b in zip(q, first)]
+            if any(d):
+                e = d
+                k = next(i for i, c in enumerate(e) if c)
+                ek = e[k]
     return True
 
 
@@ -311,7 +321,7 @@ def _parallel_violations(table: FiniteMapTable, fam: LineFamily) -> Optional[Tup
     if fam.n != table.n:
         raise InputError("family dimension != table dimension")
     p, values = table.p, table.values
-    gf = PrimeField(p)
+    origin = (0,) * table.m
     violations: List[Violation] = []
     for d in _family_directions_mod(fam, p):
         ref: Optional[Point] = None
@@ -319,10 +329,12 @@ def _parallel_violations(table: FiniteMapTable, fam: LineFamily) -> Optional[Tup
             images = [values[i] for i in idx]
             if not points_collinear(p, images):
                 return None
+            # injective: delta and ref are nonzero, so they are parallel iff
+            # 0, ref and delta lie on one line
             delta = tuple((a - b) % p for a, b in zip(images[1], images[0]))
             if ref is None:
                 ref = delta
-            elif not vectors_parallel(gf, ref, delta):
+            elif not points_collinear(p, (origin, ref, delta)):
                 violations.append(Violation(d, base, "not-parallel"))
     return tuple(violations)
 
@@ -362,15 +374,12 @@ def _diagonal_hypothesis(table: FiniteMapTable, fam: LineFamily) -> Tuple[List[P
     return dirs, None
 
 
-def _from_origin(table: FiniteMapTable) -> Tuple[Point, Callable[[Point], Point]]:
-    """F(0) and the map x -> F(x) - F(0) (mod p) of the table."""
-    p = table.p
-    base = table.apply((0,) * table.n)
-
-    def g(x: Point) -> Point:
-        return tuple((a - b) % p for a, b in zip(table.apply(x), base))
-
-    return base, g
+def _differences(table: FiniteMapTable, indices: Sequence[int]) -> List[Point]:
+    """F(x) - F(0) (mod p) at the points with these flat indices; F(0) is
+    values[0]."""
+    p, values = table.p, table.values
+    base = values[0]
+    return [tuple((a - b) % p for a, b in zip(values[i], base)) for i in indices]
 
 
 # ===========================================================================
@@ -387,14 +396,6 @@ class SpanInvariantReport:
     def to_json(self) -> dict:
         return {"ok": self.ok, "hypothesis_ok": self.hypothesis_ok,
                 "failure": self.failure, "k": self.k}
-
-
-def _span_points(p: int, vecs: Sequence[Point], m: int) -> set:
-    pts = set()
-    for coeffs in itertools.product(range(p), repeat=len(vecs)):
-        pts.add(tuple(sum(c * v[i] for c, v in zip(coeffs, vecs)) % p
-                      for i in range(m)))
-    return pts
 
 
 def verify_span_invariants(table: FiniteMapTable, fam: LineFamily) -> SpanInvariantReport:
@@ -414,22 +415,24 @@ def verify_span_invariants(table: FiniteMapTable, fam: LineFamily) -> SpanInvari
     dirs, failure = _diagonal_hypothesis(table, fam)
     if failure is not None:
         return SpanInvariantReport(False, False, failure)
-    gf = PrimeField(p)
-    _base, g = _from_origin(table)
-    gv = [g(v) for v in dirs]
-    for k in range(2, n + 1):
-        if rank_of_vectors(gf, gv[:k]) != k:
+    # span{v_1..v_{k-1}} and span{w_1..w_{k-1}}, grown one direction at a time;
+    # the slices c*v_k + dom (c in Z_p) make up span{v_1..v_k}
+    dom, img = [(0,) * n], {(0,) * m}
+    for k, v in enumerate(dirs, 1):
+        w = _differences(table, [point_index(p, v)])[0]
+        slices = [[tuple((a + c * b) % p for a, b in zip(x, v)) for x in dom] for c in range(p)]
+        img_slices = [{tuple((a + c * b) % p for a, b in zip(y, w)) for y in img}
+                      for c in range(p)]
+        dom, img = [x for sl in slices for x in sl], set().union(*img_slices)
+        if k == 1:
+            continue
+        # a span of rank r has p^r points
+        if len(img) != p ** k:
             return SpanInvariantReport(False, True, "images of the directions are dependent", k)
-        lhs = {g(x) for x in _span_points(p, dirs[:k], n)}
-        rhs = _span_points(p, gv[:k], m)
-        if lhs != rhs:
+        images = [set(_differences(table, [point_index(p, x) for x in sl])) for sl in slices]
+        if set().union(*images) != img:
             return SpanInvariantReport(False, True, "image of span != span of images", k)
-        offset_dom, offset_img = dirs[k - 1], gv[k - 1]
-        lhs = {g(tuple((offset_dom[i] + y[i]) % p for i in range(n)))
-               for y in _span_points(p, dirs[:k - 1], n)}
-        rhs = {tuple((offset_img[i] + w[i]) % p for i in range(m))
-               for w in _span_points(p, gv[:k - 1], m)}
-        if lhs != rhs:
+        if images[1] != img_slices[1]:
             return SpanInvariantReport(False, True, "affine slice images disagree", k)
     return SpanInvariantReport(True, True)
 
@@ -512,15 +515,13 @@ def recover_diagonal_form(table: FiniteMapTable, fam: LineFamily) -> DiagonalFor
     dirs, failure = _diagonal_hypothesis(table, fam)
     if failure is not None:
         raise InputError(failure)
-    base, g = _from_origin(table)
-    w = tuple(g(v) for v in dirs)
-    f = []
-    for i, v in enumerate(dirs):
-        fi = []
-        for a in range(p):
-            fi.append(_scalar_along(p, g(tuple(a * c % p for c in v)), w[i]))
-        f.append(tuple(fi))
-    form = DiagonalForm(p, tuple(dirs), w, tuple(f), base)
+    w, f = [], []
+    for v in dirs:
+        # F(a*v) - F(0) for a in Z_p; a = 1 gives w_i
+        along = _differences(table, [point_index(p, [a * c for c in v]) for a in range(p)])
+        w.append(along[1])
+        f.append(tuple(_scalar_along(p, d, along[1]) for d in along))
+    form = DiagonalForm(p, tuple(dirs), tuple(w), tuple(f), table.values[0])
     if tabulate_diagonal_form(form).values != table.values:
         raise InternalInconsistencyError("recovered diagonal form does not reproduce the table")
     return form
@@ -576,16 +577,16 @@ def recover_plane_form(table: FiniteMapTable) -> PlaneForm:
     if not check_family(table, standard_family(PrimeField(p), 2), "onto").ok:
         raise InputError("an axis-parallel line is not mapped onto a line")
 
-    base, g_ = _from_origin(table)
-    u1, u2 = g_((1, 0)), g_((0, 1))
-    u12 = g_((1, 1))
+    # F - F(0) at (s, 0), at (0, t) and at (1, 1); (s, t) has flat index s*p + t
+    diffs = _differences(table, [s * p for s in range(p)] + list(range(p)) + [p + 1])
+    along1, along2, u12 = diffs[:p], diffs[p:2 * p], diffs[2 * p]
+    u1, u2 = along1[1], along2[1]
     u3 = tuple((u12[j] - u1[j] - u2[j]) % p for j in range(table.m))
-    f = tuple(_scalar_along(p, g_((s, 0)), u1) for s in range(p))
-    g = tuple(_scalar_along(p, g_((0, t)), u2) for t in range(p))
-    form = PlaneForm(p, u1, u2, u3, f, g, base)
-    for x in grid_points(p, 2):
-        if form.apply(x) != table.apply(x):
-            raise InternalInconsistencyError("recovered plane form does not reproduce the table")
+    f = tuple(_scalar_along(p, d, u1) for d in along1)
+    g = tuple(_scalar_along(p, d, u2) for d in along2)
+    form = PlaneForm(p, u1, u2, u3, f, g, table.values[0])
+    if tuple(map(form.apply, grid_points(p, 2))) != table.values:
+        raise InternalInconsistencyError("recovered plane form does not reproduce the table")
     return form
 
 

@@ -106,9 +106,6 @@ class Rationals:
             raise ZeroDivisionError("inverse of 0")
         return 1 / Fraction(a)
 
-    def div(self, a, b):
-        return Fraction(a) / b
-
     def is_zero(self, a) -> bool:
         return a == 0
 
@@ -186,9 +183,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
@@ -327,9 +321,6 @@ class Matrix:
 
     def row(self, i: int) -> Vector:
         return self.rows[i]
-
-    def col(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.rows)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, tuple(zip(*self.rows)))

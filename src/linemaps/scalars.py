@@ -13,7 +13,7 @@ from math import factorial, gcd
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
-from .collineations import _backtrack, _lines, _plane_pencil
+from .collineations import _backtrack, _lines, _plane_directions, _plane_pencil
 from .exact import InputError, PrimeField, ResourceError, exact_int
 
 Table = Tuple[int, ...]
@@ -31,7 +31,7 @@ class ScalarFunctionTable:
         if len(self.values) != self.p:
             raise InputError("value table must have length p")
         object.__setattr__(self, "values",
-                           tuple(int(v) % self.p for v in self.values))
+                           tuple(exact_int(v, "table value") % self.p for v in self.values))
 
     def __call__(self, x: int) -> int:
         return self.values[x % self.p]
@@ -328,7 +328,7 @@ def verify_additive_rigidity(p: int, n: int = 2,
     # points as flat indices x*p + y, so i // p and i % p are its coordinates
     size = p * p
     add = [[(i // p + j // p) % p * p + (i + j) % p for j in range(size)] for i in range(size)]
-    lines = {idx for d in [(0, 1)] + [(1, t) for t in range(p)] for _base, idx in _lines(p, 2, d)}
+    lines = {idx for d in _plane_directions(p) for _base, idx in _lines(p, 2, d)}
     pencil = sorted(line for line in lines if x0[0] * p + x0[1] in line)
 
     total = 0

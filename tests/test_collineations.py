@@ -3,7 +3,9 @@ span invariants, and the exhaustive bijection search."""
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -35,10 +37,12 @@ from linemaps import (
     table_to_json,
     tabulate,
     tabulate_diagonal_form,
+    vectors_parallel,
     verify_span_invariants,
 )
 from linemaps import collineations
-from linemaps.collineations import _backtrack
+from linemaps.collineations import FamilyReport, Violation, _backtrack
+from linemaps.exact import InternalInconsistencyError
 
 
 def identity_table(p, n):
@@ -86,6 +90,14 @@ def test_enumerate_lines_partitions_the_grid():
             assert line == sorted(line)
             seen.update(line)
         assert len(seen) == 125
+
+
+def test_enumerate_lines_rejects_a_direction_that_is_not_ints():
+    # int() would truncate (1.5, 0) to the direction (1, 0)
+    assert enumerate_lines(3, 2, (4, 0)) == enumerate_lines(3, 2, (1, 0))
+    for bad in ((1.5, 0), (True, 0)):
+        with pytest.raises(InputError, match="not an int"):
+            enumerate_lines(3, 2, bad)
 
 
 @st.composite
@@ -226,6 +238,71 @@ def test_parallelism_requires_every_family_line_onto_a_line():
     assert parallelism_report(torn, LineFamily(QQ, 2, ((1, 1),))).ok
 
 
+def parallel_violations_by_vectors_parallel(table, fam):
+    """`_parallel_violations` with the field-generic `vectors_parallel` as its
+    parallel test: the oracle of the line test it asks instead."""
+    p, values, gf = table.p, table.values, PrimeField(table.p)
+    violations = []
+    for d in collineations._family_directions_mod(fam, p):
+        ref = None
+        for base, idx in collineations._lines(p, table.n, d):
+            images = [values[i] for i in idx]
+            if not points_collinear(p, images):
+                return None
+            delta = tuple((a - b) % p for a, b in zip(images[1], images[0]))
+            if ref is None:
+                ref = delta
+            elif not vectors_parallel(gf, ref, delta):
+                violations.append(Violation(d, base, "not-parallel"))
+    return tuple(violations)
+
+
+def lines_table(rng, p, m, parallel):
+    """An injective table of (Z_p)^2 -> (Z_p)^m that maps the e1-line at
+    height t onto P_t + Z_p D_t, its points in a random order.  D_t is a
+    random nonzero multiple of D_0 when parallel; otherwise a coin toss picks
+    such a multiple or a random vector for each t."""
+    while True:
+        d0 = tuple(rng.randrange(p) for _ in range(m))
+        if not any(d0):
+            continue
+        e = tuple(rng.randrange(p) for _ in range(m))
+        if points_collinear(p, [(0,) * m, d0, e]):
+            continue  # e off Z_p d0: P_t = t e puts each line in its own coset
+        images = {}
+        for t in range(p):
+            if parallel or rng.random() < 0.5:
+                c = rng.randrange(1, p)
+                direction = tuple(c * x % p for x in d0)
+            else:
+                direction = tuple(rng.randrange(p) for _ in range(m))
+            start = (tuple(t * x % p for x in e) if parallel and m == 2
+                     else tuple(rng.randrange(p) for _ in range(m)))
+            f = rng.sample(range(p), p)
+            for s in range(p):
+                images[s, t] = tuple((a + f[s] * b) % p for a, b in zip(start, direction))
+        values = tuple(images[x] for x in grid_points(p, 2))
+        if len(set(values)) == p * p:
+            return FiniteMapTable(p, 2, m, values)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+@pytest.mark.parametrize("m", (2, 3, 4))
+def test_parallelism_agrees_with_vectors_parallel(p, m):
+    # over the plane every family of p disjoint lines is parallel, so m = 2
+    # has rescaled-parallel images only; m = 3, 4 have non-parallel ones too
+    rng = Random(100 * p + m)
+    fam = LineFamily(QQ, 2, ((1, 0),))
+    verdicts = set()
+    for i in range(12):
+        table = lines_table(rng, p, m, parallel=(m == 2 or i % 3 == 0))
+        expected = parallel_violations_by_vectors_parallel(table, fam)
+        report = parallelism_report(table, fam)
+        assert report.to_json() == FamilyReport(not expected, expected).to_json()
+        verdicts.add(report.ok)
+    assert verdicts == ({True} if m == 2 else {True, False})
+
+
 # ---------------------------------------------------------------------------
 # span invariants (image of a span is the span of the images)
 # ---------------------------------------------------------------------------
@@ -243,6 +320,62 @@ def test_span_invariants_report_hypothesis_failures():
     report = verify_span_invariants(squash, standard_family(QQ, 2))
     assert not report.ok
     assert not report.hypothesis_ok
+
+
+def span_invariants_by_rank(table, fam):
+    """`verify_span_invariants` with every span rebuilt from all coefficient
+    tuples for each k, independence taken as a rank, and every value read
+    through `table.apply`: the oracle of the spans grown once."""
+    p, n, m = table.p, table.n, table.m
+    dirs, failure = collineations._diagonal_hypothesis(table, fam)
+    if failure is not None:
+        return {"ok": False, "hypothesis_ok": False, "failure": failure, "k": None}
+    base = table.apply((0,) * n)
+
+    def g(x):
+        return tuple((a - b) % p for a, b in zip(table.apply(x), base))
+
+    def span(vecs, dim):
+        return {tuple(sum(c * v[i] for c, v in zip(coeffs, vecs)) % p for i in range(dim))
+                for coeffs in itertools.product(range(p), repeat=len(vecs))}
+
+    gv = [g(v) for v in dirs]
+    for k in range(2, n + 1):
+        failure = None
+        if rank_of_vectors(PrimeField(p), gv[:k]) != k:
+            failure = "images of the directions are dependent"
+        elif {g(x) for x in span(dirs[:k], n)} != span(gv[:k], m):
+            failure = "image of span != span of images"
+        elif ({g(tuple((a + b) % p for a, b in zip(dirs[k - 1], y))) for y in span(dirs[:k - 1], n)}
+              != {tuple((a + b) % p for a, b in zip(gv[k - 1], w)) for w in span(gv[:k - 1], m)}):
+            failure = "affine slice images disagree"
+        if failure is not None:
+            return {"ok": False, "hypothesis_ok": True, "failure": failure, "k": k}
+    return {"ok": True, "hypothesis_ok": True, "failure": None, "k": None}
+
+
+def test_span_conclusions_agree_with_the_rank_oracle(monkeypatch):
+    # the conclusions hold whenever the hypotheses do, so the hypotheses are
+    # waved through here to reach every failure branch on seeded tables
+    monkeypatch.setattr(collineations, "_diagonal_hypothesis",
+                        lambda table, fam: (collineations._family_directions_mod(fam, table.p), None))
+    rng = Random(11)
+    failures = set()
+    for p, n in itertools.product((3, 5), (2, 3)):
+        tables = [identity_table(p, n), table_from_function(p, n, n, lambda x: x[:-1] + (0,))]
+        for m in (n, n + 1):  # random bijections, random injections
+            for _ in range(6):
+                tables.append(FiniteMapTable(p, n, m, tuple(
+                    rng.sample(list(grid_points(p, m)), p ** n))))
+        families = [standard_family(QQ, n), LineFamily(QQ, n, [(1,) * (n - i) + (0,) * i
+                                                                for i in range(n)])]
+        for table in tables:
+            for fam in families:
+                expected = span_invariants_by_rank(table, fam)
+                assert verify_span_invariants(table, fam).to_json() == expected
+                failures.add(expected["failure"])
+    assert failures == {None, "images of the directions are dependent",
+                        "image of span != span of images", "affine slice images disagree"}
 
 
 def test_span_invariants_need_exactly_n_directions():
@@ -323,6 +456,19 @@ def test_hyperbolic_paraboloid_plane_form():
     assert not form.cross_term_vanishes
     for pt in grid_points(5, 2):
         assert form.apply(pt) == tab.apply(pt)
+
+
+def test_plane_form_recovery_checks_every_point(monkeypatch):
+    # the recovery reads F at 2p+1 points only; a table that is the plane
+    # form but at its last point, with the axis-line check waved through,
+    # must still be refused by the check against the whole table
+    p = 5
+    values = list(table_from_function(p, 2, 3, lambda x: (x[0], x[1], x[0] * x[1] % p)).values)
+    values[-1] = values[-1][:2] + ((values[-1][2] + 1) % p,)
+    table = FiniteMapTable(p, 2, 3, tuple(values))
+    monkeypatch.setattr(collineations, "check_family", lambda *args: FamilyReport(True, ()))
+    with pytest.raises(InternalInconsistencyError, match="plane form"):
+        recover_plane_form(table)
 
 
 def test_plane_form_cross_term_tracks_parallelism():
@@ -470,6 +616,14 @@ def test_table_rejects_entries_that_are_not_ints():
             FiniteMapTable(3, 1, 1, values)
         with pytest.raises(InputError):
             table_from_json({"p": 3, "n": 1, "m": 1, "values": [list(v) for v in values]})
+
+
+def test_table_from_function_rejects_values_that_are_not_ints():
+    # int() would truncate 1.9 to 1 at every point
+    assert table_from_function(3, 1, 1, lambda x: (x[0] + 4,)).values == ((1,), (2,), (0,))
+    for bad in (1.9, True):
+        with pytest.raises(InputError, match="not an int"):
+            table_from_function(3, 1, 1, lambda x: (bad,))
 
 
 def test_family_over_another_prime_field_is_rejected():

@@ -46,6 +46,14 @@ def test_table_basics():
         ScalarFunctionTable(3, (0, 1))  # wrong length
 
 
+def test_scalar_table_rejects_values_that_are_not_ints():
+    # int() would truncate 1.7 to 1 and take True for 1 and 2.0 for 2
+    assert ScalarFunctionTable(3, (0, 4, 2)).values == (0, 1, 2)
+    for values in ((0, 1.7, 2), (0, True, 2.0)):
+        with pytest.raises(InputError, match="not an int"):
+            ScalarFunctionTable(3, values)
+
+
 def test_additive_bijections_are_the_scalings():
     for p in (3, 5, 7):
         fs = additive_scalar_bijections(p)
