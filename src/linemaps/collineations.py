@@ -13,11 +13,11 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .exact import (
     Field, InputError, InternalInconsistencyError, Matrix, PrimeField, QQ,
-    ResourceError, Vector, exact_int, inverse, mat_vec, normalize_coords,
+    ResourceError, Vector, exact_int, inverse, normalize_coords,
     rank_of_vectors, unit_vector, vector, vectors_parallel,
 )
 from .multiaffine import grid_points, point_index
@@ -87,24 +87,6 @@ def s_family(n: int, field: Field = QQ) -> LineFamily:
     return LineFamily(field, n, tuple(dirs))
 
 
-def _family_directions_mod(fam: LineFamily, p: int) -> List[Point]:
-    """Family directions as residue vectors, deduplicated up to scaling."""
-    if isinstance(fam.field, PrimeField) and fam.field.p != p:
-        raise InputError(f"family over {fam.field} checked against a table over Z_{p}")
-    gf = PrimeField(p)
-    out: List[Point] = []
-    seen = set()
-    for d in fam.directions:
-        dd = tuple(gf.convert(c) for c in d)
-        if not any(dd):
-            raise InputError("direction reduces to zero mod p")
-        canon = normalize_coords(p, dd)
-        if canon not in seen:
-            seen.add(canon)
-            out.append(dd)
-    return out
-
-
 # ===========================================================================
 # map tables on the grid (Z_p)^n
 # ===========================================================================
@@ -139,9 +121,7 @@ class FiniteMapTable:
         object.__setattr__(self, "values", vals)
 
     def apply(self, point: Sequence[int]) -> Point:
-        if len(point) != self.n:
-            raise InputError("point length != n")
-        return self.values[point_index(self.p, point)]
+        return self.values[point_index(self.p, _grid_point(self.p, self.n, point))]
 
     def is_injective(self) -> bool:
         return len(set(self.values)) == len(self.values)
@@ -151,6 +131,14 @@ class FiniteMapTable:
 
     def domain(self):
         return grid_points(self.p, self.n)
+
+
+def _grid_point(p: int, n: int, point: Sequence[int]) -> Point:
+    """The point of (Z_p)^n given by n exact ints, each reduced mod p: a
+    float, bool or str coordinate is rejected, never truncated or coerced."""
+    if len(point) != n:
+        raise InputError("point length != n")
+    return tuple(exact_int(c, "point coordinate") % p for c in point)
 
 
 def table_from_function(p: int, n: int, m: int, fn: Callable[[Point], Sequence[int]]) -> FiniteMapTable:
@@ -219,6 +207,38 @@ def _line_kernel(p: int, n: int, direction: Point) -> Tuple[Tuple[Point, Tuple[i
 def _lines(p: int, n: int, direction: Point) -> Tuple[Tuple[Point, Tuple[int, ...]], ...]:
     """Every line of (Z_p)^n parallel to the direction: (line[0], indices)."""
     return _line_kernel(p, n, normalize_coords(p, direction))
+
+
+def _residue_directions(table: FiniteMapTable, fam: LineFamily) -> List[Point]:
+    """The family's directions as residue vectors mod the table's p,
+    deduplicated up to scaling; the family must have the table's dimension."""
+    p = table.p
+    if fam.n != table.n:
+        raise InputError("family dimension != table dimension")
+    if isinstance(fam.field, PrimeField) and fam.field.p != p:
+        raise InputError(f"family over {fam.field} checked against a table over Z_{p}")
+    gf = PrimeField(p)
+    out: List[Point] = []
+    seen = set()
+    for d in fam.directions:
+        dd = tuple(gf.convert(c) for c in d)
+        if not any(dd):
+            raise InputError("direction reduces to zero mod p")
+        canon = normalize_coords(p, dd)
+        if canon not in seen:
+            seen.add(canon)
+            out.append(dd)
+    return out
+
+
+def _family_lines(table: FiniteMapTable,
+                  dirs: Sequence[Point]) -> Iterator[Tuple[Point, Point, List[Point]]]:
+    """Every line of the table's grid parallel to one of the residue
+    directions, direction by direction: (direction, line[0], its images)."""
+    p, n, values = table.p, table.n, table.values
+    for d in dirs:
+        for base, idx in _lines(p, n, d):
+            yield d, base, [values[i] for i in idx]
 
 
 def _plane_directions(p: int) -> List[Point]:
@@ -298,44 +318,35 @@ def check_family(table: FiniteMapTable, fam: LineFamily, mode: str = "onto") -> 
     """
     if mode not in ("into", "onto"):
         raise InputError(f"mode must be 'into' or 'onto', got {mode!r}")
-    if fam.n != table.n:
-        raise InputError("family dimension != table dimension")
-    p, values = table.p, table.values
-    onto = mode == "onto"
+    p, onto = table.p, mode == "onto"
     violations: List[Violation] = []
-    for d in _family_directions_mod(fam, p):
-        for base, idx in _lines(p, table.n, d):
-            images = [values[i] for i in idx]
-            if not points_collinear(p, images):
-                violations.append(Violation(d, base, "not-a-line"))
-            elif onto and len(set(images)) < p:
-                violations.append(Violation(d, base, "not-onto"))
+    for d, base, images in _family_lines(table, _residue_directions(table, fam)):
+        if not points_collinear(p, images):
+            violations.append(Violation(d, base, "not-a-line"))
+        elif onto and len(set(images)) < p:
+            violations.append(Violation(d, base, "not-onto"))
     return FamilyReport(not violations, tuple(violations))
 
 
-def _parallel_violations(table: FiniteMapTable, fam: LineFamily) -> Optional[Tuple[Violation, ...]]:
-    """One pass over the family lines of an injective table: None as soon as
-    a line is not mapped onto a line (for an injective table, onto = into),
-    else the lines whose image is not parallel to the image of the first line
-    of their direction."""
-    if fam.n != table.n:
-        raise InputError("family dimension != table dimension")
-    p, values = table.p, table.values
+def _parallel_violations(table: FiniteMapTable, dirs: Sequence[Point]) -> Optional[Tuple[Violation, ...]]:
+    """One pass over the lines of an injective table in the residue
+    directions: None as soon as a line is not mapped onto a line (for an
+    injective table, onto = into), else the lines whose image is not parallel
+    to the image of the first line of their direction."""
+    p = table.p
     origin = (0,) * table.m
+    refs = {}
     violations: List[Violation] = []
-    for d in _family_directions_mod(fam, p):
-        ref: Optional[Point] = None
-        for base, idx in _lines(p, table.n, d):
-            images = [values[i] for i in idx]
-            if not points_collinear(p, images):
-                return None
-            # injective: delta and ref are nonzero, so they are parallel iff
-            # 0, ref and delta lie on one line
-            delta = tuple((a - b) % p for a, b in zip(images[1], images[0]))
-            if ref is None:
-                ref = delta
-            elif not points_collinear(p, (origin, ref, delta)):
-                violations.append(Violation(d, base, "not-parallel"))
+    for d, base, images in _family_lines(table, dirs):
+        if not points_collinear(p, images):
+            return None
+        # injective: delta and ref are nonzero, so they are parallel iff
+        # 0, ref and delta lie on one line
+        delta = tuple((a - b) % p for a, b in zip(images[1], images[0]))
+        if d not in refs:
+            refs[d] = delta
+        elif not points_collinear(p, (origin, refs[d], delta)):
+            violations.append(Violation(d, base, "not-parallel"))
     return tuple(violations)
 
 
@@ -343,7 +354,7 @@ def parallelism_report(table: FiniteMapTable, fam: LineFamily) -> FamilyReport:
     """Within each direction, do all family lines have parallel images?"""
     if not table.is_injective():
         raise InputError("parallelism check needs an injective table")
-    violations = _parallel_violations(table, fam)
+    violations = _parallel_violations(table, _residue_directions(table, fam))
     if violations is None:
         raise InputError("parallelism check requires the onto check to pass first")
     return FamilyReport(not violations, violations)
@@ -359,14 +370,14 @@ def _diagonal_hypothesis(table: FiniteMapTable, fam: LineFamily) -> Tuple[List[P
     n independent directions, injective, every family line onto a line,
     parallel family lines onto parallel lines."""
     p, n = table.p, table.n
-    dirs = _family_directions_mod(fam, p)
+    dirs = _residue_directions(table, fam)
     if len(dirs) != n:
         raise InputError(f"need exactly n={n} directions, got {len(dirs)}")
     if rank_of_vectors(PrimeField(p), dirs) != n:
         return dirs, "directions are not linearly independent"
     if not table.is_injective():
         return dirs, "table is not injective"
-    violations = _parallel_violations(table, fam)
+    violations = _parallel_violations(table, dirs)
     if violations is None:
         return dirs, "a family line is not mapped onto a line"
     if violations:
@@ -374,12 +385,20 @@ def _diagonal_hypothesis(table: FiniteMapTable, fam: LineFamily) -> Tuple[List[P
     return dirs, None
 
 
-def _differences(table: FiniteMapTable, indices: Sequence[int]) -> List[Point]:
-    """F(x) - F(0) (mod p) at the points with these flat indices; F(0) is
+def _differences(table: FiniteMapTable, points: Sequence[Sequence[int]]) -> List[Point]:
+    """F(x) - F(0) (mod p) at these points, read by flat index; F(0) is
     values[0]."""
     p, values = table.p, table.values
     base = values[0]
-    return [tuple((a - b) % p for a, b in zip(values[i], base)) for i in indices]
+    return [tuple((a - b) % p for a, b in zip(values[point_index(p, x)], base)) for x in points]
+
+
+def _axis(table: FiniteMapTable, v: Sequence[int]) -> Tuple[Point, Tuple[int, ...]]:
+    """The map read along the direction v: w = F(v) - F(0) and the f with
+    F(a*v) - F(0) = f[a]*w for every a in Z_p."""
+    p = table.p
+    along = _differences(table, [[a * c for c in v] for a in range(p)])
+    return along[1], tuple(_scalar_along(p, d, along[1]) for d in along)
 
 
 # ===========================================================================
@@ -419,7 +438,7 @@ def verify_span_invariants(table: FiniteMapTable, fam: LineFamily) -> SpanInvari
     # the slices c*v_k + dom (c in Z_p) make up span{v_1..v_k}
     dom, img = [(0,) * n], {(0,) * m}
     for k, v in enumerate(dirs, 1):
-        w = _differences(table, [point_index(p, v)])[0]
+        w = _differences(table, [v])[0]
         slices = [[tuple((a + c * b) % p for a, b in zip(x, v)) for x in dom] for c in range(p)]
         img_slices = [{tuple((a + c * b) % p for a, b in zip(y, w)) for y in img}
                       for c in range(p)]
@@ -429,7 +448,7 @@ def verify_span_invariants(table: FiniteMapTable, fam: LineFamily) -> SpanInvari
         # a span of rank r has p^r points
         if len(img) != p ** k:
             return SpanInvariantReport(False, True, "images of the directions are dependent", k)
-        images = [set(_differences(table, [point_index(p, x) for x in sl])) for sl in slices]
+        images = [set(_differences(table, sl)) for sl in slices]
         if set().union(*images) != img:
             return SpanInvariantReport(False, True, "image of span != span of images", k)
         if images[1] != img_slices[1]:
@@ -461,22 +480,22 @@ class DiagonalForm:
         return len(self.base)
 
     @cached_property
-    def _u_inverse(self) -> Matrix:
-        """The inverse of the matrix with columns u, taking x to its alphas."""
-        u_cols = Matrix(PrimeField(self.p), tuple(zip(*self.u)))
-        return inverse(u_cols)
+    def _u_inverse(self) -> Tuple[Tuple[int, ...], ...]:
+        """The rows of the inverse of the matrix with columns u: row i takes
+        x to its alpha_i."""
+        return inverse(Matrix(PrimeField(self.p), tuple(zip(*self.u)))).rows
 
     def apply(self, x: Sequence[int]) -> Point:
-        alpha = mat_vec(self._u_inverse, tuple(int(c) % self.p for c in x))
-        return self._from_alpha(alpha)
+        return self._evaluate(_grid_point(self.p, self.n, x))
 
-    def _from_alpha(self, alpha: Sequence[int]) -> Point:
+    def _evaluate(self, x: Point) -> Point:
+        """F(x) at a residue point: base + sum f_i(alpha_i) w_i, reduced mod p."""
+        p = self.p
         out = list(self.base)
-        for i, a in enumerate(alpha):
-            fi = self.f[i][a]
-            for j in range(self.m):
-                out[j] = (out[j] + fi * self.w[i][j]) % self.p
-        return tuple(out)
+        for row, f, w in zip(self._u_inverse, self.f, self.w):
+            fa = f[sum(r * c for r, c in zip(row, x)) % p]
+            out = [a + fa * b for a, b in zip(out, w)]
+        return tuple(a % p for a in out)
 
     def to_json(self) -> dict:
         return {"p": self.p, "u": [list(v) for v in self.u],
@@ -485,11 +504,9 @@ class DiagonalForm:
 
 
 def tabulate_diagonal_form(form: DiagonalForm) -> FiniteMapTable:
-    u_inv = form._u_inverse
-    values = []
-    for x in grid_points(form.p, form.n):
-        values.append(form._from_alpha(mat_vec(u_inv, x)))
-    return FiniteMapTable(form.p, form.n, form.m, tuple(values))
+    # the evaluator reduces mod p: the values are residues by construction
+    return _unchecked_table(form.p, form.n, form.m,
+                            tuple(map(form._evaluate, grid_points(form.p, form.n))))
 
 
 def _scalar_along(p: int, value: Point, axis: Point) -> int:
@@ -511,17 +528,11 @@ def recover_diagonal_form(table: FiniteMapTable, fam: LineFamily) -> DiagonalFor
     mismatch means the preconditions were mis-checked and raises an internal
     inconsistency error rather than returning a bogus form.
     """
-    p = table.p
     dirs, failure = _diagonal_hypothesis(table, fam)
     if failure is not None:
         raise InputError(failure)
-    w, f = [], []
-    for v in dirs:
-        # F(a*v) - F(0) for a in Z_p; a = 1 gives w_i
-        along = _differences(table, [point_index(p, [a * c for c in v]) for a in range(p)])
-        w.append(along[1])
-        f.append(tuple(_scalar_along(p, d, along[1]) for d in along))
-    form = DiagonalForm(p, tuple(dirs), tuple(w), tuple(f), table.values[0])
+    w, f = zip(*(_axis(table, v) for v in dirs))
+    form = DiagonalForm(table.p, tuple(dirs), w, f, table.values[0])
     if tabulate_diagonal_form(form).values != table.values:
         raise InternalInconsistencyError("recovered diagonal form does not reproduce the table")
     return form
@@ -552,10 +563,13 @@ class PlaneForm:
         return all(c == 0 for c in self.u3)
 
     def apply(self, x: Sequence[int]) -> Point:
-        s, t = int(x[0]) % self.p, int(x[1]) % self.p
+        return self._evaluate(*_grid_point(self.p, 2, x))
+
+    def _evaluate(self, s: int, t: int) -> Point:
+        """F(s, t) at residues s and t."""
         fs, gt = self.f[s], self.g[t]
-        return tuple((self.base[j] + fs * self.u1[j] + gt * self.u2[j]
-                      + fs * gt * self.u3[j]) % self.p for j in range(self.m))
+        return tuple((b + fs * a1 + gt * a2 + fs * gt * a3) % self.p
+                     for b, a1, a2, a3 in zip(self.base, self.u1, self.u2, self.u3))
 
     def to_json(self) -> dict:
         return {"p": self.p, "u1": list(self.u1), "u2": list(self.u2),
@@ -574,18 +588,16 @@ def recover_plane_form(table: FiniteMapTable) -> PlaneForm:
     if not table.is_injective():
         raise InputError("table is not injective")
     p = table.p
-    if not check_family(table, standard_family(PrimeField(p), 2), "onto").ok:
+    # injective: the p images of an axis line are distinct, so into is onto
+    if not all(points_collinear(p, images)
+               for _d, _base, images in _family_lines(table, ((1, 0), (0, 1)))):
         raise InputError("an axis-parallel line is not mapped onto a line")
 
-    # F - F(0) at (s, 0), at (0, t) and at (1, 1); (s, t) has flat index s*p + t
-    diffs = _differences(table, [s * p for s in range(p)] + list(range(p)) + [p + 1])
-    along1, along2, u12 = diffs[:p], diffs[p:2 * p], diffs[2 * p]
-    u1, u2 = along1[1], along2[1]
-    u3 = tuple((u12[j] - u1[j] - u2[j]) % p for j in range(table.m))
-    f = tuple(_scalar_along(p, d, u1) for d in along1)
-    g = tuple(_scalar_along(p, d, u2) for d in along2)
+    (u1, f), (u2, g) = _axis(table, (1, 0)), _axis(table, (0, 1))
+    u12 = _differences(table, [(1, 1)])[0]
+    u3 = tuple((c - a - b) % p for c, a, b in zip(u12, u1, u2))
     form = PlaneForm(p, u1, u2, u3, f, g, table.values[0])
-    if tuple(map(form.apply, grid_points(p, 2))) != table.values:
+    if tuple(itertools.starmap(form._evaluate, grid_points(p, 2))) != table.values:
         raise InternalInconsistencyError("recovered plane form does not reproduce the table")
     return form
 
@@ -666,26 +678,24 @@ def exhaustive_bijection_search(p: int, n: int, fam: LineFamily,
         raise ResourceError(
             f"{total}! candidate bijections exceed the search guard "
             f"(grid of {total} > {max_points} points)")
-    if fam.n != n:
-        raise InputError("family dimension != n")
     # the identity table checks every grid point once; survivors are
     # permutations of its values, so they are built without a check per entry
-    points = FiniteMapTable(p, n, n, tuple(grid_points(p, n))).values
+    grid = FiniteMapTable(p, n, n, tuple(grid_points(p, n)))
 
     # bounded: a search run up to the node budget would keep a key per node
     collinear = lru_cache(maxsize=1 << 14)(
-        lambda key: points_collinear(p, [points[v] for v in key]))
+        lambda key: points_collinear(p, [grid.values[v] for v in key]))
     lines = [(idx, itemgetter(*idx))
-             for d in _family_directions_mod(fam, p) for _base, idx in _lines(p, n, d)]
+             for d in _residue_directions(grid, fam) for _base, idx in _lines(p, n, d)]
     found = _backtrack([range(total)] * total, lines,
                        lambda a, images: collinear(tuple(sorted(images(a)))))
-    return [_unchecked_table(p, n, tuple(map(points.__getitem__, values))) for values in found]
+    return [_unchecked_table(p, n, n, tuple(map(grid.values.__getitem__, values))) for values in found]
 
 
-def _unchecked_table(p: int, n: int, values: Tuple[Point, ...]) -> FiniteMapTable:
-    """A FiniteMapTable of a self-map of (Z_p)^n whose values are already
-    checked grid points: built without __post_init__'s check per entry."""
+def _unchecked_table(p: int, n: int, m: int, values: Tuple[Point, ...]) -> FiniteMapTable:
+    """A FiniteMapTable of a map (Z_p)^n -> (Z_p)^m whose values are residue
+    points by construction: built without __post_init__'s check per entry."""
     table = object.__new__(FiniteMapTable)
-    for name, value in (("p", p), ("n", n), ("m", n), ("values", values)):
+    for name, value in (("p", p), ("n", n), ("m", m), ("values", values)):
         object.__setattr__(table, name, value)
     return table

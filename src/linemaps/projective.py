@@ -21,7 +21,7 @@ from .exact import (
     _echelon, exact_int, identity_matrix, inverse, is_j_independent, mat_mul, mat_vec,
     normalize_coords, rank_of_vectors, solve, vector,
 )
-from .multiaffine import DEFAULT_POINT_BUDGET
+from .multiaffine import DEFAULT_POINT_BUDGET, point_index
 
 Coords = Tuple[int, ...]
 Line = Tuple[int, ...]  # the sorted indices into pg_points of a line's points
@@ -452,5 +452,5 @@ def embed_affine_table(table) -> ProjTable:
             # be any unit, so rescale to reach the affine chart first
             inv = pow(c[-1], p - 2, p)
             x = tuple(v * inv % p for v in c[:-1])
-            values.append(normalize_coords(p, table.apply(x) + (1,)))
+            values.append(normalize_coords(p, table.values[point_index(p, x)] + (1,)))
     return ProjTable(p, n, tuple(values))

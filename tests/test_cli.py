@@ -174,6 +174,17 @@ def test_recover_diagonal_form_cli(capsys, tmp_path):
     assert form["f"] == [[0, 1, 3, 2, 4], [0, 1, 3, 2, 4]]
 
 
+def test_recover_plane_form_on_a_torn_axis_line_is_input_error(capsys, tmp_path):
+    # the identity of (Z_5)^2 with the images of (0,0) and (1,1) swapped is
+    # injective, but tears the two axis lines through the origin
+    swap = {(0, 0): (1, 1), (1, 1): (0, 0)}
+    table = table_from_function(5, 2, 2, lambda x: swap.get(x, x))
+    path = tmp_path / "torn.json"
+    path.write_text(json.dumps(table_to_json(table)))
+    assert main(["recover-form", "--table", str(path), "--kind", "plane"]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
 def test_recover_form_precondition_failure_is_input_error(capsys, r3_table_file):
     code = main(["recover-form", "--table", r3_table_file,
                  "--kind", "diagonal", "--dirs", "e1,e2,e3"])

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linemaps import (
+    DiagonalForm,
     FiniteMapTable,
     InputError,
     LineFamily,
@@ -47,6 +48,14 @@ from linemaps.exact import InternalInconsistencyError
 
 def identity_table(p, n):
     return table_from_function(p, n, n, lambda x: x)
+
+
+def torn_table():
+    """The identity of (Z_5)^2 with the images of (0,0) and (1,1) swapped: it
+    is injective, but tears the e1-line and the e2-line through the origin;
+    the (1,1)-lines stay lines (the swap stays inside one of them)."""
+    swap = {(0, 0): (1, 1), (1, 1): (0, 0)}
+    return table_from_function(5, 2, 2, lambda x: swap.get(x, x))
 
 
 @pytest.fixture(scope="module")
@@ -220,11 +229,7 @@ def test_parallelism_requires_injectivity():
 
 
 def test_parallelism_requires_every_family_line_onto_a_line():
-    # the identity of (Z_5)^2 with the images of (0,0) and (1,1) swapped is
-    # injective, but tears the e1-line and the e2-line through the origin;
-    # the (1,1)-lines stay lines (the swap stays inside one of them)
-    swap = {(0, 0): (1, 1), (1, 1): (0, 0)}
-    torn = table_from_function(5, 2, 2, lambda x: swap.get(x, x))
+    torn = torn_table()
     assert torn.is_injective()
     for dirs in (((1, 0), (0, 1)), ((1, 1), (0, 1))):
         fam = LineFamily(QQ, 2, dirs)
@@ -243,7 +248,7 @@ def parallel_violations_by_vectors_parallel(table, fam):
     parallel test: the oracle of the line test it asks instead."""
     p, values, gf = table.p, table.values, PrimeField(table.p)
     violations = []
-    for d in collineations._family_directions_mod(fam, p):
+    for d in collineations._residue_directions(table, fam):
         ref = None
         for base, idx in collineations._lines(p, table.n, d):
             images = [values[i] for i in idx]
@@ -358,7 +363,7 @@ def test_span_conclusions_agree_with_the_rank_oracle(monkeypatch):
     # the conclusions hold whenever the hypotheses do, so the hypotheses are
     # waved through here to reach every failure branch on seeded tables
     monkeypatch.setattr(collineations, "_diagonal_hypothesis",
-                        lambda table, fam: (collineations._family_directions_mod(fam, table.p), None))
+                        lambda table, fam: (collineations._residue_directions(table, fam), None))
     rng = Random(11)
     failures = set()
     for p, n in itertools.product((3, 5), (2, 3)):
@@ -422,6 +427,47 @@ def test_affine_map_diagonal_form_with_preimage_family():
     assert form.f == (identity_scalar, identity_scalar)
 
 
+def random_independent(rng, p, k, dim):
+    """k seeded linearly independent vectors of (Z_p)^dim."""
+    while True:
+        vecs = tuple(tuple(rng.randrange(p) for _ in range(dim)) for _ in range(k))
+        if rank_of_vectors(PrimeField(p), vecs) == k:
+            return vecs
+
+
+def forward_diagonal_table(form):
+    """The values of a diagonal form tabulated forward, x = sum a_i u_i ->
+    base + sum f_i(a_i) w_i for every alpha: the oracle of the evaluator,
+    which never inverts the matrix of the u's."""
+    p = form.p
+    image = {}
+    for alpha in itertools.product(range(p), repeat=form.n):
+        x = tuple(sum(a * u[j] for a, u in zip(alpha, form.u)) % p for j in range(form.n))
+        image[x] = tuple((b + sum(f[a] * w[j] for a, f, w in zip(alpha, form.f, form.w))) % p
+                         for j, b in enumerate(form.base))
+    assert len(image) == p ** form.n  # alpha -> x is a bijection
+    return tuple(image[x] for x in grid_points(p, form.n))
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_diagonal_form_evaluator_agrees_with_forward_tabulation(p, n):
+    rng = Random(10 * p + n)
+    for m in (n, n + 1):
+        for _ in range(3):
+            f = tuple((0, 1) + tuple(rng.sample(range(2, p), p - 2)) for _ in range(n))
+            form = DiagonalForm(p, random_independent(rng, p, n, n),
+                                random_independent(rng, p, n, m), f,
+                                tuple(rng.randrange(p) for _ in range(m)))
+            expected = forward_diagonal_table(form)
+            table = tabulate_diagonal_form(form)
+            assert (table.p, table.n, table.m, table.values) == (p, n, m, expected)
+            assert FiniteMapTable(p, n, m, expected).values == expected  # residues
+            assert tuple(map(form.apply, grid_points(p, n))) == expected
+            # f_i fixes 0 and 1, so the recovery reads the same form back
+            assert recover_diagonal_form(table, LineFamily(QQ, n, form.u)) == form
+
+
 def test_diagonal_form_round_trip_evaluation():
     cube = lambda v: pow(v, 3, 5)
     tab = table_from_function(5, 2, 2, lambda x: (cube(x[0]), cube(x[1])))
@@ -460,15 +506,40 @@ def test_hyperbolic_paraboloid_plane_form():
 
 def test_plane_form_recovery_checks_every_point(monkeypatch):
     # the recovery reads F at 2p+1 points only; a table that is the plane
-    # form but at its last point, with the axis-line check waved through,
-    # must still be refused by the check against the whole table
+    # form but at its last point, with the axis-line walk waved through (it
+    # yields no lines), must still be refused by the check against the whole
+    # table
     p = 5
     values = list(table_from_function(p, 2, 3, lambda x: (x[0], x[1], x[0] * x[1] % p)).values)
     values[-1] = values[-1][:2] + ((values[-1][2] + 1) % p,)
     table = FiniteMapTable(p, 2, 3, tuple(values))
-    monkeypatch.setattr(collineations, "check_family", lambda *args: FamilyReport(True, ()))
+    with pytest.raises(InputError, match="axis-parallel line"):
+        recover_plane_form(table)
+    monkeypatch.setattr(collineations, "_family_lines", lambda table, dirs: iter(()))
     with pytest.raises(InternalInconsistencyError, match="plane form"):
         recover_plane_form(table)
+
+
+def test_plane_form_recovery_refuses_a_torn_axis_line():
+    # an input error (exit 2), not an internal inconsistency (exit 4)
+    with pytest.raises(InputError, match="axis-parallel line"):
+        recover_plane_form(torn_table())
+
+
+@pytest.mark.parametrize("method", ("table", "plane", "diagonal"))
+def test_apply_reads_a_point_as_exact_ints(method):
+    # exact ints only: int() would truncate 1.5 and read True as 1
+    table = identity_table(3, 2)
+    apply = {"table": table.apply,
+             "plane": recover_plane_form(table).apply,
+             "diagonal": recover_diagonal_form(table, standard_family(QQ, 2)).apply}[method]
+    assert apply((4, -1)) == (1, 2)  # reduced mod p
+    for bad in ((1.5, 0), (True, 0), (0, "1")):
+        with pytest.raises(InputError, match="not an int"):
+            apply(bad)
+    for bad in ((1,), (1, 0, 0)):
+        with pytest.raises(InputError, match="point length"):
+            apply(bad)
 
 
 def test_plane_form_cross_term_tracks_parallelism():
