@@ -180,7 +180,7 @@ def enumerate_lines(p: int, n: int, direction: Sequence[int]) -> List[List[Point
     ordered by the hyperplane representative used to generate it.
     """
     PrimeField(p)
-    b = tuple(exact_int(c, "direction entry") % p for c in direction)
+    b = _grid_point(p, n, direction)
     if all(c == 0 for c in b):
         raise InputError("direction must be nonzero")
     i0 = next(i for i, c in enumerate(b) if c)
@@ -470,6 +470,18 @@ class DiagonalForm:
     w: Tuple[Point, ...]
     f: Tuple[Tuple[int, ...], ...]
     base: Point
+
+    def __post_init__(self):
+        # every field read as exact ints mod p, so a tabulated form holds
+        # residues by construction
+        p, n, m = self.p, len(self.u), len(self.base)
+        PrimeField(p)
+        if not n or not m or len(self.w) != n or len(self.f) != n:
+            raise InputError("a diagonal form needs n >= 1 u's, w's and f's, and m >= 1")
+        object.__setattr__(self, "u", tuple(_grid_point(p, n, v) for v in self.u))
+        object.__setattr__(self, "w", tuple(_grid_point(p, m, v) for v in self.w))
+        object.__setattr__(self, "f", tuple(_grid_point(p, p, t) for t in self.f))
+        object.__setattr__(self, "base", _grid_point(p, m, self.base))
 
     @property
     def n(self) -> int:

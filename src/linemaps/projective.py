@@ -13,13 +13,13 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from operator import mul, ne
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .exact import (
     Field, InputError, InternalInconsistencyError, Matrix, PrimeField, ResourceError, Vector,
-    _echelon, exact_int, identity_matrix, inverse, is_j_independent, mat_mul, mat_vec,
-    normalize_coords, rank_of_vectors, solve, vector,
+    _echelon, _reduced_rows, exact_int, identity_matrix, inverse, is_j_independent, mat_mul,
+    mat_vec, normalize_coords, rank_of_vectors, vector,
 )
 from .multiaffine import DEFAULT_POINT_BUDGET, point_index
 
@@ -36,6 +36,15 @@ class UndecidableByFrame(RuntimeError):
 # points
 # ===========================================================================
 
+def _scaled(field: Field, entries: Sequence, zero_message: str) -> Tuple:
+    """The entries scaled so that the first nonzero one is 1 (over any field)."""
+    pivot = next((x for x in entries if not field.is_zero(x)), None)
+    if pivot is None:
+        raise InputError(zero_message)
+    inv = field.inv(pivot)
+    return tuple(field.mul(inv, x) for x in entries)
+
+
 @dataclass(frozen=True)
 class ProjPoint:
     """Homogeneous coordinates, canonically scaled: first nonzero entry = 1."""
@@ -47,12 +56,8 @@ class ProjPoint:
         c = vector(self.field, self.coords)
         if len(c) < 2:
             raise InputError("projective points need at least 2 homogeneous coordinates")
-        pivot = next((x for x in c if not self.field.is_zero(x)), None)
-        if pivot is None:
-            raise InputError("homogeneous coordinates must not all vanish")
-        inv = self.field.inv(pivot)
-        object.__setattr__(self, "coords",
-                           tuple(self.field.mul(inv, x) for x in c))
+        object.__setattr__(self, "coords", _scaled(
+            self.field, c, "homogeneous coordinates must not all vanish"))
 
     @property
     def dim(self) -> int:
@@ -108,12 +113,9 @@ class ProjLinearMap:
         m = self.matrix
         if m.nrows != m.ncols:
             raise InputError("projective-linear maps need a square matrix")
-        F = m.field
-        pivot = next((x for row in m.rows for x in row if not F.is_zero(x)), None)
-        if pivot is None:
-            raise InputError("zero matrix")
-        inv = F.inv(pivot)
-        scaled = Matrix(F, tuple(tuple(F.mul(inv, x) for x in row) for row in m.rows))
+        F, k = m.field, m.ncols
+        flat = _scaled(F, [x for row in m.rows for x in row], "zero matrix")
+        scaled = Matrix(F, tuple(flat[i:i + k] for i in range(0, len(flat), k)))
         if rank_of_vectors(F, scaled.rows) != m.nrows:
             raise InputError("matrix must be invertible")
         object.__setattr__(self, "matrix", scaled)
@@ -165,14 +167,22 @@ def proj_general_position(points: Sequence[ProjPoint]) -> bool:
     subsets of size min(n+1, #points): dependence always persists upward."""
     if not points:
         return True
-    F = points[0].field
-    d = points[0].dim
-    for pt in points:
-        if pt.field != F or pt.dim != d:
-            raise InputError("points live in different projective spaces")
-    lifts = [pt.coords for pt in points]
-    j = min(d + 1, len(lifts))
-    return is_j_independent(F, lifts, j)
+    F, d = points[0].field, points[0].dim
+    if any(pt.field != F or pt.dim != d for pt in points):
+        raise InputError("points live in different projective spaces")
+    return is_j_independent(F, [pt.coords for pt in points], min(d + 1, len(points)))
+
+
+def _frame_weights(field: Field, lifts: Sequence[Vector]) -> Optional[Vector]:
+    """The w with lifts[n+1] = sum w_j lifts[j] (j <= n) for n+2 lifts in
+    dimension n+1, or None when they are not a frame.  The one elimination is
+    the test: rank n+1 and a weight in every RREF row, which fails on a free
+    column, on a pivot in the last one, and on a zero w_j."""
+    k = len(lifts) - 1
+    reduced = _reduced_rows(field, list(zip(*lifts)))
+    if len(reduced) != k or any(k not in row for _, row in reduced):
+        return None
+    return tuple(row[k] for _, row in reduced)
 
 
 def transform_from_correspondence(src: Sequence[ProjPoint],
@@ -182,28 +192,25 @@ def transform_from_correspondence(src: Sequence[ProjPoint],
 
     The classical construction: write the last source lift as a combination
     of the first n+1, scale those columns by the combination weights (all
-    nonzero by genericity) so the standard frame goes to the scaled columns,
-    do the same on the destination side, and compose.  The result is verified
-    on all n+2 pairs before being returned.
+    nonzero exactly when the points are a frame) so the standard frame goes
+    to the scaled columns, do the same on the destination side, and compose.
+    The result is verified on all n+2 pairs before being returned.
     """
     if not src or len(src) != len(dst):
         raise InputError("need matching nonempty point lists")
-    F = src[0].field
-    n = src[0].dim
+    F, n = src[0].field, src[0].dim
     if len(src) != n + 2:
         raise InputError(f"need n+2 = {n + 2} point pairs")
-    if not proj_general_position(src) or not proj_general_position(dst):
-        raise InputError("both frames must be in general position")
+    if any(pt.field != F or pt.dim != n for pt in itertools.chain(src, dst)):
+        raise InputError("points live in different projective spaces")
 
     def frame_matrix(points: Sequence[ProjPoint]) -> Matrix:
-        cols = Matrix(F, tuple(tuple(points[j].coords[i] for j in range(n + 1))
+        lifts = [pt.coords for pt in points]
+        lam = _frame_weights(F, lifts)
+        if lam is None:
+            raise InputError("both frames must be in general position")
+        return Matrix(F, tuple(tuple(F.mul(lam[j], lifts[j][i]) for j in range(n + 1))
                                for i in range(n + 1)))
-        lam = solve(cols, points[n + 1].coords)
-        if lam is None or any(F.is_zero(c) for c in lam):
-            raise InternalInconsistencyError(
-                "frame weights vanished despite general position")
-        return Matrix(F, tuple(tuple(F.mul(lam[j], row[j]) for j in range(n + 1))
-                               for row in cols.rows))
 
     m = ProjLinearMap(mat_mul(frame_matrix(dst), inverse(frame_matrix(src))))
     for a, b in zip(src, dst):
@@ -248,12 +255,17 @@ class ProjTable:
         return len(set(self.values)) == len(self.values)
 
 
+def _images(m: ProjLinearMap, p: int) -> Iterator[Coords]:
+    """The image of each point of PG(n,p) in canonical order, by integer row products."""
+    rows = m.matrix.rows
+    for c in pg_points(p, m.dim):
+        yield normalize_coords(p, [sum(map(mul, row, c)) for row in rows])
+
+
 def proj_table_from_map(m: ProjLinearMap, p: int) -> ProjTable:
     if not isinstance(m.field, PrimeField) or m.field.p != p:
         raise InputError("map is not over Z_p")
-    n = m.dim
-    values = tuple(m.apply(ProjPoint(m.field, c)).coords for c in pg_points(p, n))
-    return ProjTable(p, n, values)
+    return ProjTable(p, m.dim, tuple(_images(m, p)))
 
 
 def proj_table_to_json(table: ProjTable) -> dict:
@@ -372,14 +384,10 @@ def decide_projective_linear(table: ProjTable) -> Optional[ProjLinearMap]:
     gf = PrimeField(p)
     pts, values = pg_points(p, n), table.values
 
-    def independent(lifts: List[Coords]) -> bool:
-        return len(_echelon(gf, lifts)) == len(lifts)
-
     def generic(prefix: List[Coords], extra: Coords) -> bool:
         if len(prefix) < n + 1:
-            return independent(prefix + [extra])
-        return all(independent(list(subset) + [extra])
-                   for subset in itertools.combinations(prefix, n))
+            return len(_echelon(gf, prefix + [extra])) == len(prefix) + 1
+        return _frame_weights(gf, prefix + [extra]) is not None
 
     frame: List[Coords] = []
     images: List[Coords] = []
@@ -399,16 +407,13 @@ def decide_projective_linear(table: ProjTable) -> Optional[ProjLinearMap]:
         return False
 
     if not search(0):
-        raise UndecidableByFrame(
-            "no generic frame with generic images exists in this table")
+        raise UndecidableByFrame("no generic frame with generic images exists in this table")
 
-    m = transform_from_correspondence(
-        [ProjPoint(gf, c) for c in frame],
-        [ProjPoint(gf, c) for c in images])
-    rows = m.matrix.rows
-    for c, v in zip(pts, values):
-        if normalize_coords(p, [sum(map(mul, row, c)) for row in rows]) != v:
-            return None
+    m = transform_from_correspondence([ProjPoint(gf, c) for c in frame],
+                                      [ProjPoint(gf, c) for c in images])
+    # the first point where the map and the table disagree ends the comparison
+    if any(map(ne, _images(m, p), values)):
+        return None
     return m
 
 

@@ -109,6 +109,14 @@ def test_enumerate_lines_rejects_a_direction_that_is_not_ints():
             enumerate_lines(3, 2, bad)
 
 
+def test_enumerate_lines_rejects_a_direction_of_the_wrong_length():
+    # a longer direction was cut to its first n entries, a shorter one
+    # raised a bare IndexError
+    for n, bad in ((2, (1, 0, 7)), (3, (0, 1))):
+        with pytest.raises(InputError, match="point length"):
+            enumerate_lines(5, n, bad)
+
+
 @st.composite
 def point_sets(draw, length):
     """1 to 6 points of (Z_p)^length, often on one line, sometimes with one
@@ -466,6 +474,25 @@ def test_diagonal_form_evaluator_agrees_with_forward_tabulation(p, n):
             assert tuple(map(form.apply, grid_points(p, n))) == expected
             # f_i fixes 0 and 1, so the recovery reads the same form back
             assert recover_diagonal_form(table, LineFamily(QQ, n, form.u)) == form
+
+
+def test_diagonal_form_reads_its_fields_as_residues():
+    e = ((1, 0), (0, 1))
+    ident = ((0, 1, 2), (0, 1, 2))
+    form = DiagonalForm(3, ((4, 0), (0, -2)), e, ident, (3, 5))
+    assert (form.u, form.base) == (e, (0, 2))
+    assert tabulate_diagonal_form(form).values == tuple(
+        (x, (y + 2) % 3) for x, y in grid_points(3, 2))
+    # a float base once gave a table holding 0.5, a short w values of
+    # length 1 in a table with m = 2, and base=() a table with m = 0
+    with pytest.raises(InputError, match="not an int"):
+        DiagonalForm(3, e, e, ident, (0.5, 0))
+    with pytest.raises(InputError, match="not an int"):
+        DiagonalForm(3, e, e, ((0, 1, 2), (0, 1.0, 2)), (0, 0))
+    with pytest.raises(InputError, match="point length"):
+        DiagonalForm(3, e, ((1,), (0, 1)), ident, (0, 0))
+    with pytest.raises(InputError, match="m >= 1"):
+        DiagonalForm(3, e, e, ident, ())
 
 
 def test_diagonal_form_round_trip_evaluation():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -166,6 +167,15 @@ def test_inverse_and_invertibility():
     assert mat_mul(m, inverse(m)).rows == identity_matrix(PrimeField(5), 2).rows
     with pytest.raises(InputError):
         inverse(matrix(QQ, ((1, 2), (2, 4))))
+
+
+def test_matrix_names_an_entry_outside_the_field_in_a_later_row():
+    # the message names the offending entry, in a later row too
+    for F, rows, bad in ((PrimeField(5), ((1, 2), (3, 4), (0, 7)), "7"),
+                         (PrimeField(5), ((1, 2), (3, -1)), "-1"),
+                         (QQ, ((Fraction(1), Fraction(2)), (Fraction(3), 0.5)), "0.5")):
+        with pytest.raises(InputError, match=re.escape(f"entry {bad} is not an element of {F}")):
+            Matrix(F, rows)
 
 
 def test_rank_and_j_independence():

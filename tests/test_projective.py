@@ -44,7 +44,7 @@ from linemaps import (
 )
 from linemaps import projective
 from linemaps.exact import normalize_coords, rank_of_vectors
-from linemaps.projective import _incidence
+from linemaps.projective import _frame_weights, _incidence
 
 # ---------------------------------------------------------------------------
 # points, spaces, lines
@@ -324,8 +324,73 @@ def test_correspondence_rejects_degenerate_frames():
            ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1))]  # three collinear
     dst = [proj_point(F, c) for c in
            ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))]
-    with pytest.raises(InputError):
-        transform_from_correspondence(src, dst)
+    for a, b in ((src, dst), (dst, src)):
+        with pytest.raises(InputError, match="^both frames must be in general position$"):
+            transform_from_correspondence(a, b)
+
+
+def test_correspondence_rejects_points_from_different_spaces():
+    F = PrimeField(3)
+    frame = [proj_point(F, c) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))]
+    for stranger in (proj_point(PrimeField(5), (1, 1, 1)), proj_point(QQ, (1, 1, 1)),
+                     proj_point(F, (1, 1)), proj_point(F, (1, 1, 1, 1))):
+        for src, dst in ((frame[:3] + [stranger], frame), (frame, frame[:3] + [stranger])):
+            with pytest.raises(InputError, match="^points live in different projective spaces$"):
+                transform_from_correspondence(src, dst)
+    with pytest.raises(InputError, match="^need n\\+2 = 4 point pairs$"):
+        transform_from_correspondence(frame[:3], frame[:3])
+    with pytest.raises(InputError, match="^need matching nonempty point lists$"):
+        transform_from_correspondence(frame, frame[:3])
+
+
+def assert_frame_test_matches_general_position(field, points):
+    # the one elimination decides general position, and its weights write
+    # the last lift in the first n+1
+    lifts = [pt.coords for pt in points]
+    weights = _frame_weights(field, lifts)
+    assert (weights is not None) == proj_general_position(points), lifts
+    if weights is not None:
+        combo = [field.zero()] * len(lifts[0])
+        for w, lift in zip(weights, lifts):
+            combo = [field.add(c, field.mul(w, x)) for c, x in zip(combo, lift)]
+        assert tuple(combo) == lifts[-1]
+
+
+def test_frame_test_on_every_four_points_of_the_plane_mod_3():
+    F = PrimeField(3)
+    rng = Random(3)
+    points = [proj_point(F, c) for c in pg_points(3, 2)]
+    frames = 0
+    for subset in itertools.combinations(points, 4):
+        subset = list(subset)
+        rng.shuffle(subset)
+        assert_frame_test_matches_general_position(F, subset)
+        frames += proj_general_position(subset)
+    # 13 * 12 * 9 * 4 / 4! four-point sets with no three collinear
+    assert frames == 234
+
+
+@pytest.mark.parametrize("p,n", ((3, 3), (5, 2)))
+def test_frame_test_on_seeded_tuples(p, n):
+    F = PrimeField(p)
+    rng = Random(10 * p + n)
+    pts = pg_points(p, n)
+    for _ in range(300):
+        assert_frame_test_matches_general_position(
+            F, [proj_point(F, c) for c in rng.sample(pts, n + 2)])
+
+
+def test_frame_test_over_the_rationals():
+    rng = Random(5)
+    for n in (1, 2, 3):
+        for _ in range(60):
+            while True:
+                # small entries, so that dependent tuples come up often
+                coords = [tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                                for _ in range(n + 1)) for _ in range(n + 2)]
+                if all(any(c) for c in coords):
+                    break
+            assert_frame_test_matches_general_position(QQ, [proj_point(QQ, c) for c in coords])
 
 
 # ---------------------------------------------------------------------------
