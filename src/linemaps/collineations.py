@@ -124,7 +124,15 @@ class FiniteMapTable:
         return self.values[point_index(self.p, _grid_point(self.p, self.n, point))]
 
     def is_injective(self) -> bool:
-        return len(set(self.values)) == len(self.values)
+        # remembered in the instance dict, as `_walk`'s line walks are: a
+        # frozen dataclass compares, hashes and prints its fields only, so
+        # neither memo changes ==, hash or repr.  A plain dict read, not a
+        # cached_property: the searches build thousands of tables to ask once
+        memo = self.__dict__
+        injective = memo.get("_injective")
+        if injective is None:
+            injective = memo["_injective"] = len(set(self.values)) == len(self.values)
+        return injective
 
     def is_bijection(self) -> bool:
         return self.m == self.n and self.is_injective()
@@ -142,6 +150,7 @@ def _grid_point(p: int, n: int, point: Sequence[int]) -> Point:
 
 
 def table_from_function(p: int, n: int, m: int, fn: Callable[[Point], Sequence[int]]) -> FiniteMapTable:
+    PrimeField(p)  # validates p before the grid is walked
     values = []
     for x in grid_points(p, n):
         y = tuple(exact_int(c, "function value") % p for c in fn(x))
@@ -310,6 +319,59 @@ class FamilyReport:
                                 "reason": v.reason} for v in self.violations]}
 
 
+def _walk(table: FiniteMapTable,
+          d: Point) -> Tuple[Point, Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
+    """The one walk over the lines of the table's grid parallel to the
+    residue direction d, made once per table and direction and kept in the
+    table's instance dict (scalings of d share it): (canonical direction,
+    numbers of the lines whose image is not a line, of those whose image is
+    a line but not all of it, of those whose image is not parallel to the
+    image of the direction's first line).  A line's number is its place in
+    `_line_kernel` of the canonical direction.
+
+    An injective table maps p points to p distinct points, so a collinear
+    image is a whole line and the onto test is skipped; a table that is not
+    injective gets no parallel test (its consumers refuse it first).  The
+    parallel lines mean something only when every image is a line."""
+    p = table.p
+    key = normalize_coords(p, d)
+    walks = table.__dict__.setdefault("_walks", {})
+    walk = walks.get(key)
+    if walk is None:
+        injective = table.is_injective()
+        origin = (0,) * table.m
+        ref = None
+        not_line: List[int] = []
+        not_onto: List[int] = []
+        not_parallel: List[int] = []
+        for i, (_d, _base, images) in enumerate(_family_lines(table, (key,))):
+            if not points_collinear(p, images):
+                not_line.append(i)
+            elif not injective:
+                if len(set(images)) < p:
+                    not_onto.append(i)
+            else:
+                # injective: delta and ref are nonzero, so they are parallel
+                # iff 0, ref and delta lie on one line
+                delta = tuple((a - b) % p for a, b in zip(images[1], images[0]))
+                if ref is None:
+                    ref = delta
+                elif not points_collinear(p, (origin, ref, delta)):
+                    not_parallel.append(i)
+        walk = walks[key] = (key, tuple(not_line), tuple(not_onto), tuple(not_parallel))
+    return walk
+
+
+def _violations(table: FiniteMapTable, d: Point, key: Point,
+                numbered: Sequence[Tuple[int, str]]) -> List[Violation]:
+    """The violations at these (line number, reason) pairs of a walk, each
+    labelled with the family's own direction d and its line's base point."""
+    if not numbered:
+        return []
+    lines = _line_kernel(table.p, table.n, key)
+    return [Violation(d, lines[i][0], reason) for i, reason in numbered]
+
+
 def check_family(table: FiniteMapTable, fam: LineFamily, mode: str = "onto") -> FamilyReport:
     """Does the table map every line of the family into/onto a line?
 
@@ -318,35 +380,27 @@ def check_family(table: FiniteMapTable, fam: LineFamily, mode: str = "onto") -> 
     """
     if mode not in ("into", "onto"):
         raise InputError(f"mode must be 'into' or 'onto', got {mode!r}")
-    p, onto = table.p, mode == "onto"
     violations: List[Violation] = []
-    for d, base, images in _family_lines(table, _residue_directions(table, fam)):
-        if not points_collinear(p, images):
-            violations.append(Violation(d, base, "not-a-line"))
-        elif onto and len(set(images)) < p:
-            violations.append(Violation(d, base, "not-onto"))
+    for d in _residue_directions(table, fam):
+        key, not_line, not_onto, _ = _walk(table, d)
+        numbered = [(i, "not-a-line") for i in not_line]
+        if mode == "onto" and not_onto:
+            numbered = sorted(numbered + [(i, "not-onto") for i in not_onto])
+        violations += _violations(table, d, key, numbered)
     return FamilyReport(not violations, tuple(violations))
 
 
 def _parallel_violations(table: FiniteMapTable, dirs: Sequence[Point]) -> Optional[Tuple[Violation, ...]]:
-    """One pass over the lines of an injective table in the residue
-    directions: None as soon as a line is not mapped onto a line (for an
-    injective table, onto = into), else the lines whose image is not parallel
-    to the image of the first line of their direction."""
-    p = table.p
-    origin = (0,) * table.m
-    refs = {}
+    """For an injective table: None if a line in the residue directions is
+    not mapped onto a line (for an injective table, onto = into), else the
+    lines whose image is not parallel to the image of the first line of their
+    direction."""
     violations: List[Violation] = []
-    for d, base, images in _family_lines(table, dirs):
-        if not points_collinear(p, images):
+    for d in dirs:
+        key, not_line, _, not_parallel = _walk(table, d)
+        if not_line:
             return None
-        # injective: delta and ref are nonzero, so they are parallel iff
-        # 0, ref and delta lie on one line
-        delta = tuple((a - b) % p for a, b in zip(images[1], images[0]))
-        if d not in refs:
-            refs[d] = delta
-        elif not points_collinear(p, (origin, refs[d], delta)):
-            violations.append(Violation(d, base, "not-parallel"))
+        violations += _violations(table, d, key, [(i, "not-parallel") for i in not_parallel])
     return tuple(violations)
 
 

@@ -145,6 +145,9 @@ class PrimeField:
     kind = "prime"
 
     def __init__(self, p: int):
+        # exactly an int: a float p would pass the prime test and make floats
+        # of field elements
+        p = exact_int(p, "p")
         if not _is_prime(p):
             raise InputError(f"{p} is not prime")
         if p == 2:

@@ -117,6 +117,16 @@ def test_enumerate_lines_rejects_a_direction_of_the_wrong_length():
             enumerate_lines(5, n, bad)
 
 
+@pytest.mark.parametrize("entry", ("enumerate_lines", "table_from_function"))
+def test_grid_entry_points_reject_a_p_that_is_not_an_int(entry):
+    # a float p once gave a bare TypeError (range(3.0)) or a misleading
+    # "table entry 0.0 is not an int"
+    call = {"enumerate_lines": lambda: enumerate_lines(3.0, 2, (1, 0)),
+            "table_from_function": lambda: table_from_function(3.0, 1, 1, lambda x: x)}[entry]
+    with pytest.raises(InputError, match="p 3.0 is not an int"):
+        call()
+
+
 @st.composite
 def point_sets(draw, length):
     """1 to 6 points of (Z_p)^length, often on one line, sometimes with one
@@ -314,6 +324,182 @@ def test_parallelism_agrees_with_vectors_parallel(p, m):
         assert report.to_json() == FamilyReport(not expected, expected).to_json()
         verdicts.add(report.ok)
     assert verdicts == ({True} if m == 2 else {True, False})
+
+
+# ---------------------------------------------------------------------------
+# one memoized walk per (table, direction)
+# ---------------------------------------------------------------------------
+
+
+def check_family_by_line_loop(table, fam, mode):
+    """`check_family` as one loop over every family line, with no walk memo:
+    the oracle of the reports built from `_walk`."""
+    p, values = table.p, table.values
+    violations = []
+    for d in collineations._residue_directions(table, fam):
+        for base, idx in collineations._lines(p, table.n, d):
+            images = [values[i] for i in idx]
+            if not points_collinear(p, images):
+                violations.append(Violation(d, base, "not-a-line"))
+            elif mode == "onto" and len(set(images)) < p:
+                violations.append(Violation(d, base, "not-onto"))
+    return FamilyReport(not violations, tuple(violations))
+
+
+def parallel_violations_by_line_loop(table, dirs):
+    """`_parallel_violations` as one loop over every line of the directions,
+    with no walk memo."""
+    p, values = table.p, table.values
+    origin = (0,) * table.m
+    violations = []
+    for d in dirs:
+        ref = None
+        for base, idx in collineations._lines(p, table.n, d):
+            images = [values[i] for i in idx]
+            if not points_collinear(p, images):
+                return None
+            delta = tuple((a - b) % p for a, b in zip(images[1], images[0]))
+            if ref is None:
+                ref = delta
+            elif not points_collinear(p, (origin, ref, delta)):
+                violations.append(Violation(d, base, "not-parallel"))
+    return tuple(violations)
+
+
+def memo_tables(p, n):
+    """Seeded tables of (Z_p)^n: an affine bijection, a diagonal form with a
+    bent first axis, the affine map with two values swapped (torn), the
+    affine map with one e1-line squashed onto two points and another bent
+    off its line (not injective: not-onto and not-a-line lines in one
+    direction), a random injection into (Z_p)^(n+1), and the injection
+    x -> (x, x1 x2) into (Z_p)^(n+1), which maps the axis lines onto lines
+    that are not parallel (skew)."""
+    rng = Random(1000 * p + n)
+    grid = list(grid_points(p, n))
+    while True:
+        a = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        if rank_of_vectors(PrimeField(p), a) == n:
+            break
+    b = [rng.randrange(p) for _ in range(n)]
+    affine = lambda x: tuple((b[j] + sum(a[j][i] * x[i] for i in range(n))) % p
+                             for j in range(n))
+    f = (0, 1) + tuple(rng.sample(range(2, p), p - 2))
+    tables = {"affine": [affine(x) for x in grid],
+              "diagonal": [affine((f[x[0]],) + x[1:]) for x in grid]}
+    torn = list(tables["affine"])
+    i, j = rng.sample(range(len(grid)), 2)
+    torn[i], torn[j] = torn[j], torn[i]
+    squashed = list(tables["affine"])
+    lines = enumerate_lines(p, n, (1,) + (0,) * (n - 1))
+    flat, bent = rng.sample(lines, 2)
+    for x in flat[:-1]:
+        squashed[grid.index(x)] = affine(flat[0])
+    squashed[grid.index(bent[1])] = affine(flat[-1])
+    tables.update(torn=torn, squashed=squashed,
+                  injection=rng.sample(list(grid_points(p, n + 1)), len(grid)),
+                  skew=[x + (x[0] * x[1] % p,) for x in grid])
+    return {kind: FiniteMapTable(p, n, len(values[0]), tuple(values))
+            for kind, values in tables.items()}
+
+
+def memo_operations(n):
+    """(name, function, arguments after the table) for every reader of the
+    walk memo: check_family in both modes and parallelism_report on four
+    families (one of them scaled), then the span invariants and the
+    diagonal-form recovery on the axes."""
+    axes = standard_family(QQ, n)
+    families = {"axes": axes, "standard": standard_family(QQ, n, True),
+                "s_family": s_family(n),
+                "diagonal": LineFamily(QQ, n, ((2,) * n, (0,) * (n - 1) + (4,)))}
+    ops = []
+    for name, fam in families.items():
+        ops += [(f"check_family {name} {mode}", check_family, (fam, mode))
+                for mode in ("into", "onto")]
+        ops.append((f"parallelism_report {name}", parallelism_report, (fam,)))
+    return ops + [("verify_span_invariants", verify_span_invariants, (axes,)),
+                  ("recover_diagonal_form", recover_diagonal_form, (axes,))]
+
+
+def memo_outcome(fn, table, args):
+    try:
+        return "returned", fn(table, *args).to_json()
+    except (InputError, InternalInconsistencyError) as exc:
+        return "raised", type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+@pytest.mark.parametrize("n", (2, 3))
+def test_walk_memo_does_not_depend_on_call_order(monkeypatch, p, n):
+    # each operation on a table that has served the others, in three orders,
+    # must give what it gives on a fresh copy and what the uncached line
+    # loops give
+    ops = memo_operations(n)
+    orders = [ops, ops[::-1], Random(p * n).sample(ops, len(ops))]
+    seen = set()
+    for kind, table in memo_tables(p, n).items():
+        copy = lambda: FiniteMapTable(table.p, table.n, table.m, table.values)
+        with monkeypatch.context() as m:
+            m.setattr(collineations, "_parallel_violations", parallel_violations_by_line_loop)
+            m.setattr(FiniteMapTable, "is_injective",
+                      lambda t: len(set(t.values)) == len(t.values))
+            oracle = {name: memo_outcome(check_family_by_line_loop if fn is check_family else fn,
+                                         copy(), args) for name, fn, args in ops}
+        fresh = {name: memo_outcome(fn, copy(), args) for name, fn, args in ops}
+        assert fresh == oracle, kind
+        for order in orders:
+            shared = copy()
+            assert {name: memo_outcome(fn, shared, args) for name, fn, args in order} == fresh, kind
+        seen.update((name, out[0] == "returned" and out[1].get("ok", True))
+                    for name, out in fresh.items())
+    # every reader passed on some table and failed or raised on another
+    assert {name for name, *_ in ops} == {name for name, ok in seen if ok} \
+        == {name for name, ok in seen if not ok}
+
+
+def test_scaled_directions_share_a_walk_and_keep_their_labels(example_table_p5):
+    # (t, c + t) -> (t^3, c + t) bends the (1,1)-lines with c != 0 mod 5
+    table = table_from_function(5, 2, 2, lambda x: (pow(x[0], 3, 5), x[1]))
+    twin = FiniteMapTable(5, 2, 2, table.values)
+    before = hash(table), repr(table)
+    labels = {}
+    for d, field in (((1, 1), QQ), ((2, 2), QQ), ((3, 3), PrimeField(5))):
+        report = check_family(table, LineFamily(field, 2, (d,)), "into")
+        assert not report.ok and {v.direction for v in report.violations} == {d}
+        labels[d] = [v.base for v in report.violations]
+    assert list(table.__dict__["_walks"]) == [(1, 1)]
+    assert labels[(1, 1)] == labels[(2, 2)] == labels[(3, 3)]
+    assert table == twin and hash(table) == hash(twin) and repr(table) == repr(twin)
+    assert (hash(table), repr(table)) == before
+    # the not-parallel lines keep their family's direction too
+    axes = standard_family(QQ, 3)
+    scaled = LineFamily(QQ, 3, ((3, 0, 0), (0, 2, 0), (0, 0, 4)))
+    by_axes = parallelism_report(example_table_p5, axes).violations
+    by_scaled = parallelism_report(example_table_p5, scaled).violations
+    assert by_axes and [v.base for v in by_axes] == [v.base for v in by_scaled]
+    label = dict(zip(axes.directions, ((3, 0, 0), (0, 2, 0), (0, 0, 4))))
+    assert [label[v.direction] for v in by_axes] == [v.direction for v in by_scaled]
+
+
+@pytest.mark.parametrize("n, walks", ((2, 3), (3, 7)))
+def test_a_diagonal_job_walks_each_direction_once(monkeypatch, n, walks):
+    # the call chain of a diagonal-form job: the standard+diagonal family
+    # into and onto, s_family into, then parallelism, the span invariants and
+    # the recovery on the axes.  Without the memo it walked 15 directions at
+    # n = 2 and 24 at n = 3; 3 and 7 of them are distinct
+    p = 5
+    table = table_from_function(p, n, n, lambda x: (pow(x[0], 3, p),) + x[1:])
+    std, axes, sfam = standard_family(QQ, n, True), standard_family(QQ, n), s_family(n)
+    walked = []
+    lines = collineations._lines
+    monkeypatch.setattr(collineations, "_lines",
+                        lambda p, n, d: walked.append(d) or lines(p, n, d))
+    reports = [check_family(table, std, "into"), check_family(table, std, "onto"),
+               check_family(table, sfam, "into"), parallelism_report(table, axes),
+               verify_span_invariants(table, axes)]
+    form = recover_diagonal_form(table, axes)
+    assert [r.ok for r in reports] == [False, False, False, True, True]
+    assert form.f[0] == tuple(pow(t, 3, p) for t in range(p))
+    assert len(walked) == len(set(walked)) == walks
 
 
 # ---------------------------------------------------------------------------

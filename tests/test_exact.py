@@ -66,6 +66,13 @@ def test_prime_field_rejects_two_and_composites():
         PrimeField(1)
 
 
+def test_prime_field_rejects_a_p_that_is_not_an_int():
+    # 5.0 passed the prime test through float %, and convert(7) gave 2.0
+    for bad in (5.0, 5.5, True, "5"):
+        with pytest.raises(InputError, match="not an int"):
+            PrimeField(bad)
+
+
 def _trial_division_is_prime(p):
     return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
 
