@@ -10,25 +10,23 @@ field, with zero tolerance (every check is exact).
 from .exact import (
     Field, InputError, InternalInconsistencyError, Matrix, PrimeField, QQ,
     Rationals, ResourceError, field_from_json, field_to_json, identity_matrix,
-    inverse, is_invertible, is_j_independent, mat_mul, mat_vec, matrix,
-    normalize_coords, nullspace, rank_of_vectors, rref, solve, unit_vector,
-    vector, vectors_parallel,
+    inverse, is_j_independent, mat_mul, mat_vec, matrix, normalize_coords,
+    nullspace, rank_of_vectors, rref, solve, unit_vector, vector,
+    vectors_parallel,
 )
 from .multiaffine import (
-    AffineMap, DEFAULT_POINT_BUDGET, MultiAffineMap, UnivariateCurve,
-    affine_identity, compose, curve_lies_in_line, delta_to_mask, evaluate,
-    fix_coordinate, grid_points, identity_map, load_map,
+    AffineMap, DEFAULT_POINT_BUDGET, MultiAffineMap, UnivariateCurve, compose,
+    curve_lies_in_line, delta_to_mask, evaluate, grid_points, identity_map,
     map_from_json, map_to_json, mask_to_delta, point_index, reduce_mod,
     restrict_to_line, tabulate,
 )
 from .collineations import (
     DiagonalForm, FamilyReport, FiniteMapTable, LineFamily, PlaneForm,
-    SpanInvariantReport, Violation, check_family, check_parallelism,
-    enumerate_lines, exhaustive_bijection_search, load_table,
-    parallelism_report, points_collinear, recover_diagonal_form,
-    recover_plane_form, s_family, standard_family, table_from_function,
-    table_from_json, table_to_json, tabulate_diagonal_form,
-    verify_span_invariants,
+    SpanInvariantReport, Violation, check_family, enumerate_lines,
+    exhaustive_bijection_search, parallelism_report, points_collinear,
+    recover_diagonal_form, recover_plane_form, s_family, standard_family,
+    table_from_function, table_from_json, table_to_json,
+    tabulate_diagonal_form, verify_span_invariants,
 )
 from .constraints import (
     ConstraintCheck, ConstraintSystem, SharpMapSpec, StandardFamilyReport,
@@ -39,17 +37,15 @@ from .constraints import (
 )
 from .projective import (
     ProjLinearMap, ProjPoint, ProjReport, ProjTable, ProjViolation,
-    UndecidableByFrame, affine_to_projective, check_projective_hypotheses,
-    compose_proj, decide_projective_linear, embed_affine, embed_affine_table,
-    invert_proj, lines_through, load_proj_table, pg_points,
-    proj_general_position, proj_identity, proj_point, proj_table_from_json,
-    proj_table_from_map, proj_table_to_json, split,
-    transform_from_correspondence,
+    UndecidableByFrame, check_projective_hypotheses, decide_projective_linear,
+    embed_affine_table, lines_through, pg_points, proj_general_position,
+    proj_identity, proj_point, proj_table_from_json, proj_table_from_map,
+    proj_table_to_json, split, transform_from_correspondence,
 )
 from .scalars import (
-    ScalarFunctionTable, additive_scalar_bijections, bijections_fixing_0_1,
-    identity_table, is_additive, is_multiplicative, multiplicative_injections,
-    ratio_criterion, verify_additive_rigidity, verify_diagonal_rigidity,
+    ScalarFunctionTable, bijections_fixing_0_1, identity_table, is_additive,
+    is_multiplicative, multiplicative_injections, ratio_criterion,
+    verify_additive_rigidity, verify_diagonal_rigidity,
     verify_multiplicative_rigidity,
 )
 

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .collineations import (
     FiniteMapTable, LineFamily, check_family, exhaustive_bijection_search,
-    load_table, parallelism_report, recover_diagonal_form, recover_plane_form,
+    parallelism_report, recover_diagonal_form, recover_plane_form, table_from_json,
     table_to_json,
 )
 from .constraints import (
@@ -35,10 +35,10 @@ from .exact import (
     ResourceError, unit_vector,
 )
 from .multiaffine import (
-    DEFAULT_POINT_BUDGET, load_map, map_to_json, reduce_mod, tabulate,
+    DEFAULT_POINT_BUDGET, map_from_json, map_to_json, reduce_mod, tabulate,
 )
 from .projective import (
-    UndecidableByFrame, decide_projective_linear, load_proj_table,
+    UndecidableByFrame, decide_projective_linear, proj_table_from_json,
 )
 from .scalars import (
     ratio_criterion, verify_additive_rigidity, verify_diagonal_rigidity,
@@ -118,10 +118,16 @@ def _emit(obj: dict, out: Optional[str]) -> None:
             fh.write(text)
 
 
+def _read_json(path: str):
+    """The JSON value in the file at path.  The CLI reads every input file
+    here, and nothing in the library opens a file."""
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _load_directions(args, n: int) -> List[Tuple[Fraction, ...]]:
     if getattr(args, "dirs_file", None):
-        with open(args.dirs_file) as fh:
-            raw = json.load(fh)
+        raw = _read_json(args.dirs_file)
         if not isinstance(raw, list) or not all(isinstance(v, list) for v in raw):
             raise InputError("--dirs-file must hold a JSON list of direction vectors")
         return [tuple(parse_rational(c, "--dirs-file entry") for c in v) for v in raw]
@@ -137,10 +143,10 @@ def _load_directions(args, n: int) -> List[Tuple[Fraction, ...]]:
 def _table_for(args) -> FiniteMapTable:
     """Load --map (reducing to the requested prime field) or --table."""
     if getattr(args, "table", None):
-        return load_table(args.table)
+        return table_from_json(_read_json(args.table))
     if not getattr(args, "map", None):
         raise InputError("need --map or --table")
-    m = load_map(args.map)
+    m = map_from_json(_read_json(args.map))
     if getattr(args, "field", None):
         field = parse_field(args.field)
         if isinstance(field, PrimeField):
@@ -227,7 +233,7 @@ def cmd_refute_fifth(args) -> int:
 
 
 def cmd_decide_proj(args) -> int:
-    table = load_proj_table(args.table)
+    table = proj_table_from_json(_read_json(args.table))
     try:
         m = decide_projective_linear(table)
     except UndecidableByFrame as exc:

@@ -9,7 +9,6 @@ algebra is trusted, every line is inspected point by point.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
@@ -17,10 +16,10 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .exact import (
     Field, InputError, InternalInconsistencyError, Matrix, PrimeField, QQ,
-    ResourceError, Vector, exact_int, inverse, normalize_coords,
+    ResourceError, Vector, _to_json, exact_int, inverse, normalize_coords,
     rank_of_vectors, unit_vector, vector, vectors_parallel,
 )
-from .multiaffine import grid_points, point_index
+from .multiaffine import _grid_size, grid_points, point_index
 
 Point = Tuple[int, ...]
 
@@ -161,8 +160,7 @@ def table_from_function(p: int, n: int, m: int, fn: Callable[[Point], Sequence[i
 
 
 def table_to_json(table: FiniteMapTable) -> dict:
-    return {"p": table.p, "n": table.n, "m": table.m,
-            "values": [list(v) for v in table.values]}
+    return _to_json(table)
 
 
 def table_from_json(obj: dict) -> FiniteMapTable:
@@ -171,11 +169,6 @@ def table_from_json(obj: dict) -> FiniteMapTable:
                               exact_int(obj["m"], "m"), tuple(tuple(v) for v in obj["values"]))
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad table JSON: {exc}") from exc
-
-
-def load_table(path: str) -> FiniteMapTable:
-    with open(path) as fh:
-        return table_from_json(json.load(fh))
 
 
 # ===========================================================================
@@ -313,10 +306,7 @@ class FamilyReport:
     violations: Tuple[Violation, ...]
 
     def to_json(self) -> dict:
-        return {"ok": self.ok,
-                "violations": [{"direction": list(v.direction),
-                                "base": list(v.base),
-                                "reason": v.reason} for v in self.violations]}
+        return _to_json(self)
 
 
 def _walk(table: FiniteMapTable,
@@ -414,10 +404,6 @@ def parallelism_report(table: FiniteMapTable, fam: LineFamily) -> FamilyReport:
     return FamilyReport(not violations, violations)
 
 
-def check_parallelism(table: FiniteMapTable, fam: LineFamily) -> bool:
-    return parallelism_report(table, fam).ok
-
-
 def _diagonal_hypothesis(table: FiniteMapTable, fam: LineFamily) -> Tuple[List[Point], Optional[str]]:
     """The family's directions mod p and the first hypothesis of the
     diagonal-form lemma that the table fails (None when it meets them all):
@@ -467,8 +453,7 @@ class SpanInvariantReport:
     k: Optional[int] = None
 
     def to_json(self) -> dict:
-        return {"ok": self.ok, "hypothesis_ok": self.hypothesis_ok,
-                "failure": self.failure, "k": self.k}
+        return _to_json(self)
 
 
 def verify_span_invariants(table: FiniteMapTable, fam: LineFamily) -> SpanInvariantReport:
@@ -564,9 +549,7 @@ class DiagonalForm:
         return tuple(a % p for a in out)
 
     def to_json(self) -> dict:
-        return {"p": self.p, "u": [list(v) for v in self.u],
-                "w": [list(v) for v in self.w],
-                "f": [list(t) for t in self.f], "base": list(self.base)}
+        return _to_json(self)
 
 
 def tabulate_diagonal_form(form: DiagonalForm) -> FiniteMapTable:
@@ -638,10 +621,7 @@ class PlaneForm:
                      for b, a1, a2, a3 in zip(self.base, self.u1, self.u2, self.u3))
 
     def to_json(self) -> dict:
-        return {"p": self.p, "u1": list(self.u1), "u2": list(self.u2),
-                "u3": list(self.u3), "f": list(self.f), "g": list(self.g),
-                "base": list(self.base),
-                "cross_term_vanishes": self.cross_term_vanishes}
+        return _to_json(self, "cross_term_vanishes")
 
 
 def recover_plane_form(table: FiniteMapTable) -> PlaneForm:
@@ -739,11 +719,7 @@ def exhaustive_bijection_search(p: int, n: int, fam: LineFamily,
     if mode not in ("into", "onto"):
         raise InputError(f"mode must be 'into' or 'onto', got {mode!r}")
     PrimeField(p)
-    total = p ** n
-    if total > max_points:
-        raise ResourceError(
-            f"{total}! candidate bijections exceed the search guard "
-            f"(grid of {total} > {max_points} points)")
+    total = _grid_size(p, n, max_points, "search guard")
     # the identity table checks every grid point once; survivors are
     # permutations of its values, so they are built without a check per entry
     grid = FiniteMapTable(p, n, n, tuple(grid_points(p, n)))

@@ -13,7 +13,7 @@ elements are plain ints reduced to 0..p-1.  All equality is exact equality.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -243,6 +243,19 @@ def field_to_json(field: Field) -> dict:
     if isinstance(field, Rationals):
         return {"type": "rational"}
     return {"type": "prime", "p": field.p}
+
+
+def _to_json(value, *extra: str):
+    """A report, form or table as JSON.  An int, bool, string or None is kept,
+    a tuple becomes a list, and a dataclass becomes the dict of its fields,
+    each converted in turn, and then of the named `extra` attributes."""
+    if isinstance(value, (int, str)) or value is None:
+        return value
+    if isinstance(value, tuple):
+        return list(map(_to_json, value))
+    out = {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    out.update((name, getattr(value, name)) for name in extra)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -559,10 +572,6 @@ def inverse(m: Matrix) -> Matrix:
     zero = F.zero()
     return Matrix(F, tuple(tuple(row.get(k, zero) for k in range(n, 2 * n))
                            for _, row in reduced))
-
-
-def is_invertible(m: Matrix) -> bool:
-    return m.nrows == m.ncols and rank(m) == m.nrows
 
 
 def is_j_independent(field: Field, vectors_: Sequence[Vector], j: int) -> bool:

@@ -9,7 +9,6 @@ fixing 1 are the identity, so nothing is lost in the stored skeleton).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, Sequence, Tuple
 
@@ -53,9 +52,6 @@ class MultiAffineMap:
             if not vec_is_zero(self.field, u):
                 cleaned[mask] = u
         object.__setattr__(self, "coeffs", cleaned)
-
-    def coefficient(self, mask: int) -> Vector:
-        return self.coeffs.get(mask, zero_vector(self.field, self.m))
 
     def degree(self) -> int:
         return max((mask.bit_count() for mask in self.coeffs), default=0)
@@ -115,11 +111,6 @@ class AffineMap:
 
     def apply(self, x: Vector) -> Vector:
         return vec_add(self.field, mat_vec(self.matrix, x), self.offset)
-
-
-def affine_identity(field: Field, n: int) -> AffineMap:
-    from .exact import identity_matrix
-    return AffineMap(identity_matrix(field, n), zero_vector(field, n))
 
 
 @dataclass(frozen=True)
@@ -262,30 +253,6 @@ def compose(left: AffineMap, map_: MultiAffineMap, right: AffineMap) -> MultiAff
     return MultiAffineMap(n_in, left.matrix.nrows, F, final)
 
 
-def fix_coordinate(map_: MultiAffineMap, j: int, value: Scalar) -> MultiAffineMap:
-    """Partial evaluation x_j := value; returns a map on n-1 variables."""
-    F = map_.field
-    if not 0 <= j < map_.n:
-        raise InputError(f"coordinate {j} out of range")
-    if map_.n == 1:
-        raise InputError("cannot fix the only variable")
-    value = F.convert(value)
-    bit = 1 << j
-    low = bit - 1
-    out: Dict[int, list] = {}
-    for mask, u in map_.coeffs.items():
-        scaled = u
-        if mask & bit:
-            scaled = vec_scale(F, value, u)
-        new_mask = (mask & low) | ((mask >> (j + 1)) << j)
-        row = out.get(new_mask)
-        if row is None:
-            out[new_mask] = list(scaled)
-        else:
-            out[new_mask] = list(vec_add(F, tuple(row), scaled))
-    return MultiAffineMap(map_.n - 1, map_.m, F, {k: tuple(v) for k, v in out.items()})
-
-
 def reduce_mod(map_: MultiAffineMap, p: int) -> MultiAffineMap:
     """Reduce a rational map mod p (all denominators must be units)."""
     gf = PrimeField(p)
@@ -298,6 +265,14 @@ def reduce_mod(map_: MultiAffineMap, p: int) -> MultiAffineMap:
 # ---------------------------------------------------------------------------
 
 DEFAULT_POINT_BUDGET = 10 ** 6
+
+
+def _grid_size(p: int, n: int, budget: int, guard: str) -> int:
+    """p^n, or a ResourceError naming p and n when it passes the budget.
+    p^n > 2^n, so once n reaches the budget's bit length no power is built."""
+    if n >= budget.bit_length() or p ** n > budget:
+        raise ResourceError(f"a grid of {p}^{n} points exceeds the {guard} of {budget} points")
+    return p ** n
 
 
 def grid_points(p: int, n: int):
@@ -328,8 +303,7 @@ def tabulate(map_: MultiAffineMap, budget: int = DEFAULT_POINT_BUDGET):
     if not isinstance(F, PrimeField):
         raise InputError("tabulate needs a prime-field map")
     p = F.p
-    if p ** map_.n > budget:
-        raise ResourceError(f"p^n = {p ** map_.n} exceeds the point budget {budget}")
+    _grid_size(p, map_.n, budget, "point budget")
     values = tuple(evaluate(map_, x) for x in grid_points(p, map_.n))
     return FiniteMapTable(p, map_.n, map_.m, values)
 
@@ -365,8 +339,3 @@ def map_from_json(obj: dict) -> MultiAffineMap:
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad map JSON: {exc}") from exc
     return MultiAffineMap(n, m, F, coeffs)
-
-
-def load_map(path: str) -> MultiAffineMap:
-    with open(path) as fh:
-        return map_from_json(json.load(fh))

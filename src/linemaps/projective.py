@@ -10,7 +10,6 @@ complement is the frontier hyperplane (last homogeneous coordinate zero).
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul, ne
@@ -18,8 +17,8 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .exact import (
     Field, InputError, InternalInconsistencyError, Matrix, PrimeField, ResourceError, Vector,
-    _echelon, _reduced_rows, exact_int, identity_matrix, inverse, is_j_independent, mat_mul,
-    mat_vec, normalize_coords, rank_of_vectors, vector,
+    _echelon, _reduced_rows, _to_json, exact_int, identity_matrix, inverse, is_j_independent,
+    mat_mul, mat_vec, normalize_coords, rank_of_vectors, vector,
 )
 from .multiaffine import DEFAULT_POINT_BUDGET, point_index
 
@@ -138,26 +137,6 @@ def proj_identity(field: Field, n: int) -> ProjLinearMap:
     return ProjLinearMap(identity_matrix(field, n + 1))
 
 
-def compose_proj(outer: ProjLinearMap, inner: ProjLinearMap) -> ProjLinearMap:
-    return ProjLinearMap(mat_mul(outer.matrix, inner.matrix))
-
-
-def invert_proj(m: ProjLinearMap) -> ProjLinearMap:
-    return ProjLinearMap(inverse(m.matrix))
-
-
-def affine_to_projective(matrix: Matrix, offset: Vector) -> ProjLinearMap:
-    """x -> Ax + b lifted to homogeneous coordinates: the block matrix
-    (A b; 0 1) acting on [x : 1]."""
-    F = matrix.field
-    if matrix.nrows != matrix.ncols or len(offset) != matrix.nrows:
-        raise InputError("need a square matrix and a matching offset")
-    off = vector(F, offset)
-    rows = [row + (off[i],) for i, row in enumerate(matrix.rows)]
-    rows.append(tuple([F.zero()] * matrix.ncols + [F.one()]))
-    return ProjLinearMap(Matrix(F, tuple(rows)))
-
-
 # ===========================================================================
 # general position and frame correspondences
 # ===========================================================================
@@ -269,7 +248,7 @@ def proj_table_from_map(m: ProjLinearMap, p: int) -> ProjTable:
 
 
 def proj_table_to_json(table: ProjTable) -> dict:
-    return {"p": table.p, "n": table.n, "values": [list(v) for v in table.values]}
+    return _to_json(table)
 
 
 def proj_table_from_json(obj: dict) -> ProjTable:
@@ -278,11 +257,6 @@ def proj_table_from_json(obj: dict) -> ProjTable:
                          tuple(tuple(v) for v in obj["values"]))
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad projective table JSON: {exc}") from exc
-
-
-def load_proj_table(path: str) -> ProjTable:
-    with open(path) as fh:
-        return proj_table_from_json(json.load(fh))
 
 
 # ===========================================================================
@@ -336,10 +310,7 @@ class ProjReport:
     violations: Tuple[ProjViolation, ...]
 
     def to_json(self) -> dict:
-        return {"ok": self.ok,
-                "violations": [{"anchor": list(v.anchor),
-                                "line": [list(c) for c in v.line],
-                                "reason": v.reason} for v in self.violations]}
+        return _to_json(self)
 
 
 def check_projective_hypotheses(table: ProjTable, anchors: Sequence,
@@ -420,12 +391,6 @@ def decide_projective_linear(table: ProjTable) -> Optional[ProjLinearMap]:
 # ===========================================================================
 # the affine copy inside projective space
 # ===========================================================================
-
-def embed_affine(x: Sequence, field: Field) -> ProjPoint:
-    """x -> [x : 1], the affine copy at height 1 (last coordinate)."""
-    coords = tuple(vector(field, x)) + (field.one(),)
-    return ProjPoint(field, coords)
-
 
 def split(point: ProjPoint):
     """Invert the affine embedding: ("affine", x) when the last homogeneous

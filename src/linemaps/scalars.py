@@ -14,7 +14,7 @@ from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from .collineations import _backtrack, _lines, _plane_directions, _plane_pencil
-from .exact import InputError, PrimeField, ResourceError, exact_int
+from .exact import InputError, PrimeField, ResourceError, _to_json, exact_int
 
 Table = Tuple[int, ...]
 
@@ -56,19 +56,6 @@ def is_multiplicative(f: ScalarFunctionTable) -> bool:
                for a in range(p) for b in range(a, p))
 
 
-def additive_scalar_bijections(p: int) -> List[ScalarFunctionTable]:
-    """All additive bijections of Z_p.  Additivity forces f(x) = x*f(1)
-    (iterated addition of 1), so enumerating the value at 1 is complete;
-    each candidate is still checked against the definition."""
-    out = []
-    for c in range(1, p):
-        f = ScalarFunctionTable(p, tuple(c * x % p for x in range(p)))
-        if not is_additive(f):
-            raise InputError("scaling map unexpectedly failed additivity")
-        out.append(f)
-    return out
-
-
 def bijections_fixing_0_1(p: int):
     """All bijections of Z_p with f(0)=0, f(1)=1, in lexicographic order."""
     for rest in itertools.permutations(range(2, p)):
@@ -92,11 +79,7 @@ class RatioReport:
         return self.passing_all_additive and self.additive_all_passing
 
     def to_json(self) -> dict:
-        return {"p": self.p, "candidates": self.candidates,
-                "passing": [list(t) for t in self.passing],
-                "passing_all_additive": self.passing_all_additive,
-                "additive_all_passing": self.additive_all_passing,
-                "ok": self.ok}
+        return _to_json(self, "ok")
 
 
 def ratio_criterion(p: int, max_p: int = 7) -> RatioReport:
@@ -167,12 +150,7 @@ class MultRigidityReport:
                 and not self.f2_equal_one)
 
     def to_json(self) -> dict:
-        return {"p": self.p, "exponents": list(self.exponents),
-                "brute_force_agrees": self.brute_force_agrees,
-                "shifted_identity_only": self.shifted_identity_only,
-                "scaled_identity_only": self.scaled_identity_only,
-                "f2_equal_one": [list(t) for t in self.f2_equal_one],
-                "ok": self.ok}
+        return _to_json(self, "ok")
 
 
 def verify_multiplicative_rigidity(p: int, brute_force_max_p: int = 7) -> MultRigidityReport:
@@ -244,9 +222,7 @@ class DiagonalRigidityReport:
         return self.identity_only
 
     def to_json(self) -> dict:
-        return {"p": self.p, "x0": list(self.x0), "candidates": self.candidates,
-                "survivors": [[list(a), list(b)] for a, b in self.survivors],
-                "identity_only": self.identity_only, "ok": self.ok}
+        return _to_json(self, "ok")
 
 
 def verify_diagonal_rigidity(p: int, n: int = 2,
@@ -303,12 +279,7 @@ class AdditiveRigidityReport:
                 and self.all_additive and self.all_lines_ok)
 
     def to_json(self) -> dict:
-        return {"p": self.p, "x0": list(self.x0),
-                "matrices_total": self.matrices_total,
-                "bijections": self.bijections,
-                "expected_bijections": self.expected_bijections,
-                "all_additive": self.all_additive,
-                "all_lines_ok": self.all_lines_ok, "ok": self.ok}
+        return _to_json(self, "ok")
 
 
 def verify_additive_rigidity(p: int, n: int = 2,

@@ -233,11 +233,11 @@ def test_construct_sharp_cli(capsys):
 
 
 def test_example_cli_round_trips_through_the_loader(capsys, tmp_path):
-    from linemaps import load_map, evaluate, vector
+    from linemaps import map_from_json, evaluate, vector
     path = tmp_path / "map.json"
     code = main(["example", "--name", "r3", "--out", str(path)])
     assert code == 0
-    mp = load_map(str(path))
+    mp = map_from_json(json.loads(path.read_text()))
     assert evaluate(mp, vector(QQ, (1, 2, 3))) == (-2, -1, 3)
 
 
@@ -477,6 +477,20 @@ def test_finite_table_with_a_huge_dimension_is_rejected_before_the_power(capsys,
         capsys, ["verify-family", "--table", str(path), "--dirs", "e1"])
     assert code == 2 and err.startswith("input error: ")
     assert elapsed < 1.0
+
+
+def test_a_huge_dimension_trips_the_grid_guards_before_the_power(capsys, tmp_path):
+    # both guards formatted p**n into their message, and a power past 4300
+    # digits cannot be turned into a string: a ValueError traceback, exit 1
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 10000, "m": 1, "field": {"type": "prime", "p": 3},
+                                "coeffs": []}))
+    for argv in (["exhaust", "--p", "3", "--n", "10000", "--dirs", "e1"],
+                 ["verify-family", "--map", str(path), "--dirs", "e1"]):
+        code, elapsed, err = _exit_code_and_time(capsys, argv)
+        assert code == 3 and err.startswith("resource guard: "), argv
+        assert "3^10000" in err and "Traceback" not in err, argv
+        assert elapsed < 1.0
 
 
 def test_projective_tables_need_n_at_least_one(capsys, tmp_path):

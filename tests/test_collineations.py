@@ -20,7 +20,6 @@ from linemaps import (
     QQ,
     ResourceError,
     check_family,
-    check_parallelism,
     enumerate_lines,
     example_r3_map,
     exhaustive_bijection_search,
@@ -219,13 +218,13 @@ def test_affine_bijections_preserve_parallelism():
                               lambda x: ((2 * x[0] + x[1] + 3) % 5,
                                          (x[0] + x[1] + 1) % 5))
     fam = standard_family(QQ, 2)
-    assert check_parallelism(tab, fam)
+    assert parallelism_report(tab, fam).ok
 
 
 def test_example_map_sends_parallel_lines_to_skew_lines(example_table_p5):
     fam = standard_family(QQ, 3)
     assert check_family(example_table_p5, fam).ok
-    assert not check_parallelism(example_table_p5, fam)
+    assert not parallelism_report(example_table_p5, fam).ok
     report = parallelism_report(example_table_p5, fam)
     assert all(v.reason == "not-parallel" for v in report.violations)
 
@@ -237,7 +236,7 @@ def test_skew_image_example_from_three_variables():
                               lambda x: (x[0], x[1], (x[0] * x[1] - x[2]) % 5))
     fam = LineFamily(QQ, 3, ((1, 0, 0), (0, 1, 0)))
     assert check_family(tab, fam).ok
-    assert not check_parallelism(tab, fam)
+    assert not parallelism_report(tab, fam).ok
 
 
 def test_parallelism_requires_injectivity():
@@ -761,8 +760,8 @@ def test_plane_form_cross_term_tracks_parallelism():
     straight = table_from_function(5, 2, 2, lambda x: (f[x[0]], g[x[1]]))
     skewed = table_from_function(5, 2, 3, lambda x: (x[0], x[1], x[0] * x[1] % 5))
     fam = standard_family(QQ, 2)
-    assert check_parallelism(straight, fam) == recover_plane_form(straight).cross_term_vanishes
-    assert check_parallelism(skewed, fam) == recover_plane_form(skewed).cross_term_vanishes
+    assert parallelism_report(straight, fam).ok == recover_plane_form(straight).cross_term_vanishes
+    assert parallelism_report(skewed, fam).ok == recover_plane_form(skewed).cross_term_vanishes
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,14 @@ from linemaps import (
     PrimeField,
     QQ,
     ResourceError,
-    affine_identity,
     check_family,
     compose,
     curve_lies_in_line,
     delta_to_mask,
     evaluate,
     example_r3_map,
-    fix_coordinate,
     identity_map,
+    identity_matrix,
     map_from_json,
     map_to_json,
     mask_to_delta,
@@ -127,6 +126,10 @@ def test_curve_in_line_accepts_constants():
 # ---------------------------------------------------------------------------
 
 
+def affine_identity(field, n):
+    return AffineMap(identity_matrix(field, n), (0,) * n)
+
+
 def test_compose_with_identities_is_identity():
     P = example_r3_map(QQ)
     same = compose(affine_identity(QQ, 3), P, affine_identity(QQ, 3))
@@ -162,13 +165,6 @@ def test_compose_rejects_non_multiaffine_results():
     mix = AffineMap(matrix(QQ, ((1, 1), (1, -1))), vector(QQ, (0, 0)))
     with pytest.raises(InputError):
         compose(affine_identity(QQ, 1), product, mix)
-
-
-def test_fix_coordinate_specializes():
-    P = example_r3_map(QQ)
-    flat = fix_coordinate(P, 2, Fraction(3))  # pin x3 = 3
-    assert flat.n == 2
-    assert evaluate(flat, vector(QQ, (1, 2))) == evaluate(P, vector(QQ, (1, 2, 3)))
 
 
 # ---------------------------------------------------------------------------

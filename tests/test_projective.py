@@ -19,15 +19,12 @@ from linemaps import (
     QQ,
     ResourceError,
     UndecidableByFrame,
-    affine_to_projective,
     check_projective_hypotheses,
-    compose_proj,
     decide_projective_linear,
-    embed_affine,
     embed_affine_table,
     example_r3_map,
-    invert_proj,
     lines_through,
+    mat_mul,
     matrix,
     pg_points,
     proj_general_position,
@@ -40,7 +37,6 @@ from linemaps import (
     split,
     tabulate,
     transform_from_correspondence,
-    vector,
 )
 from linemaps import projective
 from linemaps.exact import normalize_coords, rank_of_vectors
@@ -253,25 +249,6 @@ def test_singular_matrices_rejected():
         ProjLinearMap(matrix(F, ((1, 2, 0), (0, 1, 1), (1, 0, 1))))
 
 
-def test_compose_and_invert():
-    F = PrimeField(5)
-    m = ProjLinearMap(matrix(F, ((1, 2), (3, 4))))
-    assert compose_proj(m, invert_proj(m)) == proj_identity(F, 1)
-    x = proj_point(F, (2, 3))
-    assert invert_proj(m).apply(m.apply(x)) == x
-
-
-def test_affine_to_projective_agrees_with_the_affine_action():
-    F = PrimeField(5)
-    A = matrix(F, ((1, 2), (3, 4)))
-    b = vector(F, (2, 0))
-    P = affine_to_projective(A, b)
-    for x in ((0, 0), (1, 2), (4, 4)):
-        ax = tuple((A.rows[i][0] * x[0] + A.rows[i][1] * x[1] + b[i]) % 5
-                   for i in range(2))
-        assert P.apply(embed_affine(x, F)) == embed_affine(ax, F)
-
-
 # ---------------------------------------------------------------------------
 # frames and correspondences
 # ---------------------------------------------------------------------------
@@ -304,7 +281,7 @@ def test_correspondence_hits_all_pairs_and_is_permutation_stable():
             assert T2 == T
             # composing with the reverse correspondence gives the identity
             back = transform_from_correspondence(dst, src)
-            assert compose_proj(back, T) == proj_identity(F, n)
+            assert ProjLinearMap(mat_mul(back.matrix, T.matrix)) == proj_identity(F, n)
 
 
 def test_correspondence_over_the_rationals():
@@ -545,7 +522,7 @@ def test_decide_matches_the_rank_oracle(monkeypatch, p, n):
 def test_embed_split_round_trip():
     F = PrimeField(3)
     for x in ((0, 0), (1, 2), (2, 2)):
-        kind, back = split(embed_affine(x, F))
+        kind, back = split(proj_point(F, x + (1,)))
         assert kind == "affine"
         assert back == x
     kind, frontier = split(proj_point(F, (1, 2, 0)))
@@ -563,14 +540,14 @@ def test_embedded_nonlinear_map_is_detected():
 def test_embedded_translation_is_recovered():
     # a translation extends projectively with the frontier fixed pointwise,
     # which is exactly how embed_affine_table extends tables
-    from linemaps import identity_matrix, table_from_function
+    from linemaps import table_from_function
     F = PrimeField(3)
-    b = vector(F, (2, 1))
     table = table_from_function(3, 2, 2,
                                 lambda x: ((x[0] + 2) % 3, (x[1] + 1) % 3))
     embedded = embed_affine_table(table)
     decided = decide_projective_linear(embedded)
-    assert decided == affine_to_projective(identity_matrix(F, 2), b)
+    # x -> x + (2, 1) on [x : 1]
+    assert decided == ProjLinearMap(matrix(F, ((1, 0, 2), (0, 1, 1), (0, 0, 1))))
 
 
 def test_embedded_general_affine_map_is_not_identity_on_the_frontier():

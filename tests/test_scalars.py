@@ -13,7 +13,6 @@ from linemaps import (
     InputError,
     ResourceError,
     ScalarFunctionTable,
-    additive_scalar_bijections,
     bijections_fixing_0_1,
     identity_table,
     is_additive,
@@ -52,16 +51,6 @@ def test_scalar_table_rejects_values_that_are_not_ints():
     for values in ((0, 1.7, 2), (0, True, 2.0)):
         with pytest.raises(InputError, match="not an int"):
             ScalarFunctionTable(3, values)
-
-
-def test_additive_bijections_are_the_scalings():
-    for p in (3, 5, 7):
-        fs = additive_scalar_bijections(p)
-        assert len(fs) == p - 1
-        assert [f(1) for f in fs] == list(range(1, p))
-        # the only additive bijection fixing 1 is the identity
-        fixing_one = [f for f in fs if f(1) == 1]
-        assert fixing_one == [identity_table(p)]
 
 
 def test_bijections_fixing_0_1_count():
