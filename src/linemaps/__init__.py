@@ -7,6 +7,8 @@ and the scalar rigidity lemmas — all over the rationals or an odd prime
 field, with zero tolerance (every check is exact).
 """
 
+from types import ModuleType as _ModuleType
+
 from .exact import (
     Field, InputError, InternalInconsistencyError, Matrix, PrimeField, QQ,
     Rationals, ResourceError, field_from_json, field_to_json, identity_matrix,
@@ -37,10 +39,10 @@ from .constraints import (
 )
 from .projective import (
     ProjLinearMap, ProjPoint, ProjReport, ProjTable, ProjViolation,
-    UndecidableByFrame, check_projective_hypotheses, decide_projective_linear,
-    embed_affine_table, lines_through, pg_points, proj_general_position,
-    proj_identity, proj_point, proj_table_from_json, proj_table_from_map,
-    proj_table_to_json, split, transform_from_correspondence,
+    check_projective_hypotheses, decide_projective_linear, embed_affine_table,
+    lines_through, pg_points, proj_general_position, proj_identity, proj_point,
+    proj_table_from_json, proj_table_from_map, proj_table_to_json, split,
+    transform_from_correspondence,
 )
 from .scalars import (
     ScalarFunctionTable, bijections_fixing_0_1, identity_table, is_additive,
@@ -49,4 +51,6 @@ from .scalars import (
     verify_multiplicative_rigidity,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are reached as linemaps.<module>, not through `import *`
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

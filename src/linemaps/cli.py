@@ -37,9 +37,7 @@ from .exact import (
 from .multiaffine import (
     DEFAULT_POINT_BUDGET, map_from_json, map_to_json, reduce_mod, tabulate,
 )
-from .projective import (
-    UndecidableByFrame, decide_projective_linear, proj_table_from_json,
-)
+from .projective import decide_projective_linear, proj_table_from_json
 from .scalars import (
     ratio_criterion, verify_additive_rigidity, verify_diagonal_rigidity,
     verify_multiplicative_rigidity,
@@ -233,12 +231,7 @@ def cmd_refute_fifth(args) -> int:
 
 
 def cmd_decide_proj(args) -> int:
-    table = proj_table_from_json(_read_json(args.table))
-    try:
-        m = decide_projective_linear(table)
-    except UndecidableByFrame as exc:
-        _emit({"decided": False, "reason": str(exc)}, args.out)
-        return 1
+    m = decide_projective_linear(proj_table_from_json(_read_json(args.table)))
     if m is None:
         _emit({"projective_linear": False}, args.out)
         return 1

@@ -20,13 +20,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
 from .collineations import standard_family
 from .exact import (
-    Field, InputError, InternalInconsistencyError, Matrix, QQ, Scalar,
-    Vector, nullspace, rank, unit_vector, vector, zero_vector,
+    Field, InputError, InternalInconsistencyError, Matrix, QQ, ResourceError,
+    Scalar, Vector, nullspace, rank, unit_vector, vector, zero_vector,
 )
 from .multiaffine import (
     MultiAffineMap, curve_lies_in_line, mask_to_delta, restrict_to_line,
@@ -99,8 +100,28 @@ def _zero_sum_row(unknowns: Tuple[int, ...], k: int, subset: Tuple[int, ...]) ->
                   for m in unknowns])
 
 
+# The system is built as dense rows of 2^n Fractions.  n = 12 has 11,354,112
+# entries and is the largest n under this bound; n = 13 has 51,920,896.
+_DENSE_ENTRY_BUDGET = 2 * 10 ** 7
+
+
+def _dense_entries(n: int) -> int:
+    """Rows times 2^n columns of the system on n variables, counted in closed
+    form (the labels of `_row_labels`, without building a mask)."""
+    half = (n + 3) // 2  # the least degree k with 2k >= n+2
+    vanish = sum(comb(n, k) for k in range(half, n + 1))
+    sums = sum(comb(n, l) for k in range(2, half) for l in range(k - 1))
+    return (vanish + sums) << n
+
+
 @lru_cache(maxsize=None)
 def build_constraints(n: int) -> ConstraintSystem:
+    # n < 2 is refused by _row_labels; past the bound's bit length 2^n alone
+    # passes it, so no huge sum is taken
+    if n >= 2 and (n >= _DENSE_ENTRY_BUDGET.bit_length()
+                   or _dense_entries(n) > _DENSE_ENTRY_BUDGET):
+        raise ResourceError(f"the constraint system for n = {n} has more than "
+                            f"{_DENSE_ENTRY_BUDGET} dense entries")
     labels = _row_labels(n)
     unknowns = _ordered_masks(n)
     column = {mask: ci for ci, mask in enumerate(unknowns)}

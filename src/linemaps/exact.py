@@ -284,8 +284,9 @@ def unit_vector(field: Field, n: int, i: int) -> Vector:
 
 
 def normalize_coords(p: int, raw: Sequence[int]) -> Tuple[int, ...]:
-    """Residues mod p, scaled so that the first nonzero entry is 1."""
-    c = [int(x) % p for x in raw]
+    """Residues mod p of exact ints, scaled so that the first nonzero entry is
+    1: a float, bool or str coordinate is rejected, never truncated."""
+    c = [x % p if type(x) is int else exact_int(x, "coordinate") for x in raw]
     for pivot in c:
         if pivot:
             break

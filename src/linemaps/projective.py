@@ -17,18 +17,13 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .exact import (
     Field, InputError, InternalInconsistencyError, Matrix, PrimeField, ResourceError, Vector,
-    _echelon, _reduced_rows, _to_json, exact_int, identity_matrix, inverse, is_j_independent,
+    _reduced_rows, _to_json, exact_int, identity_matrix, inverse, is_j_independent,
     mat_mul, mat_vec, normalize_coords, rank_of_vectors, vector,
 )
 from .multiaffine import DEFAULT_POINT_BUDGET, point_index
 
 Coords = Tuple[int, ...]
 Line = Tuple[int, ...]  # the sorted indices into pg_points of a line's points
-
-
-class UndecidableByFrame(RuntimeError):
-    """No generic frame with generic images exists, so the frame-based
-    decision procedure cannot even produce a candidate."""
 
 
 # ===========================================================================
@@ -90,8 +85,13 @@ def _pg_index(p: int, n: int) -> Dict[Coords, int]:
 
 
 def _point_id(point, p: int, n: int) -> int:
-    coords = point.coords if isinstance(point, ProjPoint) else point
-    idx = _pg_index(p, n).get(normalize_coords(p, coords))
+    """The index of a point of PG(n,p), given as exact int coordinates in any
+    representative or as a ProjPoint over GF(p)."""
+    if isinstance(point, ProjPoint):
+        if not isinstance(point.field, PrimeField) or point.field.p != p:
+            raise InputError(f"a point over {point.field} is not a point of PG({n},{p})")
+        point = point.coords
+    idx = _pg_index(p, n).get(normalize_coords(p, point))
     if idx is None:
         raise InputError("point not in PG(n,p)")
     return idx
@@ -164,16 +164,27 @@ def _frame_weights(field: Field, lifts: Sequence[Vector]) -> Optional[Vector]:
     return tuple(row[k] for _, row in reduced)
 
 
+def _frame_matrix(field: Field, lifts: Sequence[Vector]) -> Optional[Matrix]:
+    """The matrix sending the standard frame e_0, ..., e_n, e_0 + ... + e_n
+    onto the n+2 lifts (its columns are the first n+1 lifts scaled by their
+    frame weights), or None when the lifts are not a frame."""
+    lam = _frame_weights(field, lifts)
+    if lam is None:
+        return None
+    k = len(lam)
+    return Matrix(field, tuple(tuple(field.mul(lam[j], lifts[j][i]) for j in range(k))
+                               for i in range(k)))
+
+
 def transform_from_correspondence(src: Sequence[ProjPoint],
                                   dst: Sequence[ProjPoint]) -> ProjLinearMap:
     """The unique projective-linear map with src_i -> dst_i for n+2 points in
     general position on both sides.
 
-    The classical construction: write the last source lift as a combination
-    of the first n+1, scale those columns by the combination weights (all
-    nonzero exactly when the points are a frame) so the standard frame goes
-    to the scaled columns, do the same on the destination side, and compose.
-    The result is verified on all n+2 pairs before being returned.
+    The classical construction: the frame matrix of each side sends the
+    standard frame onto it, so the map is the destination's frame matrix
+    after the inverse of the source's.  The result is verified on all n+2
+    pairs before being returned.
     """
     if not src or len(src) != len(dst):
         raise InputError("need matching nonempty point lists")
@@ -182,16 +193,10 @@ def transform_from_correspondence(src: Sequence[ProjPoint],
         raise InputError(f"need n+2 = {n + 2} point pairs")
     if any(pt.field != F or pt.dim != n for pt in itertools.chain(src, dst)):
         raise InputError("points live in different projective spaces")
-
-    def frame_matrix(points: Sequence[ProjPoint]) -> Matrix:
-        lifts = [pt.coords for pt in points]
-        lam = _frame_weights(F, lifts)
-        if lam is None:
-            raise InputError("both frames must be in general position")
-        return Matrix(F, tuple(tuple(F.mul(lam[j], lifts[j][i]) for j in range(n + 1))
-                               for i in range(n + 1)))
-
-    m = ProjLinearMap(mat_mul(frame_matrix(dst), inverse(frame_matrix(src))))
+    to_src, to_dst = (_frame_matrix(F, [pt.coords for pt in points]) for points in (src, dst))
+    if to_src is None or to_dst is None:
+        raise InputError("both frames must be in general position")
+    m = ProjLinearMap(mat_mul(to_dst, inverse(to_src)))
     for a, b in zip(src, dst):
         if m.apply(a) != b:
             raise InternalInconsistencyError("constructed map misses a frame pair")
@@ -220,10 +225,6 @@ class ProjTable:
         for v in self.values:
             if len(v) != self.n + 1:
                 raise InputError(f"table value {v!r} does not have n+1 = {self.n + 1} coordinates")
-            for c in v:
-                # exactly int: a float, bool or str entry is rejected, never truncated
-                if type(c) is not int:
-                    raise InputError(f"table entry {c!r} is not an int")
             vals.append(normalize_coords(self.p, v))
         object.__setattr__(self, "values", tuple(vals))
 
@@ -313,13 +314,10 @@ class ProjReport:
         return _to_json(self)
 
 
-def check_projective_hypotheses(table: ProjTable, anchors: Sequence,
-                                mode: str = "onto") -> ProjReport:
-    """Every projective line through every anchor maps into (or onto) a
-    projective line.  The table is injective, so the p+1 images of a line
-    lie on a line only if they are that whole line: into and onto agree."""
-    if mode not in ("into", "onto"):
-        raise InputError(f"mode must be 'into' or 'onto', got {mode!r}")
+def check_projective_hypotheses(table: ProjTable, anchors: Sequence) -> ProjReport:
+    """Every projective line through every anchor maps onto a projective line.
+    The table is injective, so the p+1 images of a line lie on a line only if
+    they are that whole line: into and onto agree."""
     if not table.is_injective():
         raise InputError("hypothesis check needs an injective table")
     p, n = table.p, table.n
@@ -344,44 +342,21 @@ def decide_projective_linear(table: ProjTable) -> Optional[ProjLinearMap]:
     """If the table is induced by an invertible matrix, return that map;
     otherwise return None.
 
-    A candidate is built from the lexicographically first generic
-    (n+2)-tuple of points whose images are also generic, then compared with
-    the table at every point — so a returned map is correct by construction,
-    and None means no projective-linear map can agree with the table.
+    A projective-linear map sends every frame onto a frame, and the map
+    through a frame is unique, so the images of the standard frame
+    e_0, ..., e_n, e_0 + ... + e_n decide: when they are not a frame no such
+    map agrees with the table, and otherwise their frame matrix is the one
+    candidate, compared with the table at every point.
     """
     if not table.is_injective():
         raise InputError("decision procedure needs an injective table")
     p, n = table.p, table.n
-    gf = PrimeField(p)
-    pts, values = pg_points(p, n), table.values
-
-    def generic(prefix: List[Coords], extra: Coords) -> bool:
-        if len(prefix) < n + 1:
-            return len(_echelon(gf, prefix + [extra])) == len(prefix) + 1
-        return _frame_weights(gf, prefix + [extra]) is not None
-
-    frame: List[Coords] = []
-    images: List[Coords] = []
-
-    def search(start: int) -> bool:
-        if len(frame) == n + 2:
-            return True
-        for idx in range(start, len(pts)):
-            cand, img = pts[idx], values[idx]
-            if generic(frame, cand) and generic(images, img):
-                frame.append(cand)
-                images.append(img)
-                if search(idx + 1):
-                    return True
-                frame.pop()
-                images.pop()
-        return False
-
-    if not search(0):
-        raise UndecidableByFrame("no generic frame with generic images exists in this table")
-
-    m = transform_from_correspondence([ProjPoint(gf, c) for c in frame],
-                                      [ProjPoint(gf, c) for c in images])
+    gf, index, values = PrimeField(p), _pg_index(p, n), table.values
+    frame = identity_matrix(gf, n + 1).rows + ((1,) * (n + 1),)
+    candidate = _frame_matrix(gf, [values[index[c]] for c in frame])
+    if candidate is None:
+        return None
+    m = ProjLinearMap(candidate)
     # the first point where the map and the table disagree ends the comparison
     if any(map(ne, _images(m, p), values)):
         return None

@@ -12,7 +12,6 @@ from linemaps import (
     PrimeField,
     ProjLinearMap,
     QQ,
-    UndecidableByFrame,
     example_r3_map,
     map_to_json,
     matrix,
@@ -290,22 +289,6 @@ def test_decide_proj_cli(capsys, tmp_path):
     assert json.loads(out) == {"projective_linear": False}
 
 
-def test_decide_proj_undecidable_maps_to_exit_1(capsys, tmp_path, monkeypatch):
-    import linemaps.cli as cli_module
-    F = PrimeField(3)
-    m = ProjLinearMap(matrix(F, ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
-    path = tmp_path / "id.json"
-    path.write_text(json.dumps(proj_table_to_json(proj_table_from_map(m, 3))))
-
-    def no_frame(table):
-        raise UndecidableByFrame("no generic frame with generic images")
-
-    monkeypatch.setattr(cli_module, "decide_projective_linear", no_frame)
-    code, out = run(capsys, "decide-proj", "--table", str(path))
-    assert code == 1
-    assert json.loads(out)["decided"] is False
-
-
 def test_exhaust_cli(capsys):
     code, out = run(capsys, "exhaust", "--p", "3", "--n", "2",
                     "--dirs", "e1,e2")
@@ -491,6 +474,15 @@ def test_a_huge_dimension_trips_the_grid_guards_before_the_power(capsys, tmp_pat
         assert code == 3 and err.startswith("resource guard: "), argv
         assert "3^10000" in err and "Traceback" not in err, argv
         assert elapsed < 1.0
+
+
+def test_a_constraint_system_past_the_dense_bound_trips_its_guard(capsys):
+    # n = 13 once built its 51,920,896 dense entries and could end in a
+    # MemoryError traceback with exit 1
+    code, elapsed, err = _exit_code_and_time(capsys, ["constraints", "--n", "13"])
+    assert code == 3 and err.startswith("resource guard: ")
+    assert "n = 13" in err and "Traceback" not in err
+    assert elapsed < 1.0
 
 
 def test_projective_tables_need_n_at_least_one(capsys, tmp_path):

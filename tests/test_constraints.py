@@ -17,6 +17,7 @@ from linemaps import (
     MultiAffineMap,
     PrimeField,
     QQ,
+    ResourceError,
     build_constraints,
     check_family,
     check_standard_family,
@@ -39,7 +40,7 @@ from linemaps import (
     tabulate,
     vector,
 )
-from linemaps.constraints import _symbolic_excess_degree
+from linemaps.constraints import _dense_entries, _row_labels, _symbolic_excess_degree
 
 # ---------------------------------------------------------------------------
 # the linear system on coefficients
@@ -49,6 +50,17 @@ from linemaps.constraints import _symbolic_excess_degree
 def test_system_needs_dimension_two():
     with pytest.raises(InputError):
         build_constraints(1)
+
+
+def test_the_dense_guard_counts_the_rows_in_closed_form():
+    # rows times 2^n, without building a mask: n = 12 is built, n = 13 is not
+    for n in range(2, 13):
+        assert _dense_entries(n) == len(_row_labels(n)) << n, n
+    assert _dense_entries(12) == 11_354_112
+    assert _dense_entries(13) == 51_920_896
+    for n in (13, 40, 10 ** 9):
+        with pytest.raises(ResourceError, match=f"n = {n} has more than"):
+            build_constraints(n)
 
 
 def test_three_variable_system_is_one_vanishing_plus_one_sum_row():

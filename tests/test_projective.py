@@ -18,7 +18,6 @@ from linemaps import (
     ProjTable,
     QQ,
     ResourceError,
-    UndecidableByFrame,
     check_projective_hypotheses,
     decide_projective_linear,
     embed_affine_table,
@@ -38,7 +37,6 @@ from linemaps import (
     tabulate,
     transform_from_correspondence,
 )
-from linemaps import projective
 from linemaps.exact import normalize_coords, rank_of_vectors
 from linemaps.projective import _frame_weights, _incidence
 
@@ -151,7 +149,7 @@ def test_lines_through_accepts_any_representative():
         lines_through((0, 0, 0), 5, 2)
 
 
-def rank_oracle_report(table, anchors, mode):
+def rank_oracle_report(table, anchors):
     """The hypothesis check by rank: a line is bent when its images span
     more than a plane of the lift, and not onto when they are fewer than
     p+1 (which an injective table never gives)."""
@@ -163,7 +161,7 @@ def rank_oracle_report(table, anchors, mode):
             images = sorted({table.apply(x) for x in line})
             if rank_of_vectors(PrimeField(p), images) > 2:
                 reason = "not-a-line"
-            elif mode == "onto" and len(images) < p + 1:
+            elif len(images) < p + 1:
                 reason = "not-onto"
             else:
                 continue
@@ -187,9 +185,8 @@ def test_hypothesis_check_matches_the_rank_oracle(p, n):
         table = ProjTable(p, n, tuple(values))
         # anchors in any representative: scaled by a unit
         anchors = [tuple(rng.randrange(1, p) * c for c in x) for x in rng.sample(pts, n + 2)]
-        for mode in ("into", "onto"):
-            got = check_projective_hypotheses(table, anchors, mode).to_json()
-            assert got == rank_oracle_report(table, anchors, mode), (kind, mode)
+        got = check_projective_hypotheses(table, anchors).to_json()
+        assert got == rank_oracle_report(table, anchors), kind
 
 
 def test_proj_table_rejects_n_below_one_and_wrong_counts_before_enumerating():
@@ -435,10 +432,6 @@ def test_decide_requires_injectivity():
         decide_projective_linear(const)
 
 
-def test_undecidable_by_frame_contract():
-    assert issubclass(UndecidableByFrame, RuntimeError)
-
-
 def test_decide_on_the_projective_line():
     # swapping the two chart points 0 and infinity is x -> 1/x, which is
     # projective-linear with the antidiagonal matrix
@@ -452,9 +445,10 @@ def test_decide_on_the_projective_line():
 
 
 def rank_decision(table):
-    """The decision procedure with the generic Matrix rank and a ProjPoint
-    comparison at every point: the oracle of the integer kernel.  Returns
-    the frame, its images and the map (None when the table disagrees)."""
+    """The decision by a search for the first generic frame with generic
+    images, with the generic Matrix rank and a ProjPoint comparison at every
+    point: an oracle independent of the standard frame.  Returns the map, or
+    None when no such frame exists or the table disagrees with its map."""
     p, n = table.p, table.n
     gf = PrimeField(p)
     pts = pg_points(p, n)
@@ -479,25 +473,18 @@ def rank_decision(table):
 
     found = search([], [], 0)
     if found is None:
-        raise UndecidableByFrame("no frame")
+        return None
     frame, images = found
     m = transform_from_correspondence([ProjPoint(gf, c) for c in frame],
                                       [ProjPoint(gf, c) for c in images])
     agrees = all(m.apply(ProjPoint(gf, c)).coords == table.apply(c) for c in pts)
-    return frame, images, m if agrees else None
+    return m if agrees else None
 
 
 @pytest.mark.parametrize("p,n", ((3, 2), (3, 3), (5, 2), (3, 4)))
-def test_decide_matches_the_rank_oracle(monkeypatch, p, n):
-    # the same frame is found and the same map returned, on linear tables,
-    # tables with two images swapped, and shuffled tables
-    seen = []
-
-    def spy(src, dst):
-        seen.append(([c.coords for c in src], [c.coords for c in dst]))
-        return transform_from_correspondence(src, dst)
-
-    monkeypatch.setattr(projective, "transform_from_correspondence", spy)
+def test_decide_matches_the_rank_oracle(p, n):
+    # the same map, or None, on linear tables, tables with two images
+    # swapped, and shuffled tables
     rng = Random(1000 * p + n)
     for kind in ("linear", "swapped", "shuffled") * 3:
         values = list(proj_table_from_map(random_proj_linear(rng, p, n), p).values)
@@ -507,9 +494,8 @@ def test_decide_matches_the_rank_oracle(monkeypatch, p, n):
         elif kind == "shuffled":
             rng.shuffle(values)
         table = ProjTable(p, n, tuple(values))
-        frame, images, want = rank_decision(table)
+        want = rank_decision(table)
         assert decide_projective_linear(table) == want
-        assert seen.pop() == (frame, images)
         if kind == "linear":
             assert want is not None
 
@@ -578,3 +564,76 @@ def test_proj_table_json_round_trip():
     table = proj_table_from_map(proj_identity(PrimeField(3), 2), 3)
     back = proj_table_from_json(proj_table_to_json(table))
     assert back.values == table.values
+
+
+# ---------------------------------------------------------------------------
+# exhaustive: every bijection of the projective line
+# ---------------------------------------------------------------------------
+
+
+def pgl2_tables(p):
+    """The table of every element of PGL(2,p), each once."""
+    F = PrimeField(p)
+    maps = set()
+    for a, b, c, d in itertools.product(range(p), repeat=4):
+        if (a * d - b * c) % p:
+            maps.add(ProjLinearMap(matrix(F, ((a, b), (c, d)))))
+    return {proj_table_from_map(m, p).values for m in maps}
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_decide_accepts_exactly_the_tables_of_pgl2(p):
+    # all (p+1)! bijections of PG(1,p): a map comes back for exactly the
+    # |PGL(2,p)| = (p+1)p(p-1) linear tables, and it is their map
+    pts = pg_points(p, 1)
+    linear = set()
+    for values in itertools.permutations(pts):
+        m = decide_projective_linear(ProjTable(p, 1, values))
+        if m is not None:
+            assert proj_table_from_map(m, p).values == values
+            linear.add(values)
+    assert linear == pgl2_tables(p)
+    assert len(linear) == (p + 1) * p * (p - 1)
+
+
+# ---------------------------------------------------------------------------
+# point readers: exact ints, or a point over GF(p)
+# ---------------------------------------------------------------------------
+
+
+def test_normalize_coords_refuses_coordinates_that_are_not_ints():
+    assert normalize_coords(5, (0, 3, 1)) == (0, 1, 2)
+    for bad in ((2.9, 0, 1), (True, 0, 1), ("1", 0, 1), (Fraction(1, 2), 0, 1)):
+        with pytest.raises(InputError, match="is not an int"):
+            normalize_coords(5, bad)
+
+
+def test_lines_through_refuses_points_that_are_not_exact_points_of_pg():
+    # int() once read (True, 0, 1) as (1, 0, 1), and the rational point
+    # (1, 1/2, 0) as (1, 0, 0), and returned that point's pencil
+    for bad in ((True, 0, 1), (2.9, 0, 1), ("1", 0, 1)):
+        with pytest.raises(InputError, match="is not an int"):
+            lines_through(bad, 3, 2)
+    for bad in (proj_point(QQ, (2, 1, 0)), proj_point(PrimeField(5), (1, 0, 0))):
+        with pytest.raises(InputError, match="is not a point of PG\\(2,3\\)"):
+            lines_through(bad, 3, 2)
+    assert lines_through(proj_point(PrimeField(3), (2, 1, 0)), 3, 2) == \
+        lines_through((1, 2, 0), 3, 2)
+
+
+def test_proj_table_apply_refuses_points_that_are_not_exact_points_of_pg():
+    # int() once read (2.9, 0, 1) as (2, 0, 1)
+    table = proj_table_from_map(proj_identity(PrimeField(3), 2), 3)
+    for bad in ((2.9, 0, 1), ("1", 0, 1), (True, 0, 1)):
+        with pytest.raises(InputError, match="is not an int"):
+            table.apply(bad)
+    with pytest.raises(InputError, match="is not a point of PG"):
+        table.apply(proj_point(QQ, (2, 0, 1)))
+    assert table.apply((2, 0, 1)) == (1, 0, 2)
+
+
+def test_hypothesis_check_refuses_anchors_that_are_not_exact_points_of_pg():
+    table = proj_table_from_map(proj_identity(PrimeField(3), 2), 3)
+    for bad in ((2.9, 0, 1), proj_point(QQ, (2, 1, 0))):
+        with pytest.raises(InputError):
+            check_projective_hypotheses(table, [bad])

@@ -12,29 +12,28 @@ PUBLIC = [
     "PlaneForm", "PrimeField", "ProjLinearMap", "ProjPoint", "ProjReport",
     "ProjTable", "ProjViolation", "QQ", "Rationals", "ResourceError",
     "ScalarFunctionTable", "SharpMapSpec", "SpanInvariantReport",
-    "StandardFamilyReport", "UndecidableByFrame", "UnivariateCurve", "Violation",
-    "bijections_fixing_0_1", "build_constraints", "check_family",
-    "check_projective_hypotheses", "check_standard_family", "collineations",
-    "compose", "constraints", "construct_sharp_map", "curve_lies_in_line",
+    "StandardFamilyReport", "UnivariateCurve", "Violation", "bijections_fixing_0_1",
+    "build_constraints", "check_family", "check_projective_hypotheses",
+    "check_standard_family", "compose", "construct_sharp_map", "curve_lies_in_line",
     "decide_projective_linear", "delta_to_mask", "embed_affine_table",
-    "enumerate_lines", "evaluate", "exact", "example_r3_map",
-    "exhaustive_bijection_search", "field_from_json", "field_to_json",
-    "fifth_direction_refutation", "four_direction_form", "grid_points",
-    "identity_map", "identity_matrix", "identity_table", "inverse", "is_additive",
-    "is_j_independent", "is_multiplicative", "lines_through", "map_from_json",
-    "map_to_json", "mask_to_delta", "mat_mul", "mat_vec", "matrix", "multiaffine",
-    "multiplicative_injections", "noninjective_r4_variant", "normalize_coords",
-    "nullspace", "parallelism_report", "pg_points", "point_index",
-    "points_collinear", "proj_general_position", "proj_identity", "proj_point",
-    "proj_table_from_json", "proj_table_from_map", "proj_table_to_json",
-    "projective", "rank_of_vectors", "ratio_criterion", "recover_diagonal_form",
-    "recover_plane_form", "reduce_mod", "restrict_to_line", "rref", "s_family",
-    "sample_constrained_map", "satisfies_constraints", "scalars", "sharp_r4_map",
-    "solve", "split", "standard_family", "table_from_function", "table_from_json",
-    "table_to_json", "tabulate", "tabulate_diagonal_form",
-    "transform_from_correspondence", "unit_vector", "vector", "vectors_parallel",
-    "verify_additive_rigidity", "verify_diagonal_rigidity",
-    "verify_multiplicative_rigidity", "verify_span_invariants",
+    "enumerate_lines", "evaluate", "example_r3_map", "exhaustive_bijection_search",
+    "field_from_json", "field_to_json", "fifth_direction_refutation",
+    "four_direction_form", "grid_points", "identity_map", "identity_matrix",
+    "identity_table", "inverse", "is_additive", "is_j_independent",
+    "is_multiplicative", "lines_through", "map_from_json", "map_to_json",
+    "mask_to_delta", "mat_mul", "mat_vec", "matrix", "multiplicative_injections",
+    "noninjective_r4_variant", "normalize_coords", "nullspace",
+    "parallelism_report", "pg_points", "point_index", "points_collinear",
+    "proj_general_position", "proj_identity", "proj_point", "proj_table_from_json",
+    "proj_table_from_map", "proj_table_to_json", "rank_of_vectors",
+    "ratio_criterion", "recover_diagonal_form", "recover_plane_form", "reduce_mod",
+    "restrict_to_line", "rref", "s_family", "sample_constrained_map",
+    "satisfies_constraints", "sharp_r4_map", "solve", "split", "standard_family",
+    "table_from_function", "table_from_json", "table_to_json", "tabulate",
+    "tabulate_diagonal_form", "transform_from_correspondence", "unit_vector",
+    "vector", "vectors_parallel", "verify_additive_rigidity",
+    "verify_diagonal_rigidity", "verify_multiplicative_rigidity",
+    "verify_span_invariants",
 ]
 
 
