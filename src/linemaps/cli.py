@@ -244,8 +244,7 @@ def cmd_decide_proj(args) -> int:
 
 def cmd_exhaust(args) -> int:
     fam = LineFamily(QQ, args.n, tuple(_load_directions(args, args.n)))
-    tables = exhaustive_bijection_search(args.p, args.n, fam, args.mode,
-                                         max_points=args.budget)
+    tables = exhaustive_bijection_search(args.p, args.n, fam, max_points=args.budget)
     _emit({"count": len(tables),
            "tables": [table_to_json(t) for t in tables]}, args.out)
     return 0
@@ -350,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dirs", help="direction list")
     p.add_argument("--dirs-file")
-    p.add_argument("--mode", choices=["into", "onto"], default="onto")
+    p.add_argument("--mode", choices=["into", "onto"], default="onto",
+                   help="has no effect: into and onto agree for bijections")
     p.add_argument("--out", default=None)
     p.add_argument("--budget", type=int, default=9,
                    help="largest grid size the (grid!)-search may attempt")

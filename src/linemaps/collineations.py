@@ -19,7 +19,7 @@ from .exact import (
     ResourceError, Vector, _to_json, exact_int, inverse, normalize_coords,
     rank_of_vectors, unit_vector, vector, vectors_parallel,
 )
-from .multiaffine import _grid_size, grid_points, point_index
+from .multiaffine import DEFAULT_POINT_BUDGET, _grid_size, grid_points, point_index
 
 Point = Tuple[int, ...]
 
@@ -150,6 +150,7 @@ def _grid_point(p: int, n: int, point: Sequence[int]) -> Point:
 
 def table_from_function(p: int, n: int, m: int, fn: Callable[[Point], Sequence[int]]) -> FiniteMapTable:
     PrimeField(p)  # validates p before the grid is walked
+    _grid_size(p, n, DEFAULT_POINT_BUDGET, "point budget")
     values = []
     for x in grid_points(p, n):
         y = tuple(exact_int(c, "function value") % p for c in fn(x))
@@ -706,18 +707,15 @@ def _backtrack(domains: Sequence[Sequence[int]],
 
 
 def exhaustive_bijection_search(p: int, n: int, fam: LineFamily,
-                                mode: str = "onto",
                                 max_points: int = 9) -> List[FiniteMapTable]:
     """All bijections of (Z_p)^n sending every family line onto a line, in
     lexicographic order of the value table.
 
     The search kernel fills the grid positions line by line and prunes as
-    soon as a completed line has a non-collinear image.  For bijections the
-    into and onto modes coincide (p distinct collinear points fill their
-    line), so the mode argument only validates the caller's intent.
+    soon as a completed line has a non-collinear image.  For bijections into
+    and onto coincide (p distinct collinear points fill their line), so the
+    search takes no mode.
     """
-    if mode not in ("into", "onto"):
-        raise InputError(f"mode must be 'into' or 'onto', got {mode!r}")
     PrimeField(p)
     total = _grid_size(p, n, max_points, "search guard")
     # the identity table checks every grid point once; survivors are

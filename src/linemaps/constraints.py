@@ -30,7 +30,7 @@ from .exact import (
     Scalar, Vector, nullspace, rank, unit_vector, vector, zero_vector,
 )
 from .multiaffine import (
-    MultiAffineMap, curve_lies_in_line, mask_to_delta, restrict_to_line,
+    DEFAULT_POINT_BUDGET, MultiAffineMap, curve_lies_in_line, mask_to_delta, restrict_to_line,
 )
 
 RowLabel = Tuple  # ("vanish", mask) or ("sum", k, sorted index tuple)
@@ -156,7 +156,12 @@ def satisfies_constraints(map_: MultiAffineMap) -> ConstraintCheck:
     Reports the first violated row (and the coordinate it fails in).
 
     Each condition is evaluated over the map's own nonzero coefficients,
-    without building the system's rows."""
+    without building the system's rows, but the row labels sort all 2^n
+    masks: past the point budget, which 2^n passes exactly when n reaches
+    the budget's bit length, the map is refused."""
+    if map_.n >= DEFAULT_POINT_BUDGET.bit_length():
+        raise ResourceError(f"the constraint system for n = {map_.n} has more than "
+                            f"{DEFAULT_POINT_BUDGET} unknowns")
     F = map_.field
     by_degree: Dict[int, List[Tuple[int, Vector]]] = {}
     for mask, u in map_.coeffs.items():
@@ -168,10 +173,7 @@ def satisfies_constraints(map_: MultiAffineMap) -> ConstraintCheck:
             s_mask = _subset_mask(label[2])
             terms = [u for mask, u in by_degree.get(label[1], ())
                      if mask & s_mask == s_mask]
-        for j in range(map_.m):
-            tally = F.zero()
-            for u in terms:
-                tally = F.add(tally, u[j])
+        for j, tally in enumerate(map(sum, zip(*terms))):
             if not F.is_zero(tally):
                 return ConstraintCheck(False, ri, label, j)
     return ConstraintCheck(True)
@@ -220,18 +222,17 @@ def _symbolic_excess_degree(map_: MultiAffineMap, b: Vector) -> int:
         bits = [i for i in range(map_.n) if mask >> i & 1]
         for r in range(2, size + 1):         # r = number of t factors
             for chosen in itertools.combinations(bits, r):
-                coeff = F.one()
+                coeff = 1
                 for i in chosen:
-                    coeff = F.mul(coeff, b[i])
+                    coeff *= b[i]
                 if F.is_zero(coeff):
                     continue
                 t_mask = 0
                 for i in chosen:
                     t_mask |= 1 << i
-                acc = totals.setdefault((mask ^ t_mask, r),
-                                        list(zero_vector(F, map_.m)))
-                for j in range(map_.m):
-                    acc[j] = F.add(acc[j], F.mul(coeff, u[j]))
+                acc = totals.setdefault((mask ^ t_mask, r), [0] * map_.m)
+                for j, x in enumerate(u):
+                    acc[j] += coeff * x
     worst = 0
     for (_t_mono, r), acc in totals.items():
         if any(not F.is_zero(c) for c in acc):
@@ -284,6 +285,14 @@ def construct_sharp_map(dim: int) -> SharpMapSpec:
     if dim < 4 or dim % 2:
         raise InputError("sharp construction needs an even dimension >= 4")
     k = dim // 2
+    # the dense system has C(dim, k-2) >= dim rows and C(dim-1, k) >=
+    # 2^(dim-1) / dim columns, at least 2^(dim-1) entries: past the bound's
+    # bit length it is refused without a binomial.  dim = 14 has 3,435,432
+    # entries and is the largest dim under the bound; dim = 16 has 51,531,480
+    if (dim > _DENSE_ENTRY_BUDGET.bit_length()
+            or comb(dim, k - 2) * comb(dim - 1, k) > _DENSE_ENTRY_BUDGET):
+        raise ResourceError(f"the sharp system for dim = {dim} has more than "
+                            f"{_DENSE_ENTRY_BUDGET} dense entries")
     last_bit = 1 << (dim - 1)
     unknowns = tuple(m for m in _ordered_masks(dim)
                      if m.bit_count() == k and not m & last_bit)
@@ -313,8 +322,8 @@ def sharp_r4_map(field: Field = QQ) -> MultiAffineMap:
     """(x1, x2, x3, x4 + x1 x2 - x1 x3): the corrected dimension-4 sharp map."""
     one, zero = field.one(), field.zero()
     coeffs: Dict[int, Vector] = {1 << i: unit_vector(field, 4, i) for i in range(4)}
-    coeffs[0b0011] = (zero, zero, zero, one)               # +x1 x2
-    coeffs[0b0101] = (zero, zero, zero, field.neg(one))    # -x1 x3
+    coeffs[0b0011] = (zero, zero, zero, one)                # +x1 x2
+    coeffs[0b0101] = (zero, zero, zero, field.convert(-1))  # -x1 x3
     return MultiAffineMap(4, 4, field, coeffs)
 
 
@@ -325,8 +334,8 @@ def noninjective_r4_variant(field: Field = QQ) -> MultiAffineMap:
     executable example; see the collision exhibited in the test suite."""
     one, zero = field.one(), field.zero()
     coeffs: Dict[int, Vector] = {1 << i: unit_vector(field, 4, i) for i in range(4)}
-    coeffs[0b0110] = (zero, zero, zero, field.neg(one))    # -x2 x3
-    coeffs[0b1010] = (zero, zero, zero, one)               # +x2 x4
+    coeffs[0b0110] = (zero, zero, zero, field.convert(-1))  # -x2 x3
+    coeffs[0b1010] = (zero, zero, zero, one)                # +x2 x4
     return MultiAffineMap(4, 4, field, coeffs)
 
 
@@ -355,16 +364,16 @@ def four_direction_form(alpha: Scalar, variant: int, field: Field = QQ) -> Multi
             0b001: (one, zero, zero),
             0b010: (zero, one, zero),
             0b100: (zero, zero, one),
-            0b101: (a, a, zero),                          # +a x1 x3
-            0b110: (field.neg(a), field.neg(a), zero),    # -a x2 x3
+            0b101: (a, a, zero),                                  # +a x1 x3
+            0b110: (field.convert(-a), field.convert(-a), zero),  # -a x2 x3
         }
     elif variant == 2:
         coeffs = {
             0b001: (one, zero, zero),
             0b010: (zero, one, zero),
-            0b100: (field.neg(one), zero, a),             # x3 enters 1st and 3rd
-            0b011: (zero, zero, one),                     # +x1 x2
-            0b110: (zero, zero, field.neg(one)),          # -x2 x3
+            0b100: (field.convert(-1), zero, a),     # x3 enters 1st and 3rd
+            0b011: (zero, zero, one),                 # +x1 x2
+            0b110: (zero, zero, field.convert(-1)),   # -x2 x3
         }
     else:
         raise InputError("variant must be 1 or 2")

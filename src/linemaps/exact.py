@@ -8,6 +8,11 @@ denominators and updated fraction-free, prime-field rows are reduced mod p.
 Everything here is a pure function over immutable values.  No floats, ever:
 rationals are `fractions.Fraction` (canonical lowest terms), prime-field
 elements are plain ints reduced to 0..p-1.  All equality is exact equality.
+
+A field is its element type plus one reduction, `convert`.  Kernels combine
+elements with +, - and *, leave the intermediate values unreduced (an int
+over Q, an int of any size over Z_p), test them for zero only through
+`is_zero`, and reduce each value once, through `convert`, before storing it.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import itertools
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 
@@ -89,18 +95,6 @@ class Rationals:
     def one(self) -> Fraction:
         return Fraction(1)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
@@ -169,18 +163,6 @@ class PrimeField:
 
     def one(self) -> int:
         return 1
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def inv(self, a):
         if a % self.p == 0:
@@ -266,10 +248,10 @@ def vector(field: Field, entries: Iterable) -> Vector:
     return tuple(field.convert(x) for x in entries)
 
 def vec_add(field: Field, a: Vector, b: Vector) -> Vector:
-    return tuple(field.add(x, y) for x, y in zip(a, b))
+    return tuple([field.convert(x + y) for x, y in zip(a, b)])
 
 def vec_scale(field: Field, c: Scalar, a: Vector) -> Vector:
-    return tuple(field.mul(c, x) for x in a)
+    return tuple([field.convert(c * x) for x in a])
 
 def vec_is_zero(field: Field, a: Vector) -> bool:
     return all(field.is_zero(x) for x in a)
@@ -301,7 +283,7 @@ def normalize_coords(p: int, raw: Sequence[int]) -> Tuple[int, ...]:
 def vectors_parallel(field: Field, a: Vector, b: Vector) -> bool:
     """True iff a and b span the same 1-dim subspace or one of them is zero."""
     for i, j in itertools.combinations(range(len(a)), 2):
-        if not field.is_zero(field.sub(field.mul(a[i], b[j]), field.mul(a[j], b[i]))):
+        if not field.is_zero(a[i] * b[j] - a[j] * b[i]):
             return False
     return True
 
@@ -355,30 +337,16 @@ def mat_vec(m: Matrix, x: Vector) -> Vector:
     if len(x) != m.ncols:
         raise InputError("matrix/vector size mismatch")
     F = m.field
-    out = []
-    for r in m.rows:
-        s = F.zero()
-        for a, b in zip(r, x):
-            s = F.add(s, F.mul(a, b))
-        out.append(s)
-    return tuple(out)
+    return tuple([F.convert(sum(map(mul, r, x))) for r in m.rows])
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.ncols != b.nrows or a.field != b.field:
         raise InputError("matrix product size/field mismatch")
-    bt = b.transpose()
     F = a.field
-    rows = []
-    for r in a.rows:
-        row = []
-        for c in bt.rows:
-            s = F.zero()
-            for x, y in zip(r, c):
-                s = F.add(s, F.mul(x, y))
-            row.append(s)
-        rows.append(tuple(row))
-    return Matrix(F, tuple(rows))
+    cols = b.transpose().rows
+    return Matrix(F, tuple(tuple([F.convert(sum(map(mul, r, c))) for c in cols])
+                           for r in a.rows))
 
 
 @dataclass(frozen=True)
@@ -526,7 +494,7 @@ def nullspace(m: Matrix) -> list:
         pivots.add(pc)
         for k, v in row.items():
             if k != pc:
-                in_column.setdefault(k, []).append((pc, F.neg(v)))
+                in_column.setdefault(k, []).append((pc, F.convert(-v)))
     basis = []
     for j in range(m.ncols):
         if j in pivots:

@@ -75,21 +75,18 @@ def evaluate(map_: MultiAffineMap, x: Vector) -> Vector:
         raise InputError(f"point has length {len(x)}, map domain is {map_.n}")
     F = map_.field
     x = vector(F, x)
-    out = list(zero_vector(F, map_.m))
+    out = [0] * map_.m
     for mask, u in map_.coeffs.items():
-        prod = F.one()
+        prod = 1
         mm = mask
         while mm:
             i = (mm & -mm).bit_length() - 1
-            prod = F.mul(prod, x[i])
-            if F.is_zero(prod):
-                break
+            prod *= x[i]
             mm &= mm - 1
-        if F.is_zero(prod):
-            continue
-        for j in range(map_.m):
-            out[j] = F.add(out[j], F.mul(prod, u[j]))
-    return tuple(out)
+        if not F.is_zero(prod):
+            for j, c in enumerate(u):
+                out[j] += prod * c
+    return tuple([F.convert(s) for s in out])
 
 
 @dataclass(frozen=True)
@@ -152,26 +149,22 @@ def restrict_to_line(map_: MultiAffineMap, a: Vector, b: Vector) -> UnivariateCu
     b = vector(F, b)
     if vec_is_zero(F, b):
         raise InputError("direction must be nonzero")
-    coeffs = [list(zero_vector(F, map_.m)) for _ in range(map_.n + 1)]
+    # unreduced sums; UnivariateCurve reduces each coefficient once
+    coeffs = [[0] * map_.m for _ in range(map_.n + 1)]
     for mask, u in map_.coeffs.items():
         # multiply out prod_{i in mask} (a_i + t b_i), lowest degree first
-        poly = [F.one()]
+        poly = [1]
         mm = mask
         while mm:
             i = (mm & -mm).bit_length() - 1
             mm &= mm - 1
-            nxt = [F.zero()] * (len(poly) + 1)
-            for k, c in enumerate(poly):
-                nxt[k] = F.add(nxt[k], F.mul(c, a[i]))
-                nxt[k + 1] = F.add(nxt[k + 1], F.mul(c, b[i]))
-            poly = nxt
+            poly = [c * a[i] + d * b[i] for c, d in zip(poly + [0], [0] + poly)]
         for k, c in enumerate(poly):
-            if F.is_zero(c):
-                continue
-            row = coeffs[k]
-            for j in range(map_.m):
-                row[j] = F.add(row[j], F.mul(c, u[j]))
-    return UnivariateCurve(map_.m, F, tuple(tuple(c) for c in coeffs))
+            if not F.is_zero(c):
+                row = coeffs[k]
+                for j, x in enumerate(u):
+                    row[j] += c * x
+    return UnivariateCurve(map_.m, F, tuple(map(tuple, coeffs)))
 
 
 def curve_lies_in_line(curve: UnivariateCurve) -> bool:
@@ -198,20 +191,13 @@ def compose(left: AffineMap, map_: MultiAffineMap, right: AffineMap) -> MultiAff
         raise InputError("dimension mismatch in composition")
     n_in = right.matrix.ncols
 
-    # polynomial accumulator: exponent tuple (len n_in) -> coefficient vector
+    # polynomial accumulator: exponent tuple (len n_in) -> coefficient
+    # vector, unreduced until the left map's mat_vec reduces it
     acc: Dict[Tuple[int, ...], list] = {}
-
-    def add_term(expo: Tuple[int, ...], coeff: Scalar, u: Vector):
-        row = acc.get(expo)
-        if row is None:
-            row = list(zero_vector(F, map_.m))
-            acc[expo] = row
-        for j in range(map_.m):
-            row[j] = F.add(row[j], F.mul(coeff, u[j]))
 
     for mask, u in map_.coeffs.items():
         # product over i in mask of the affine form (row i of right)
-        terms: Dict[Tuple[int, ...], Scalar] = {tuple([0] * n_in): F.one()}
+        terms: Dict[Tuple[int, ...], Scalar] = {tuple([0] * n_in): 1}
         mm = mask
         while mm:
             i = (mm & -mm).bit_length() - 1
@@ -230,11 +216,12 @@ def compose(left: AffineMap, map_: MultiAffineMap, right: AffineMap) -> MultiAff
                         e2 = list(expo)
                         e2[var] += 1
                         e2 = tuple(e2)
-                    prev = nxt.get(e2, F.zero())
-                    nxt[e2] = F.add(prev, F.mul(c, coeff))
+                    nxt[e2] = nxt.get(e2, 0) + c * coeff
             terms = {e: c for e, c in nxt.items() if not F.is_zero(c)}
         for expo, c in terms.items():
-            add_term(expo, c, u)
+            row = acc.setdefault(expo, [0] * map_.m)
+            for j, x in enumerate(u):
+                row[j] += c * x
 
     out_coeffs: Dict[int, Vector] = {}
     for expo, row in acc.items():

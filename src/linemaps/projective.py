@@ -36,7 +36,7 @@ def _scaled(field: Field, entries: Sequence, zero_message: str) -> Tuple:
     if pivot is None:
         raise InputError(zero_message)
     inv = field.inv(pivot)
-    return tuple(field.mul(inv, x) for x in entries)
+    return tuple([field.convert(inv * x) for x in entries])
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,7 @@ def _frame_matrix(field: Field, lifts: Sequence[Vector]) -> Optional[Matrix]:
     if lam is None:
         return None
     k = len(lam)
-    return Matrix(field, tuple(tuple(field.mul(lam[j], lifts[j][i]) for j in range(k))
+    return Matrix(field, tuple(tuple([field.convert(lam[j] * lifts[j][i]) for j in range(k)])
                                for i in range(k)))
 
 
@@ -376,7 +376,7 @@ def split(point: ProjPoint):
     if F.is_zero(last):
         return "frontier", ProjPoint(F, point.coords[:-1])
     inv = F.inv(last)
-    return "affine", tuple(F.mul(inv, c) for c in point.coords[:-1])
+    return "affine", tuple([F.convert(inv * c) for c in point.coords[:-1]])
 
 
 def embed_affine_table(table) -> ProjTable:

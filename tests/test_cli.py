@@ -485,6 +485,16 @@ def test_a_constraint_system_past_the_dense_bound_trips_its_guard(capsys):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("dim", ("16", "1000000"))
+def test_a_sharp_system_past_the_dense_bound_trips_its_guard(capsys, dim):
+    # dim = 16 once built its 51,531,480 dense entries and ran on for more
+    # than 30 s; a huge dim is refused without a binomial
+    code, elapsed, err = _exit_code_and_time(capsys, ["construct-sharp", "--dim", dim])
+    assert code == 3 and err.startswith("resource guard: ")
+    assert f"dim = {dim}" in err and "Traceback" not in err
+    assert elapsed < 1.0
+
+
 def test_projective_tables_need_n_at_least_one(capsys, tmp_path):
     # n = 0 and n = -1 once reached the decision procedure and exited 1
     # with "decided": false

@@ -4,6 +4,7 @@ span invariants, and the exhaustive bijection search."""
 from __future__ import annotations
 
 import itertools
+import time
 from functools import lru_cache
 from random import Random
 
@@ -124,6 +125,17 @@ def test_grid_entry_points_reject_a_p_that_is_not_an_int(entry):
             "table_from_function": lambda: table_from_function(3.0, 1, 1, lambda x: x)}[entry]
     with pytest.raises(InputError, match="p 3.0 is not an int"):
         call()
+
+
+@pytest.mark.parametrize("n", (13, 10 ** 4))
+def test_table_from_function_refuses_a_grid_past_the_point_budget(n):
+    # 3^13 = 1,594,323 points were built in 1.7 s before the budget was read
+    calls = []
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceError, match=f"3\\^{n} points exceeds the point budget"):
+        table_from_function(3, n, 1, lambda x: calls.append(x) or (0,))
+    assert time.perf_counter() - t0 < 1.0
+    assert calls == []
 
 
 @st.composite
@@ -771,15 +783,12 @@ def test_plane_form_cross_term_tracks_parallelism():
 
 def test_exhaustive_search_on_the_plane_mod_3():
     fam = standard_family(QQ, 2)
-    onto = exhaustive_bijection_search(3, 2, fam, mode="onto")
-    assert len(onto) == 432
+    survivors = exhaustive_bijection_search(3, 2, fam)
+    assert len(survivors) == 432
     # results are sorted by value table; the identity grid comes first
-    values = [t.values for t in onto]
+    values = [t.values for t in survivors]
     assert values == sorted(values)
-    assert onto[0].values == tuple(grid_points(3, 2))
-    # for bijections the into search returns the same set
-    into = exhaustive_bijection_search(3, 2, fam, mode="into")
-    assert [t.values for t in into] == values
+    assert survivors[0].values == tuple(grid_points(3, 2))
 
 
 def test_exhaustive_search_with_diagonal_direction_mod_3():

@@ -4,6 +4,7 @@ four-direction examples with their fifth-direction refutation."""
 from __future__ import annotations
 
 import dataclasses
+import time
 from fractions import Fraction
 from math import comb
 from random import Random
@@ -61,6 +62,18 @@ def test_the_dense_guard_counts_the_rows_in_closed_form():
     for n in (13, 40, 10 ** 9):
         with pytest.raises(ResourceError, match=f"n = {n} has more than"):
             build_constraints(n)
+
+
+def test_the_membership_check_refuses_a_map_past_the_point_budget():
+    # the row labels sort all 2^n masks, even for a map with no coefficients:
+    # n = 20 is the least n with 2^n past the budget, and 2^40 is not built
+    for n in (20, 40):
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceError, match=f"n = {n} has more than"):
+            satisfies_constraints(MultiAffineMap(n, 1, QQ, {}))
+        with pytest.raises(ResourceError, match=f"n = {n} has more than"):
+            check_standard_family(MultiAffineMap(n, 1, QQ, {}))
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_three_variable_system_is_one_vanishing_plus_one_sum_row():
@@ -134,7 +147,7 @@ def _first_violated_row(map_):
             for ci, c in enumerate(row):
                 u = map_.coeffs.get(system.unknowns[ci])
                 if c and u is not None:
-                    tally = F.add(tally, F.mul(F.convert(c), u[j]))
+                    tally = F.convert(tally + F.convert(c) * u[j])
             if not F.is_zero(tally):
                 return ri, system.labels[ri], j
     return None

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -42,17 +43,17 @@ from linemaps.exact import _is_prime
 def test_rationals_are_exact():
     a = QQ.convert(Fraction(1, 3))
     b = QQ.convert(Fraction(1, 6))
-    assert QQ.add(a, b) == Fraction(1, 2)
-    assert QQ.mul(a, QQ.inv(a)) == 1
+    assert QQ.convert(a + b) == Fraction(1, 2)
+    assert QQ.convert(a * QQ.inv(a)) == 1
     assert QQ.parse(QQ.to_json(Fraction(-7, 12))) == Fraction(-7, 12)
 
 
 def test_prime_field_arithmetic():
     F = PrimeField(7)
-    assert F.add(5, 4) == 2
-    assert F.mul(3, 5) == 1
+    assert F.convert(5 + 4) == 2
+    assert F.convert(3 * 5) == 1
     assert F.inv(3) == 5
-    assert F.neg(0) == 0
+    assert F.convert(-0) == 0
     assert sorted(F.iter_elements()) == list(range(7))
 
 
@@ -245,6 +246,37 @@ def test_solve_returns_exact_solutions(m, raw):
         assert mat_vec(m, x) == rhs
 
 
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_reduce_once_kernels_agree_with_the_rationals_mod_p(p):
+    # over Z_p the kernels sum and multiply unreduced ints and reduce once:
+    # on integer matrices that must equal exact arithmetic over Q, reduced
+    F = PrimeField(p)
+    rng = Random(p)
+
+    def reduced(m):
+        return tuple(tuple(F.convert(x) for x in row) for row in m.rows)
+
+    inverses = 0
+    for _ in range(40):
+        k, l, c = (rng.randint(1, 4) for _ in range(3))
+        a = [[rng.randint(-9, 9) for _ in range(l)] for _ in range(k)]
+        b = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(l)]
+        x = [rng.randint(-9, 9) for _ in range(l)]
+        assert mat_vec(matrix(F, a), vector(F, x)) == tuple(
+            F.convert(y) for y in mat_vec(matrix(QQ, a), vector(QQ, x)))
+        assert mat_mul(matrix(F, a), matrix(F, b)).rows == reduced(
+            mat_mul(matrix(QQ, a), matrix(QQ, b)))
+        square = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
+        try:
+            inv = inverse(matrix(F, square))
+        except InputError:
+            continue  # singular mod p
+        # a unit determinant mod p is a nonzero one over Q
+        assert inv.rows == reduced(inverse(matrix(QQ, square)))
+        inverses += 1
+    assert inverses >= 20
+
+
 # ---------------------------------------------------------------------------
 # the elimination kernel against independent oracles
 # ---------------------------------------------------------------------------
@@ -264,11 +296,11 @@ def _gauss_jordan(m):
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        rows[r] = [F.convert(inv * x) for x in rows[r]]
         for i in range(nrows):
             if i != r and not F.is_zero(rows[i][c]):
                 factor = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+                rows[i] = [F.convert(x - factor * y) for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == nrows:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -16,18 +17,24 @@ from linemaps import (
     ResourceError,
     check_family,
     compose,
+    construct_sharp_map,
     curve_lies_in_line,
     delta_to_mask,
     evaluate,
     example_r3_map,
+    four_direction_form,
+    grid_points,
     identity_map,
     identity_matrix,
     map_from_json,
     map_to_json,
     mask_to_delta,
     matrix,
+    noninjective_r4_variant,
     reduce_mod,
     restrict_to_line,
+    sample_constrained_map,
+    sharp_r4_map,
     tabulate,
     vector,
 )
@@ -177,6 +184,29 @@ def test_tabulate_agrees_with_evaluate():
     m = reduce_mod(example_r3_map(QQ), 3)
     table = tabulate(m)
     assert table.apply((1, 2, 0)) == tuple(evaluate(m, (1, 2, 0)))
+
+
+def _maps_over_q():
+    """Seeded constraint solutions and the stock examples, over Q, every
+    denominator prime to 3, 5 and 7."""
+    rng = Random(18)
+    return [*(sample_constrained_map(n, m, rng) for n, m in ((2, 2), (3, 3), (3, 2))
+              for _ in range(3)),
+            example_r3_map(QQ), four_direction_form(Fraction(2, 11), 1),
+            four_direction_form(Fraction(-5, 4), 2), sharp_r4_map(QQ),
+            noninjective_r4_variant(QQ), construct_sharp_map(4).map, identity_map(QQ, 3)]
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_reduce_once_agrees_with_the_rationals_mod_p(p):
+    # over Z_p evaluate sums and multiplies unreduced ints and reduces once:
+    # at every grid point that must equal exact evaluation over Q, reduced
+    F = PrimeField(p)
+    for mp in _maps_over_q():
+        red = reduce_mod(mp, p)
+        for x, got in zip(grid_points(p, mp.n), tabulate(red).values):
+            want = tuple(F.convert(y) for y in evaluate(mp, x))
+            assert evaluate(red, x) == got == want, (mp, x)
 
 
 def test_tabulate_budget_guard():

@@ -326,7 +326,7 @@ def assert_frame_test_matches_general_position(field, points):
     if weights is not None:
         combo = [field.zero()] * len(lifts[0])
         for w, lift in zip(weights, lifts):
-            combo = [field.add(c, field.mul(w, x)) for c, x in zip(combo, lift)]
+            combo = [field.convert(c + w * x) for c, x in zip(combo, lift)]
         assert tuple(combo) == lifts[-1]
 
 
