@@ -16,18 +16,20 @@ from .exact import (
     nullspace, rank_of_vectors, rref, solve, unit_vector, vector,
     vectors_parallel,
 )
+from .grid import (
+    DEFAULT_POINT_BUDGET, FiniteMapTable, LineFamily, enumerate_lines, grid_points,
+    point_index, s_family, standard_family, table_from_function, table_from_json,
+    table_to_json,
+)
 from .multiaffine import (
-    AffineMap, DEFAULT_POINT_BUDGET, MultiAffineMap, UnivariateCurve, compose,
-    curve_lies_in_line, delta_to_mask, evaluate, grid_points, identity_map,
-    map_from_json, map_to_json, mask_to_delta, point_index, reduce_mod,
-    restrict_to_line, tabulate,
+    AffineMap, MultiAffineMap, UnivariateCurve, compose, curve_lies_in_line,
+    delta_to_mask, evaluate, identity_map, map_from_json, map_to_json,
+    mask_to_delta, reduce_mod, restrict_to_line, tabulate,
 )
 from .collineations import (
-    DiagonalForm, FamilyReport, FiniteMapTable, LineFamily, PlaneForm,
-    SpanInvariantReport, Violation, check_family, enumerate_lines,
-    exhaustive_bijection_search, parallelism_report, points_collinear,
-    recover_diagonal_form, recover_plane_form, s_family, standard_family,
-    table_from_function, table_from_json, table_to_json,
+    DiagonalForm, FamilyReport, PlaneForm, SpanInvariantReport, Violation,
+    check_family, exhaustive_bijection_search, parallelism_report,
+    points_collinear, recover_diagonal_form, recover_plane_form,
     tabulate_diagonal_form, verify_span_invariants,
 )
 from .constraints import (

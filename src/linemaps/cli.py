@@ -21,9 +21,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .collineations import (
-    FiniteMapTable, LineFamily, check_family, exhaustive_bijection_search,
-    parallelism_report, recover_diagonal_form, recover_plane_form, table_from_json,
-    table_to_json,
+    check_family, exhaustive_bijection_search, parallelism_report, recover_diagonal_form,
+    recover_plane_form,
 )
 from .constraints import (
     build_constraints, construct_sharp_map, example_r3_map,
@@ -34,9 +33,10 @@ from .exact import (
     Field, InputError, InternalInconsistencyError, PrimeField, QQ,
     ResourceError, unit_vector,
 )
-from .multiaffine import (
-    DEFAULT_POINT_BUDGET, map_from_json, map_to_json, reduce_mod, tabulate,
+from .grid import (
+    DEFAULT_POINT_BUDGET, FiniteMapTable, LineFamily, table_from_json, table_to_json,
 )
+from .multiaffine import map_from_json, map_to_json, reduce_mod, tabulate
 from .projective import decide_projective_linear, proj_table_from_json
 from .scalars import (
     ratio_criterion, verify_additive_rigidity, verify_diagonal_rigidity,

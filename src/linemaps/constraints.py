@@ -24,14 +24,12 @@ from math import comb
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
-from .collineations import standard_family
 from .exact import (
     Field, InputError, InternalInconsistencyError, Matrix, QQ, ResourceError,
     Scalar, Vector, nullspace, rank, unit_vector, vector, zero_vector,
 )
-from .multiaffine import (
-    DEFAULT_POINT_BUDGET, MultiAffineMap, curve_lies_in_line, mask_to_delta, restrict_to_line,
-)
+from .grid import DEFAULT_POINT_BUDGET, standard_family
+from .multiaffine import MultiAffineMap, curve_lies_in_line, mask_to_delta, restrict_to_line
 
 RowLabel = Tuple  # ("vanish", mask) or ("sum", k, sorted index tuple)
 

@@ -78,8 +78,6 @@ def _is_prime(p: int) -> bool:
 class Rationals:
     """The field Q.  Elements are Fraction values in lowest terms."""
 
-    kind = "rational"
-
     def convert(self, x) -> Fraction:
         if isinstance(x, Fraction):
             return x
@@ -105,9 +103,6 @@ class Rationals:
 
     def contains(self, a) -> bool:
         return isinstance(a, Fraction)
-
-    def iter_elements(self):
-        raise InputError("Q is not enumerable")
 
     def to_json(self, a) -> str:
         return str(a)
@@ -135,8 +130,6 @@ class PrimeField:
     p = 2 is rejected: the plane-form recovery needs at least three parallel
     lines per direction, and the whole toolkit follows that convention.
     """
-
-    kind = "prime"
 
     def __init__(self, p: int):
         # exactly an int: a float p would pass the prime test and make floats
@@ -174,9 +167,6 @@ class PrimeField:
 
     def contains(self, a) -> bool:
         return isinstance(a, int) and 0 <= a < self.p
-
-    def iter_elements(self):
-        return range(self.p)
 
     def to_json(self, a) -> int:
         return a % self.p

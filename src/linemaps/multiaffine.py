@@ -13,10 +13,11 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, Sequence, Tuple
 
 from .exact import (
-    Field, InputError, Matrix, PrimeField, ResourceError, Scalar, Vector,
+    Field, InputError, Matrix, PrimeField, Scalar, Vector,
     field_from_json, field_to_json, exact_int, mat_vec, unit_vector, vec_add, vec_is_zero,
     vec_scale, vector, vectors_parallel, zero_vector,
 )
+from .grid import DEFAULT_POINT_BUDGET, FiniteMapTable, _grid_size, grid_points
 
 
 def mask_to_delta(mask: int, n: int) -> Tuple[int, ...]:
@@ -251,41 +252,8 @@ def reduce_mod(map_: MultiAffineMap, p: int) -> MultiAffineMap:
 # tabulation over Z_p
 # ---------------------------------------------------------------------------
 
-DEFAULT_POINT_BUDGET = 10 ** 6
-
-
-def _grid_size(p: int, n: int, budget: int, guard: str) -> int:
-    """p^n, or a ResourceError naming p and n when it passes the budget.
-    p^n > 2^n, so once n reaches the budget's bit length no power is built."""
-    if n >= budget.bit_length() or p ** n > budget:
-        raise ResourceError(f"a grid of {p}^{n} points exceeds the {guard} of {budget} points")
-    return p ** n
-
-
-def grid_points(p: int, n: int):
-    """All of (Z_p)^n in lexicographic order (first coordinate most significant)."""
-    point = [0] * n
-    while True:
-        yield tuple(point)
-        i = n - 1
-        while i >= 0 and point[i] == p - 1:
-            point[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        point[i] += 1
-
-
-def point_index(p: int, point: Sequence[int]) -> int:
-    idx = 0
-    for x in point:
-        idx = idx * p + x % p
-    return idx
-
-
 def tabulate(map_: MultiAffineMap, budget: int = DEFAULT_POINT_BUDGET):
     """Evaluate the map on all p^n grid points, lexicographic index order."""
-    from .collineations import FiniteMapTable  # local import to avoid a cycle
     F = map_.field
     if not isinstance(F, PrimeField):
         raise InputError("tabulate needs a prime-field map")

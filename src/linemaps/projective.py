@@ -20,7 +20,7 @@ from .exact import (
     _reduced_rows, _to_json, exact_int, identity_matrix, inverse, is_j_independent,
     mat_mul, mat_vec, normalize_coords, rank_of_vectors, vector,
 )
-from .multiaffine import DEFAULT_POINT_BUDGET, point_index
+from .grid import DEFAULT_POINT_BUDGET, FiniteMapTable, point_index
 
 Coords = Tuple[int, ...]
 Line = Tuple[int, ...]  # the sorted indices into pg_points of a line's points
@@ -382,7 +382,6 @@ def split(point: ProjPoint):
 def embed_affine_table(table) -> ProjTable:
     """Extend a finite affine self-map table to PG(n,p) by acting as the
     identity on the frontier hyperplane."""
-    from .collineations import FiniteMapTable
     if not isinstance(table, FiniteMapTable):
         raise InputError("need a finite map table")
     if table.m != table.n:

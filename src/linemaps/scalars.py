@@ -13,8 +13,8 @@ from math import factorial, gcd
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
-from .collineations import _backtrack, _lines, _plane_directions, _plane_pencil
 from .exact import InputError, PrimeField, ResourceError, _to_json, exact_int
+from .grid import _backtrack, _lines, _plane_directions, _plane_pencil
 
 Table = Tuple[int, ...]
 

@@ -46,6 +46,7 @@ from linemaps import (
     exhaustive_bijection_search,
     fifth_direction_refutation,
     four_direction_form,
+    grid_points,
     matrix,
     noninjective_r4_variant,
     parallelism_report,
@@ -105,7 +106,7 @@ def test_c01_plane_survivors_fit_the_form_without_cross_term():
         for table in survivors:
             form = recover_plane_form(table)
             assert form.u3 == (0, 0)
-            assert tuple(form.apply(pt) for pt in table.domain()) == table.values
+            assert tuple(form.apply(pt) for pt in grid_points(3, 2)) == table.values
 
 
 # ===========================================================================

@@ -41,9 +41,10 @@ from linemaps import (
     vectors_parallel,
     verify_span_invariants,
 )
-from linemaps import collineations
-from linemaps.collineations import FamilyReport, Violation, _backtrack
+from linemaps import collineations, grid
+from linemaps.collineations import FamilyReport, Violation
 from linemaps.exact import InternalInconsistencyError
+from linemaps.grid import _backtrack
 
 
 def identity_table(p, n):
@@ -871,9 +872,9 @@ def test_search_node_counts(monkeypatch, dirs, nodes):
     # slots fill in the order the family's lines name them, and a line is
     # checked as its last slot fills: that fixes the work of each search
     fam = LineFamily(QQ, 2, dirs)
-    monkeypatch.setattr(collineations, "SEARCH_NODE_BUDGET", nodes)
+    monkeypatch.setattr(grid, "SEARCH_NODE_BUDGET", nodes)
     exhaustive_bijection_search(3, 2, fam)
-    monkeypatch.setattr(collineations, "SEARCH_NODE_BUDGET", nodes - 1)
+    monkeypatch.setattr(grid, "SEARCH_NODE_BUDGET", nodes - 1)
     with pytest.raises(ResourceError, match=f"budget of {nodes - 1} nodes"):
         exhaustive_bijection_search(3, 2, fam)
 

@@ -54,7 +54,6 @@ def test_prime_field_arithmetic():
     assert F.convert(3 * 5) == 1
     assert F.inv(3) == 5
     assert F.convert(-0) == 0
-    assert sorted(F.iter_elements()) == list(range(7))
 
 
 def test_prime_field_rejects_two_and_composites():

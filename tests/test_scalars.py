@@ -23,8 +23,8 @@ from linemaps import (
     verify_diagonal_rigidity,
     verify_multiplicative_rigidity,
 )
-from linemaps import collineations, grid_points, points_collinear
-from linemaps.collineations import _plane_pencil
+from linemaps import grid, grid_points, points_collinear
+from linemaps.grid import _plane_pencil
 from linemaps.scalars import (
     _brute_force_multiplicative_injections, _is_additive_image, _line_triples,
 )
@@ -178,9 +178,9 @@ def test_diagonal_search_node_counts(monkeypatch, p, nodes):
     # each pencil line is checked as triples (its first two points and one
     # other), each as soon as its slots fill: that fixes the work per p
     for x0 in ((1, 0), (0, 1), (1, 1)):
-        monkeypatch.setattr(collineations, "SEARCH_NODE_BUDGET", nodes)
+        monkeypatch.setattr(grid, "SEARCH_NODE_BUDGET", nodes)
         assert verify_diagonal_rigidity(p, x0=x0).ok
-        monkeypatch.setattr(collineations, "SEARCH_NODE_BUDGET", nodes - 1)
+        monkeypatch.setattr(grid, "SEARCH_NODE_BUDGET", nodes - 1)
         with pytest.raises(ResourceError, match=f"budget of {nodes - 1} nodes"):
             verify_diagonal_rigidity(p, x0=x0)
 
