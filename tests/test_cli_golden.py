@@ -108,6 +108,12 @@ GOLDEN = {
     "exhaust": (
         "exhaust --p 3 --n 2 --dirs e1,e2,1,1", 0,
         "bf3f94c895e28c226640b4d0f80dc2a6bdd2c862f4ffbb144cebdd6e6d3ae8a2"),
+    "exhaust-e1": (
+        "exhaust --p 3 --n 2 --dirs e1", 0,
+        "7b7145b98a8a3bcc4524d6a1816f9a645b442995cb114749e746d9fba8de5a2a"),
+    "exhaust-line-p7": (
+        "exhaust --p 7 --n 1 --dirs e1", 0,
+        "49e6c2813995d55380df97c1ab09bfca1f737317d9152d91bc42e5eb14d947af"),
     "exhaust-guard": (
         "exhaust --p 5 --n 3 --dirs e1,e2,e3", 3,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
