@@ -236,12 +236,23 @@ def _differences(table: FiniteMapTable, points: Sequence[Sequence[int]]) -> List
     return [tuple((a - b) % p for a, b in zip(values[point_index(p, x)], base)) for x in points]
 
 
-def _axis(table: FiniteMapTable, v: Sequence[int]) -> Tuple[Point, Tuple[int, ...]]:
-    """The map read along the direction v: w = F(v) - F(0) and the f with
-    F(a*v) - F(0) = f[a]*w for every a in Z_p."""
-    p = table.p
-    along = _differences(table, [[a * c for c in v] for a in range(p)])
-    return along[1], tuple(_scalar_along(p, d, along[1]) for d in along)
+def _axis(table: FiniteMapTable, along: Sequence[int]) -> Tuple[Point, Tuple[int, ...]]:
+    """The map read along a direction v, given the flat indices of the points
+    a*v for a = 0, ..., p-1: w = F(v) - F(0) and the f with
+    F(a*v) - F(0) = f[a]*w for every a, or raise if a point is off that axis.
+    f[a] is read at w's first nonzero entry, whose inverse is taken once."""
+    p, values = table.p, table.values
+    base = values[0]
+    diffs = [tuple((a - b) % p for a, b in zip(values[i], base)) for i in along]
+    w = diffs[1]
+    j0 = next((j for j, c in enumerate(w) if c), None)
+    if j0 is None:
+        raise InternalInconsistencyError("axis vector is zero")
+    inv = pow(w[j0], p - 2, p)
+    f = tuple(d[j0] * inv % p for d in diffs)
+    if any(c != s * e % p for d, s in zip(diffs, f) for c, e in zip(d, w)):
+        raise InternalInconsistencyError("point is not on the expected axis")
+    return w, f
 
 
 # ===========================================================================
@@ -361,17 +372,6 @@ def tabulate_diagonal_form(form: DiagonalForm) -> FiniteMapTable:
                             tuple(map(form._evaluate, grid_points(form.p, form.n))))
 
 
-def _scalar_along(p: int, value: Point, axis: Point) -> int:
-    """The s with value = s*axis, or raise if value is off the axis."""
-    j0 = next((j for j, c in enumerate(axis) if c), None)
-    if j0 is None:
-        raise InternalInconsistencyError("axis vector is zero")
-    s = value[j0] * pow(axis[j0], p - 2, p) % p
-    if any(value[j] != s * axis[j] % p for j in range(len(axis))):
-        raise InternalInconsistencyError("point is not on the expected axis")
-    return s
-
-
 def recover_diagonal_form(table: FiniteMapTable, fam: LineFamily) -> DiagonalForm:
     """Recover u_i, w_i, f_i, base from a table satisfying the hypotheses
     (injective, onto for n independent directions, parallelism preserved).
@@ -383,8 +383,10 @@ def recover_diagonal_form(table: FiniteMapTable, fam: LineFamily) -> DiagonalFor
     dirs, failure = _diagonal_hypothesis(table, fam)
     if failure is not None:
         raise InputError(failure)
-    w, f = zip(*(_axis(table, v) for v in dirs))
-    form = DiagonalForm(table.p, tuple(dirs), w, f, table.values[0])
+    p = table.p
+    w, f = zip(*(_axis(table, [point_index(p, [a * c for c in v]) for a in range(p)])
+                 for v in dirs))
+    form = DiagonalForm(p, tuple(dirs), w, f, table.values[0])
     if tabulate_diagonal_form(form).values != table.values:
         raise InternalInconsistencyError("recovered diagonal form does not reproduce the table")
     return form
@@ -436,17 +438,18 @@ def recover_plane_form(table: FiniteMapTable) -> PlaneForm:
         raise InputError("plane form recovery needs m >= 2")
     if not table.is_injective():
         raise InputError("table is not injective")
-    p = table.p
+    p, values = table.p, table.values
     # injective: the p images of an axis line are distinct, so into is onto
     if not all(points_collinear(p, images)
                for _d, _base, images in _family_lines(table, ((1, 0), (0, 1)))):
         raise InputError("an axis-parallel line is not mapped onto a line")
 
-    (u1, f), (u2, g) = _axis(table, (1, 0)), _axis(table, (0, 1))
-    u12 = _differences(table, [(1, 1)])[0]
-    u3 = tuple((c - a - b) % p for c, a, b in zip(u12, u1, u2))
-    form = PlaneForm(p, u1, u2, u3, f, g, table.values[0])
-    if tuple(itertools.starmap(form._evaluate, grid_points(p, 2))) != table.values:
+    # a*e1 = (a, 0) has flat index a*p, a*e2 = (0, a) index a, and (1, 1) index p+1
+    (u1, f), (u2, g) = _axis(table, range(0, p * p, p)), _axis(table, range(p))
+    base = values[0]
+    u3 = tuple((c - o - a - b) % p for c, o, a, b in zip(values[p + 1], base, u1, u2))
+    form = PlaneForm(p, u1, u2, u3, f, g, base)
+    if tuple(itertools.starmap(form._evaluate, itertools.product(range(p), repeat=2))) != values:
         raise InternalInconsistencyError("recovered plane form does not reproduce the table")
     return form
 
@@ -454,6 +457,31 @@ def recover_plane_form(table: FiniteMapTable) -> PlaneForm:
 # ===========================================================================
 # exhaustive search over all bijections of the grid
 # ===========================================================================
+
+@lru_cache(maxsize=8)
+def _affine_transversal(p: int, n: int) -> Tuple[Tuple[int, ...], ...]:
+    """One affine bijection g of (Z_p)^n per ordered pair (y0, y1) of distinct
+    points, with g(0) = y0 and g(e) = y1 for e = (0, ..., 0, 1), the point with
+    flat index 1; each as the permutation i -> flat index of g(point i).
+
+    g(x) = y0 + Ax, where A is the identity with its last column set to
+    v = y1 - y0 and, when v's first nonzero entry k is not the last, its column
+    k set to e: A is invertible.  The affine maps taking (0, e) to (y0, y1) are
+    g composed with the stabiliser of (0, e), so the p^n (p^n - 1) maps are one
+    per coset of that stabiliser in AGL(n, p)."""
+    points = list(grid_points(p, n))
+    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    maps = []
+    for y0, y1 in itertools.permutations(points, 2):
+        v = tuple((b - a) % p for a, b in zip(y0, y1))
+        cols = list(unit)
+        k = next(j for j, c in enumerate(v) if c)
+        cols[k], cols[-1] = cols[-1], v
+        maps.append(tuple(point_index(p, [a + sum(c * col[r] for c, col in zip(x, cols))
+                                          for r, a in enumerate(y0)])
+                          for x in points))
+    return tuple(maps)
+
 
 def exhaustive_bijection_search(p: int, n: int, fam: LineFamily,
                                 max_points: int = 9) -> List[FiniteMapTable]:
@@ -464,6 +492,17 @@ def exhaustive_bijection_search(p: int, n: int, fam: LineFamily,
     soon as a completed line has a non-collinear image.  For bijections into
     and onto coincide (p distinct collinear points fill their line), so the
     search takes no mode.
+
+    The search is made up to the affine group.  An affine bijection g maps
+    lines onto lines, so g composed with a survivor is a survivor.  The first
+    two grid points x0, x1 the kernel fills are pinned: F(x0) = 0 and
+    F(x1) = e, the point with flat index 1, and every other point takes one
+    of the other values.  AGL(n, p) is 2-transitive on points, so each
+    survivor F is g o G for exactly one map g of `_affine_transversal` (the
+    one taking (0, e) to (F(x0), F(x1))) and one pinned survivor G.  This
+    holds for every p, n and family, and no survivor is produced twice.  The
+    results number |pinned| * p^n (p^n - 1); each counts as a node against
+    the search budget before any table is built.
     """
     PrimeField(p)
     total = _grid_size(p, n, max_points, "search guard")
@@ -476,6 +515,15 @@ def exhaustive_bijection_search(p: int, n: int, fam: LineFamily,
         lambda key: points_collinear(p, [grid.values[v] for v in key]))
     lines = [(idx, itemgetter(*idx))
              for d in _residue_directions(grid, fam) for _base, idx in _lines(p, n, d)]
-    found = _backtrack([range(total)] * total, lines,
-                       lambda a, images: collinear(tuple(sorted(images(a)))))
-    return [_unchecked_table(p, n, n, tuple(map(grid.values.__getitem__, values))) for values in found]
+    # the kernel fills the first line's slots first, then the rest in order
+    x0, x1 = lines[0][0][:2] if lines else (0, 1)
+    domains = [range(2, total)] * total
+    domains[x0], domains[x1] = (0,), (1,)
+    pinned = _backtrack(domains, lines, lambda a, images: collinear(tuple(sorted(images(a)))),
+                        result_cost=total * (total - 1))
+    # built only once the budget has counted the tables, which are at least as
+    # many as the maps.  Each map as the images of the grid points, so g o G
+    # is G's flat indices read through g
+    images = [tuple(map(grid.values.__getitem__, g)) for g in _affine_transversal(p, n)]
+    found = sorted(tuple(map(g.__getitem__, values)) for values in pinned for g in images)
+    return [_unchecked_table(p, n, n, values) for values in found]

@@ -839,18 +839,48 @@ def lexicographic_search(p, n, fam):
     return results
 
 
-@pytest.mark.parametrize("p,n,dirs", (
-    (3, 1, ((1,),)),
-    (3, 2, ((1, 0),)),
-    (3, 2, ((1, 0), (1, 1))),
-    (3, 2, ((0, 1), (1, 0))),
-    (3, 2, ((1, 2), (0, 1), (1, 1))),
-    (3, 2, ((1, 0), (0, 1), (1, 1), (1, 2))),
-))
+# every nonempty set of the four directions of (Z_3)^2
+PLANE_DIRECTION_SETS = [dirs for k in range(1, 5)
+                        for dirs in itertools.combinations(((1, 0), (0, 1), (1, 1), (1, 2)), k)]
+
+
+@pytest.mark.parametrize("p,n,dirs", [(p, 1, ((1,),)) for p in (3, 5, 7)]
+                         + [(3, 2, dirs) for dirs in PLANE_DIRECTION_SETS])
 def test_search_matches_the_lexicographic_descent(p, n, dirs):
+    # the descent pins nothing: it checks the pin and the affine expansion
     fam = LineFamily(QQ, n, dirs)
     got = [t.values for t in exhaustive_bijection_search(p, n, fam)]
     assert got == lexicographic_search(p, n, fam)
+
+
+def affine_group_mod_3():
+    """AGL(2,3) as maps point -> point: x -> Ax + t for the 48 invertible
+    matrices A mod 3 and the 9 translations t."""
+    points = list(itertools.product(range(3), repeat=2))
+    matrices = [(a, b, c, d) for a, b, c, d in itertools.product(range(3), repeat=4)
+                if (a * d - b * c) % 3]
+    assert len(matrices) == 48
+    return [{(x, y): ((a * x + b * y + s) % 3, (c * x + d * y + t) % 3) for x, y in points}
+            for a, b, c, d in matrices for s, t in points]
+
+
+@pytest.mark.parametrize("dirs", PLANE_DIRECTION_SETS)
+def test_search_survivors_are_closed_under_the_affine_group(dirs):
+    # g o F is a survivor for every g in AGL(2,3) and survivor F.  The group
+    # acts freely (g o F = F forces g = id), so the survivors fall into orbits
+    # of 432 maps: 12 orbits for one direction, and AGL(2,3) itself for more
+    group = affine_group_mod_3()
+    assert len(group) == 432
+    survivors = {t.values for t in exhaustive_bijection_search(3, 2, LineFamily(QQ, 2, dirs))}
+    seen, orbits = set(), 0
+    for values in sorted(survivors):
+        if values not in seen:
+            orbit = {tuple(g[y] for y in values) for g in group}
+            assert len(orbit) == 432 and orbit <= survivors
+            seen |= orbit
+            orbits += 1
+    assert seen == survivors
+    assert (orbits, len(survivors)) == ((12, 5184) if len(dirs) == 1 else (1, 432))
 
 
 @pytest.mark.parametrize("p,n,dirs", ((3, 1, ((1,),)), (3, 2, ((1, 0), (0, 1)))))
@@ -863,20 +893,41 @@ def test_search_survivors_equal_checked_tables(p, n, dirs):
     assert [hash(t) for t in tables] == [hash(t) for t in checked]
 
 
-@pytest.mark.parametrize("dirs,nodes", (
-    (((1, 0),), 102474),
-    (((1, 2), (0, 1)), 44154),
-    (((1, 1), (1, 0), (0, 1)), 40266),
-))
-def test_search_node_counts(monkeypatch, dirs, nodes):
+# (directions, nodes of the pinned search, tables it expands to)
+SEARCH_WORK = (
+    (((1, 0),), 1108, 5184),
+    (((1, 2), (0, 1)), 478, 432),
+    (((1, 1), (1, 0), (0, 1)), 436, 432),
+)
+
+
+@pytest.mark.parametrize("dirs,nodes,tables", SEARCH_WORK)
+def test_search_node_counts(monkeypatch, dirs, nodes, tables):
     # slots fill in the order the family's lines name them, and a line is
-    # checked as its last slot fills: that fixes the work of each search
+    # checked as its last slot fills: that fixes the work of each search.
+    # Each table the pinned survivors expand to costs one node more
     fam = LineFamily(QQ, 2, dirs)
-    monkeypatch.setattr(grid, "SEARCH_NODE_BUDGET", nodes)
-    exhaustive_bijection_search(3, 2, fam)
-    monkeypatch.setattr(grid, "SEARCH_NODE_BUDGET", nodes - 1)
-    with pytest.raises(ResourceError, match=f"budget of {nodes - 1} nodes"):
+    budget = nodes + tables
+    monkeypatch.setattr(grid, "SEARCH_NODE_BUDGET", budget)
+    assert len(exhaustive_bijection_search(3, 2, fam)) == tables
+    monkeypatch.setattr(grid, "SEARCH_NODE_BUDGET", budget - 1)
+    with pytest.raises(ResourceError, match=f"budget of {budget - 1} nodes"):
         exhaustive_bijection_search(3, 2, fam)
+
+
+@pytest.mark.parametrize("dirs,nodes,tables", SEARCH_WORK)
+def test_search_budget_refuses_the_expansion_before_building_it(monkeypatch, dirs, nodes, tables):
+    # the pinned search fits in this budget, its tables do not: neither the
+    # affine maps nor a table is built
+    def never(*args):
+        raise AssertionError("built past the budget")
+
+    monkeypatch.setattr(collineations, "_affine_transversal", never)
+    monkeypatch.setattr(collineations, "_unchecked_table", never)
+    for budget in (nodes, nodes + tables - 1):
+        monkeypatch.setattr(grid, "SEARCH_NODE_BUDGET", budget)
+        with pytest.raises(ResourceError, match=f"budget of {budget} nodes"):
+            exhaustive_bijection_search(3, 2, LineFamily(QQ, 2, dirs))
 
 
 def test_search_kernel_on_a_small_case_and_a_deep_one():
