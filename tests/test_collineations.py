@@ -751,6 +751,14 @@ def test_plane_form_recovery_refuses_a_torn_axis_line():
         recover_plane_form(torn_table())
 
 
+def test_axis_reader_refuses_a_point_off_the_axis(monkeypatch):
+    # with the axis-line walk waved through, the axis reader itself refuses
+    # the torn table: F(2,0) - F(0) is no multiple of F(1,0) - F(0)
+    monkeypatch.setattr(collineations, "_family_lines", lambda table, dirs: iter(()))
+    with pytest.raises(InternalInconsistencyError, match="expected axis"):
+        recover_plane_form(torn_table())
+
+
 @pytest.mark.parametrize("method", ("table", "plane", "diagonal"))
 def test_apply_reads_a_point_as_exact_ints(method):
     # exact ints only: int() would truncate 1.5 and read True as 1
@@ -844,8 +852,9 @@ PLANE_DIRECTION_SETS = [dirs for k in range(1, 5)
                         for dirs in itertools.combinations(((1, 0), (0, 1), (1, 1), (1, 2)), k)]
 
 
-@pytest.mark.parametrize("p,n,dirs", [(p, 1, ((1,),)) for p in (3, 5, 7)]
-                         + [(3, 2, dirs) for dirs in PLANE_DIRECTION_SETS])
+@pytest.mark.parametrize("p,n,dirs", [(3, 1, ((1,),))]
+                         + [(3, 2, dirs) for dirs in PLANE_DIRECTION_SETS]
+                         + [(p, 1, ((1,),)) for p in (5, 7)])
 def test_search_matches_the_lexicographic_descent(p, n, dirs):
     # the descent pins nothing: it checks the pin and the affine expansion
     fam = LineFamily(QQ, n, dirs)
@@ -907,12 +916,20 @@ def test_search_node_counts(monkeypatch, dirs, nodes, tables):
     # checked as its last slot fills: that fixes the work of each search.
     # Each table the pinned survivors expand to costs one node more
     fam = LineFamily(QQ, 2, dirs)
-    budget = nodes + tables
-    monkeypatch.setattr(grid, "SEARCH_NODE_BUDGET", budget)
-    assert len(exhaustive_bijection_search(3, 2, fam)) == tables
-    monkeypatch.setattr(grid, "SEARCH_NODE_BUDGET", budget - 1)
-    with pytest.raises(ResourceError, match=f"budget of {budget - 1} nodes"):
-        exhaustive_bijection_search(3, 2, fam)
+
+    def smallest_budget(budget):
+        monkeypatch.setattr(grid, "SEARCH_NODE_BUDGET", budget)
+        assert len(exhaustive_bijection_search(3, 2, fam)) == tables
+        monkeypatch.setattr(grid, "SEARCH_NODE_BUDGET", budget - 1)
+        with pytest.raises(ResourceError, match=f"budget of {budget - 1} nodes"):
+            exhaustive_bijection_search(3, 2, fam)
+
+    smallest_budget(nodes + tables)
+    # the pinned search alone, with a kernel that charges nothing per result
+    monkeypatch.setattr(collineations, "_backtrack",
+                        lambda domains, constraints, accept, result_cost: _backtrack(
+                            domains, constraints, accept))
+    smallest_budget(nodes)
 
 
 @pytest.mark.parametrize("dirs,nodes,tables", SEARCH_WORK)
