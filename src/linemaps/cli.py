@@ -34,7 +34,8 @@ from .exact import (
     ResourceError, unit_vector,
 )
 from .grid import (
-    DEFAULT_POINT_BUDGET, FiniteMapTable, LineFamily, table_from_json, table_to_json,
+    DEFAULT_POINT_BUDGET, FiniteMapTable, LineFamily, _grid_size, table_from_json,
+    table_to_json,
 )
 from .multiaffine import map_from_json, map_to_json, reduce_mod, tabulate
 from .projective import decide_projective_linear, proj_table_from_json
@@ -43,7 +44,7 @@ from .scalars import (
     verify_multiplicative_rigidity,
 )
 
-_E_TOKEN = re.compile(r"^e(\d+)$")
+_E_TOKEN = re.compile(r"^e(\d{1,9})$")  # int() refuses a string of over 4300 digits
 
 
 def parse_field(text: str) -> Field:
@@ -102,8 +103,6 @@ def parse_directions(text: str, n: int) -> List[Tuple[Fraction, ...]]:
         if buffer:
             raise InputError(
                 f"trailing direction entries do not fill a vector of length {n}: {buffer}")
-    if not dirs:
-        raise InputError("no directions given")
     return dirs
 
 
@@ -243,8 +242,10 @@ def cmd_decide_proj(args) -> int:
 
 
 def cmd_exhaust(args) -> int:
+    # a huge n is refused before the directions are read: e1 is a vector of length n
+    _grid_size(PrimeField(args.p).p, args.n, DEFAULT_POINT_BUDGET, "point budget")
     fam = LineFamily(QQ, args.n, tuple(_load_directions(args, args.n)))
-    tables = exhaustive_bijection_search(args.p, args.n, fam, max_points=args.budget)
+    tables = exhaustive_bijection_search(args.p, args.n, fam)
     _emit({"count": len(tables),
            "tables": [table_to_json(t) for t in tables]}, args.out)
     return 0
@@ -349,11 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dirs", help="direction list")
     p.add_argument("--dirs-file")
-    p.add_argument("--mode", choices=["into", "onto"], default="onto",
-                   help="has no effect: into and onto agree for bijections")
-    p.add_argument("--out", default=None)
-    p.add_argument("--budget", type=int, default=9,
-                   help="largest grid size the (grid!)-search may attempt")
+    common(p)
     p.set_defaults(fn=cmd_exhaust)
 
     p = sub.add_parser("scalar-lemmas", help="run a scalar rigidity verification")

@@ -9,6 +9,7 @@ algebra is trusted, every line is inspected point by point.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
@@ -19,8 +20,8 @@ from .exact import (
     normalize_coords, rank_of_vectors,
 )
 from .grid import (
-    FiniteMapTable, LineFamily, Point, _backtrack, _grid_point, _grid_size, _line_kernel,
-    _lines, _unchecked_table, grid_points, point_index,
+    DEFAULT_POINT_BUDGET, FiniteMapTable, LineFamily, Point, _backtrack, _charge, _grid_point,
+    _grid_size, _line_kernel, _lines, _unchecked_table, grid_points, point_index,
 )
 
 
@@ -28,11 +29,10 @@ from .grid import (
 # the onto/into oracle
 # ===========================================================================
 
-def _residue_directions(table: FiniteMapTable, fam: LineFamily) -> List[Point]:
-    """The family's directions as residue vectors mod the table's p,
-    deduplicated up to scaling; the family must have the table's dimension."""
-    p = table.p
-    if fam.n != table.n:
+def _residue_directions(p: int, n: int, fam: LineFamily) -> List[Point]:
+    """The family's directions as residue vectors mod p, an odd prime,
+    deduplicated up to scaling; the family must have dimension n."""
+    if fam.n != n:
         raise InputError("family dimension != table dimension")
     if isinstance(fam.field, PrimeField) and fam.field.p != p:
         raise InputError(f"family over {fam.field} checked against a table over Z_{p}")
@@ -174,7 +174,7 @@ def check_family(table: FiniteMapTable, fam: LineFamily, mode: str = "onto") -> 
     if mode not in ("into", "onto"):
         raise InputError(f"mode must be 'into' or 'onto', got {mode!r}")
     violations: List[Violation] = []
-    for d in _residue_directions(table, fam):
+    for d in _residue_directions(table.p, table.n, fam):
         key, not_line, not_onto, _ = _walk(table, d)
         numbered = [(i, "not-a-line") for i in not_line]
         if mode == "onto" and not_onto:
@@ -201,7 +201,7 @@ def parallelism_report(table: FiniteMapTable, fam: LineFamily) -> FamilyReport:
     """Within each direction, do all family lines have parallel images?"""
     if not table.is_injective():
         raise InputError("parallelism check needs an injective table")
-    violations = _parallel_violations(table, _residue_directions(table, fam))
+    violations = _parallel_violations(table, _residue_directions(table.p, table.n, fam))
     if violations is None:
         raise InputError("parallelism check requires the onto check to pass first")
     return FamilyReport(not violations, violations)
@@ -213,7 +213,7 @@ def _diagonal_hypothesis(table: FiniteMapTable, fam: LineFamily) -> Tuple[List[P
     n independent directions, injective, every family line onto a line,
     parallel family lines onto parallel lines."""
     p, n = table.p, table.n
-    dirs = _residue_directions(table, fam)
+    dirs = _residue_directions(p, n, fam)
     if len(dirs) != n:
         raise InputError(f"need exactly n={n} directions, got {len(dirs)}")
     if rank_of_vectors(PrimeField(p), dirs) != n:
@@ -483,29 +483,27 @@ def _affine_transversal(p: int, n: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(maps)
 
 
-def exhaustive_bijection_search(p: int, n: int, fam: LineFamily,
-                                max_points: int = 9) -> List[FiniteMapTable]:
+def exhaustive_bijection_search(p: int, n: int, fam: LineFamily) -> List[FiniteMapTable]:
     """All bijections of (Z_p)^n sending every family line onto a line, in
-    lexicographic order of the value table.
+    lexicographic order of the value table.  For bijections into and onto
+    coincide (p distinct collinear points fill their line), so there is no mode.
 
-    The search kernel fills the grid positions line by line and prunes as
-    soon as a completed line has a non-collinear image.  For bijections into
-    and onto coincide (p distinct collinear points fill their line), so the
-    search takes no mode.
-
-    The search is made up to the affine group.  An affine bijection g maps
-    lines onto lines, so g composed with a survivor is a survivor.  The first
-    two grid points x0, x1 the kernel fills are pinned: F(x0) = 0 and
-    F(x1) = e, the point with flat index 1, and every other point takes one
-    of the other values.  AGL(n, p) is 2-transitive on points, so each
-    survivor F is g o G for exactly one map g of `_affine_transversal` (the
-    one taking (0, e) to (F(x0), F(x1))) and one pinned survivor G.  This
-    holds for every p, n and family, and no survivor is produced twice.  The
-    results number |pinned| * p^n (p^n - 1); each counts as a node against
-    the search budget before any table is built.
+    The search is made up to the affine group, which maps lines onto lines:
+    g composed with a survivor is a survivor.  The kernel fills the grid line
+    by line, pruning at each completed line whose image is not collinear; the
+    first two points x0, x1 it fills are pinned to F(x0) = 0 and F(x1) = e,
+    the point with flat index 1.  AGL(n, p) is 2-transitive on points, so each
+    survivor F is g o G for exactly one map g of `_affine_transversal` (the one
+    taking (0, e) to (F(x0), F(x1))) and one pinned survivor G, for every p, n
+    and family.  The results number |pinned| * p^n (p^n - 1), each a node
+    against the search budget before any table is built.  There is no size
+    guard: all |AGL(n, p)| affine maps survive, so a grid whose affine group
+    passes the node budget is refused before anything is built.
     """
-    PrimeField(p)
-    total = _grid_size(p, n, max_points, "search guard")
+    dirs = _residue_directions(p, n, fam)  # validates p and the family's dimension
+    total = _grid_size(p, n, DEFAULT_POINT_BUDGET, "point budget")  # never p^n for a huge n
+    # |AGL(n, p)| = p^n (p^n - 1) ... (p^n - p^(n-1)), a bound compared on its own
+    _charge(total * math.prod(total - p ** i for i in range(n)))
     # the identity table checks every grid point once; survivors are
     # permutations of its values, so they are built without a check per entry
     grid = FiniteMapTable(p, n, n, tuple(grid_points(p, n)))
@@ -513,10 +511,9 @@ def exhaustive_bijection_search(p: int, n: int, fam: LineFamily,
     # bounded: a search run up to the node budget would keep a key per node
     collinear = lru_cache(maxsize=1 << 14)(
         lambda key: points_collinear(p, [grid.values[v] for v in key]))
-    lines = [(idx, itemgetter(*idx))
-             for d in _residue_directions(grid, fam) for _base, idx in _lines(p, n, d)]
+    lines = [(idx, itemgetter(*idx)) for d in dirs for _base, idx in _lines(p, n, d)]
     # the kernel fills the first line's slots first, then the rest in order
-    x0, x1 = lines[0][0][:2] if lines else (0, 1)
+    x0, x1 = lines[0][0][:2]
     domains = [range(2, total)] * total
     domains[x0], domains[x1] = (0,), (1,)
     pinned = _backtrack(domains, lines, lambda a, images: collinear(tuple(sorted(images(a)))),

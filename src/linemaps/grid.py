@@ -79,6 +79,8 @@ class LineFamily:
             if all(self.field.is_zero(c) for c in d):
                 raise InputError("zero direction in family")
             dirs.append(d)
+        if not dirs:
+            raise InputError("a family needs at least one direction")
         for i in range(len(dirs)):
             for j in range(i + 1, len(dirs)):
                 if vectors_parallel(self.field, dirs[i], dirs[j]):
@@ -273,12 +275,11 @@ def _plane_pencil(p: int, c: Point) -> List[List[Point]]:
 # A search that would pass this many nodes raises a ResourceError.  A node is
 # a value examined at a slot, free or not, so the time to trip is bounded: about
 # 0.3 s at p=5, n=2.  A result a caller expands into tables costs one node per
-# table.  `exhaustive_bijection_search` pins the images of two grid points; one
-# affine map moves each survivor onto the pin, and the affine group is
-# 2-transitive on points, so the pin is exact for every p, n and family.  One
-# direction at p=3, n=2 takes 1,108 nodes for its 72 pinned survivors and
-# 5,184 for the tables their 72 affine images make: 6,292 in all, where the
-# search without the pin took 102,474.
+# table.  It is the one guard of `exhaustive_bijection_search`, which first
+# refuses a grid whose |AGL(n, p)| passes it, as every affine map survives; that
+# admits n = 1 up to p = 997, (Z_p)^2 up to p = 7, and (Z_3)^3.  Pinned up to
+# AGL(n, p), one direction at p=3, n=2 takes 1,108 nodes for its 72 pinned
+# survivors and 5,184 for their tables (102,474 nodes without the pin).
 SEARCH_NODE_BUDGET = 10 ** 6
 
 

@@ -18,6 +18,12 @@ from .grid import _backtrack, _lines, _plane_directions, _plane_pencil
 
 Table = Tuple[int, ...]
 
+# the largest p of each enumeration
+RATIO_MAX_P = 7  # (p-2)! bijections
+BRUTE_FORCE_MAX_P = 7  # p! permutations, cross-checking the power maps
+DIAGONAL_MAX_P = 7  # ((p-2)!)^2 pairs of scalars
+ADDITIVE_MAX_P = 5  # p^4 matrices
+
 
 @dataclass(frozen=True)
 class ScalarFunctionTable:
@@ -82,13 +88,13 @@ class RatioReport:
         return _to_json(self, "ok")
 
 
-def ratio_criterion(p: int, max_p: int = 7) -> RatioReport:
+def ratio_criterion(p: int) -> RatioReport:
     """Among bijections fixing 0 and 1, those for which the quotient
     (f(a+b) - f(b)) / f(a) does not depend on a (for every b) are exactly
     the additive ones — checked by exhausting all (p-2)! candidates."""
     PrimeField(p)
-    if p > max_p:
-        raise ResourceError(f"(p-2)! enumeration guarded at p <= {max_p}")
+    if p > RATIO_MAX_P:
+        raise ResourceError(f"(p-2)! enumeration guarded at p <= {RATIO_MAX_P}")
     passing: List[Table] = []
     all_additive = True
     additive_pass = True
@@ -153,7 +159,7 @@ class MultRigidityReport:
         return _to_json(self, "ok")
 
 
-def verify_multiplicative_rigidity(p: int, brute_force_max_p: int = 7) -> MultRigidityReport:
+def verify_multiplicative_rigidity(p: int) -> MultRigidityReport:
     """Check, over all multiplicative injections f of Z_p, that the shifted
     function g(x) = f(x+1) - 1 (and its f(2)-normalized variant) is
     multiplicative only for f = identity.
@@ -165,7 +171,7 @@ def verify_multiplicative_rigidity(p: int, brute_force_max_p: int = 7) -> MultRi
     exponents = tuple(k for k in range(1, p - 1) if gcd(k, p - 1) == 1)
 
     agrees: Optional[bool] = None
-    if p <= brute_force_max_p:
+    if p <= BRUTE_FORCE_MAX_P:
         structural = sorted(f.values for f in candidates)
         agrees = structural == sorted(_brute_force_multiplicative_injections(p))
 
@@ -226,8 +232,7 @@ class DiagonalRigidityReport:
 
 
 def verify_diagonal_rigidity(p: int, n: int = 2,
-                             x0: Tuple[int, int] = (1, 1),
-                             max_p: int = 7) -> DiagonalRigidityReport:
+                             x0: Tuple[int, int] = (1, 1)) -> DiagonalRigidityReport:
     """Diagonal plane maps F(x) = (f1(x1), f2(x2)) with both scalars fixing
     0 and 1 that carry every line through the origin AND every line through
     x0 into lines: exhaustively, only the identity survives.
@@ -237,8 +242,8 @@ def verify_diagonal_rigidity(p: int, n: int = 2,
     PrimeField(p)
     if n != 2:
         raise ResourceError("only the plane case n=2 is within the search guard")
-    if p > max_p:
-        raise ResourceError(f"((p-2)!)^2 enumeration guarded at p <= {max_p}")
+    if p > DIAGONAL_MAX_P:
+        raise ResourceError(f"((p-2)!)^2 enumeration guarded at p <= {DIAGONAL_MAX_P}")
     x0 = _pinning_point(x0)
     if x0 == (0, 0) or any(c not in (0, 1) for c in x0):
         raise InputError("x0 must be a nonzero 0/1 vector")
@@ -283,8 +288,7 @@ class AdditiveRigidityReport:
 
 
 def verify_additive_rigidity(p: int, n: int = 2,
-                             x0: Tuple[int, int] = (0, 0),
-                             max_p: int = 5) -> AdditiveRigidityReport:
+                             x0: Tuple[int, int] = (0, 0)) -> AdditiveRigidityReport:
     """Additive bijections of the plane over Z_p are exactly the invertible
     matrices (additivity forces linearity coordinate by coordinate), and all
     of them carry every line through x0 into a line — i.e. the pencil
@@ -293,8 +297,8 @@ def verify_additive_rigidity(p: int, n: int = 2,
     PrimeField(p)
     if n != 2:
         raise ResourceError("only the plane case n=2 is within the search guard")
-    if p > max_p:
-        raise ResourceError(f"matrix enumeration guarded at p <= {max_p}")
+    if p > ADDITIVE_MAX_P:
+        raise ResourceError(f"matrix enumeration guarded at p <= {ADDITIVE_MAX_P}")
     x0 = tuple(c % p for c in _pinning_point(x0))
     # points as flat indices x*p + y, so i // p and i % p are its coordinates
     size = p * p

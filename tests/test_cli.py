@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from linemaps import (
     PrimeField,
@@ -306,10 +310,12 @@ def test_exhaust_budget_guard(capsys):
 
 
 def test_exhaust_stops_at_the_search_node_budget(capsys):
-    # the grid guard lets both through, so only the node budget stops them;
-    # the second search is 2187 slots deep
-    for argv in (("--p", "5", "--n", "2", "--dirs", "e1,e2", "--budget", "100"),
-                 ("--p", "3", "--n", "7", "--dirs", "e1", "--budget", "3000")):
+    # |AGL(2,5)| = 12,000 and |AGL(1,997)| = 993,012 both fit in the node
+    # budget, so the kernel runs and the budget stops it there; the second
+    # search is 997 slots deep.  (Z_3)^7 is refused by |AGL(7,3)| before it
+    for argv in (("--p", "5", "--n", "2", "--dirs", "e1,e2"),
+                 ("--p", "997", "--n", "1", "--dirs", "e1"),
+                 ("--p", "3", "--n", "7", "--dirs", "e1")):
         assert main(["exhaust", *argv]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -533,3 +539,85 @@ def test_budget_is_an_option_of_the_tabulating_commands_only(capsys, r3_map_file
     assert main(["verify-family", "--map", r3_map_file, "--field", "p:5",
                  "--dirs", "e1", "--budget", "100"]) == 3
     assert capsys.readouterr().err.startswith("resource guard: ")
+    # the search's one guard is the node budget, and into and onto agree for
+    # bijections: exhaust has neither a size option nor a mode
+    for flag in (("--budget", "9"), ("--mode", "onto")):
+        with pytest.raises(SystemExit) as exc:
+            main(["exhaust", "--p", "3", "--n", "2", "--dirs", "e1", *flag])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+def test_exhaust_refuses_a_huge_dimension_before_building_the_family(capsys, monkeypatch):
+    # e1 was a tuple of n entries, built and checked before the search's grid
+    # guard: 0.2 s and 85 MB at n = 3 * 10^6, growing linearly with n
+    import linemaps.cli as cli_module
+
+    def never(*args):
+        raise AssertionError("the directions were read")
+
+    monkeypatch.setattr(cli_module, "_load_directions", never)
+    for n in ("20", str(10 ** 8)):
+        code, elapsed, err = _exit_code_and_time(
+            capsys, ["exhaust", "--p", "3", "--n", n, "--dirs", "e1"])
+        assert code == 3 and err.startswith(f"resource guard: a grid of 3^{n} points")
+        assert elapsed < 1.0
+
+
+def test_an_empty_family_is_an_input_error(capsys, tmp_path, r3_map_file):
+    # exhaust once printed all 362,880 bijections of (Z_3)^2 (30.8 MB) with exit 0
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    for argv in (["exhaust", "--p", "3", "--n", "2", "--dirs-file", str(empty)],
+                 ["exhaust", "--p", "3", "--n", "2", "--dirs", ","],
+                 ["verify-family", "--map", r3_map_file, "--field", "p:5",
+                  "--dirs-file", str(empty)]):
+        code, elapsed, err = _exit_code_and_time(capsys, argv)
+        assert code == 2 and err == "input error: a family needs at least one direction\n"
+        assert elapsed < 1.0
+
+
+# an int flag as text: small, any size, past int()'s 4300 digits, a float or
+# a bool
+_INT_TEXT = st.one_of(
+    st.integers(-1, 8).map(str), st.integers().map(str), st.just("9" * 5000),
+    st.floats().map(repr), st.booleans().map(str))
+# direction lists: unit tokens in and out of range and entries that group into
+# vectors of any length (so duplicate, parallel, zero and dangling ones), a
+# rational, a zero denominator, junk and empty groups
+_DIRS = st.lists(st.one_of(
+    st.integers(0, 4).map(lambda i: f"e{i}"), st.integers(-2, 2).map(str),
+    st.sampled_from(("1/2", "1/0", "x", "", ";", "e" + "9" * 5000))), max_size=6).map(",".join)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(p=_INT_TEXT, n=_INT_TEXT, dirs=_DIRS)
+# each exit code, and the breaches this test found: a negative power of 0, a
+# direction of length n built before the grid guard, an e-token past int()'s
+# digit limit
+@example(p="3", n="2", dirs="e1,e2")
+@example(p="7", n="1", dirs="e1")
+@example(p="5", n="3", dirs="e1,e2,e3")
+@example(p="3", n="2", dirs=",")
+@example(p="0", n="-1", dirs="")
+@example(p="3", n=str(10 ** 30), dirs="e1")
+@example(p="3", n="2", dirs="e" + "9" * 5000)
+def test_exhaust_fuzz_ends_in_an_exit_code_and_never_a_traceback(p, n, dirs):
+    # in-process through main, as the console script runs it; argparse's own
+    # refusals are a SystemExit
+    argv = ["exhaust", f"--p={p}", f"--n={n}", f"--dirs={dirs}"]
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert time.perf_counter() - t0 < 2.0, argv
+    assert code in (0, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code:
+        assert out.getvalue() == "", argv
+    else:
+        payload = json.loads(out.getvalue())
+        assert payload["count"] == len(payload["tables"]) > 0, argv

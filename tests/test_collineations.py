@@ -76,6 +76,12 @@ def test_family_rejects_zero_and_parallel_directions():
         LineFamily(QQ, 2, ((1, 2), (2, 4)))
 
 
+def test_family_rejects_an_empty_direction_list():
+    # an empty family constrains nothing: the search would list every bijection
+    with pytest.raises(InputError, match="at least one direction"):
+        LineFamily(QQ, 2, ())
+
+
 def test_standard_family_directions():
     fam = standard_family(QQ, 3)
     assert fam.directions == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -278,7 +284,7 @@ def parallel_violations_by_vectors_parallel(table, fam):
     parallel test: the oracle of the line test it asks instead."""
     p, values, gf = table.p, table.values, PrimeField(table.p)
     violations = []
-    for d in collineations._residue_directions(table, fam):
+    for d in collineations._residue_directions(table.p, table.n, fam):
         ref = None
         for base, idx in collineations._lines(p, table.n, d):
             images = [values[i] for i in idx]
@@ -348,7 +354,7 @@ def check_family_by_line_loop(table, fam, mode):
     the oracle of the reports built from `_walk`."""
     p, values = table.p, table.values
     violations = []
-    for d in collineations._residue_directions(table, fam):
+    for d in collineations._residue_directions(table.p, table.n, fam):
         for base, idx in collineations._lines(p, table.n, d):
             images = [values[i] for i in idx]
             if not points_collinear(p, images):
@@ -568,8 +574,8 @@ def span_invariants_by_rank(table, fam):
 def test_span_conclusions_agree_with_the_rank_oracle(monkeypatch):
     # the conclusions hold whenever the hypotheses do, so the hypotheses are
     # waved through here to reach every failure branch on seeded tables
-    monkeypatch.setattr(collineations, "_diagonal_hypothesis",
-                        lambda table, fam: (collineations._residue_directions(table, fam), None))
+    monkeypatch.setattr(collineations, "_diagonal_hypothesis", lambda table, fam: (
+        collineations._residue_directions(table.p, table.n, fam), None))
     rng = Random(11)
     failures = set()
     for p, n in itertools.product((3, 5), (2, 3)):
@@ -945,6 +951,45 @@ def test_search_budget_refuses_the_expansion_before_building_it(monkeypatch, dir
         monkeypatch.setattr(grid, "SEARCH_NODE_BUDGET", budget)
         with pytest.raises(ResourceError, match=f"budget of {budget} nodes"):
             exhaustive_bijection_search(3, 2, LineFamily(QQ, 2, dirs))
+
+
+def test_search_refuses_a_grid_whose_affine_group_passes_the_budget(monkeypatch):
+    # every affine bijection survives every family, so |AGL(n,p)| =
+    # p^n (p^n - 1) ... (p^n - p^(n-1)) nodes are refused before the identity
+    # table or the kernel is built; the grids whose group fits reach them
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(collineations, "_backtrack", reached)
+    monkeypatch.setattr(collineations, "FiniteMapTable", reached)
+
+    def search(p, n):
+        return exhaustive_bijection_search(p, n, LineFamily(QQ, n, ((1,) + (0,) * (n - 1),)))
+
+    # |AGL|: 1,017,072, 1,597,200, 1,965,150,720 and 186,000,000
+    for p, n in ((1009, 1), (11, 2), (3, 4), (5, 3)):
+        with pytest.raises(ResourceError, match="budget of 1000000 nodes"):
+            search(p, n)
+    # |AGL|: 993,012, 98,784 and 303,264
+    for p, n in ((997, 1), (7, 2), (3, 3)):
+        with pytest.raises(Reached):
+            search(p, n)
+    # |AGL(2,3)| = 432 exactly
+    monkeypatch.setattr(grid, "SEARCH_NODE_BUDGET", 431)
+    with pytest.raises(ResourceError, match="budget of 431 nodes"):
+        search(3, 2)
+    monkeypatch.setattr(grid, "SEARCH_NODE_BUDGET", 432)
+    with pytest.raises(Reached):
+        search(3, 2)
+
+
+def test_search_checks_the_family_dimension_before_the_budget():
+    # (Z_5)^3 is refused by the budget, but a plane family is wrong input first
+    with pytest.raises(InputError, match="family dimension != table dimension"):
+        exhaustive_bijection_search(5, 3, LineFamily(QQ, 2, ((1, 0),)))
 
 
 def test_search_kernel_on_a_small_case_and_a_deep_one():

@@ -266,7 +266,7 @@ def test_additive_rigidity_guards():
     with pytest.raises(ResourceError):
         verify_additive_rigidity(7)
     with pytest.raises(InputError):
-        verify_additive_rigidity(9, max_p=11)
+        verify_additive_rigidity(9)
 
 
 def apply_loop_additive_rigidity(p, x0):
