@@ -16,12 +16,12 @@ from operator import itemgetter
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .exact import (
-    InputError, InternalInconsistencyError, Matrix, PrimeField, _to_json, inverse,
-    normalize_coords, rank_of_vectors,
+    InputError, InternalInconsistencyError, Matrix, PrimeField, _echelon, _to_json, _trusted,
+    inverse, normalize_coords,
 )
 from .grid import (
     DEFAULT_POINT_BUDGET, FiniteMapTable, LineFamily, Point, _backtrack, _charge, _grid_point,
-    _grid_size, _line_kernel, _lines, _unchecked_table, grid_points, point_index,
+    _grid_size, _line_kernel, _lines, grid_points, point_index,
 )
 
 
@@ -216,7 +216,7 @@ def _diagonal_hypothesis(table: FiniteMapTable, fam: LineFamily) -> Tuple[List[P
     dirs = _residue_directions(p, n, fam)
     if len(dirs) != n:
         raise InputError(f"need exactly n={n} directions, got {len(dirs)}")
-    if rank_of_vectors(PrimeField(p), dirs) != n:
+    if len(_echelon(PrimeField(p), dirs)) != n:
         return dirs, "directions are not linearly independent"
     if not table.is_injective():
         return dirs, "table is not injective"
@@ -348,7 +348,7 @@ class DiagonalForm:
     def _u_inverse(self) -> Tuple[Tuple[int, ...], ...]:
         """The rows of the inverse of the matrix with columns u: row i takes
         x to its alpha_i."""
-        return inverse(Matrix(PrimeField(self.p), tuple(zip(*self.u)))).rows
+        return inverse(_trusted(Matrix, PrimeField(self.p), tuple(zip(*self.u)))).rows
 
     def apply(self, x: Sequence[int]) -> Point:
         return self._evaluate(_grid_point(self.p, self.n, x))
@@ -368,8 +368,8 @@ class DiagonalForm:
 
 def tabulate_diagonal_form(form: DiagonalForm) -> FiniteMapTable:
     # the evaluator reduces mod p: the values are residues by construction
-    return _unchecked_table(form.p, form.n, form.m,
-                            tuple(map(form._evaluate, grid_points(form.p, form.n))))
+    return _trusted(FiniteMapTable, form.p, form.n, form.m,
+                    tuple(map(form._evaluate, grid_points(form.p, form.n))))
 
 
 def recover_diagonal_form(table: FiniteMapTable, fam: LineFamily) -> DiagonalForm:
@@ -386,7 +386,7 @@ def recover_diagonal_form(table: FiniteMapTable, fam: LineFamily) -> DiagonalFor
     p = table.p
     w, f = zip(*(_axis(table, [point_index(p, [a * c for c in v]) for a in range(p)])
                  for v in dirs))
-    form = DiagonalForm(p, tuple(dirs), w, f, table.values[0])
+    form = _trusted(DiagonalForm, p, tuple(dirs), w, f, table.values[0])
     if tabulate_diagonal_form(form).values != table.values:
         raise InternalInconsistencyError("recovered diagonal form does not reproduce the table")
     return form
@@ -504,13 +504,11 @@ def exhaustive_bijection_search(p: int, n: int, fam: LineFamily) -> List[FiniteM
     total = _grid_size(p, n, DEFAULT_POINT_BUDGET, "point budget")  # never p^n for a huge n
     # |AGL(n, p)| = p^n (p^n - 1) ... (p^n - p^(n-1)), a bound compared on its own
     _charge(total * math.prod(total - p ** i for i in range(n)))
-    # the identity table checks every grid point once; survivors are
-    # permutations of its values, so they are built without a check per entry
-    grid = FiniteMapTable(p, n, n, tuple(grid_points(p, n)))
+    points = tuple(grid_points(p, n))
 
     # bounded: a search run up to the node budget would keep a key per node
     collinear = lru_cache(maxsize=1 << 14)(
-        lambda key: points_collinear(p, [grid.values[v] for v in key]))
+        lambda key: points_collinear(p, [points[v] for v in key]))
     lines = [(idx, itemgetter(*idx)) for d in dirs for _base, idx in _lines(p, n, d)]
     # the kernel fills the first line's slots first, then the rest in order
     x0, x1 = lines[0][0][:2]
@@ -520,7 +518,7 @@ def exhaustive_bijection_search(p: int, n: int, fam: LineFamily) -> List[FiniteM
                         result_cost=total * (total - 1))
     # built only once the budget has counted the tables, which are at least as
     # many as the maps.  Each map as the images of the grid points, so g o G
-    # is G's flat indices read through g
-    images = [tuple(map(grid.values.__getitem__, g)) for g in _affine_transversal(p, n)]
+    # is G's flat indices read through g: a permutation of the points, a table
+    images = [tuple(map(points.__getitem__, g)) for g in _affine_transversal(p, n)]
     found = sorted(tuple(map(g.__getitem__, values)) for values in pinned for g in images)
-    return [_unchecked_table(p, n, n, values) for values in found]
+    return [_trusted(FiniteMapTable, p, n, n, values) for values in found]

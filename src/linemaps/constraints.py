@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .exact import (
     Field, InputError, InternalInconsistencyError, Matrix, QQ, ResourceError,
-    Scalar, Vector, nullspace, rank, unit_vector, vector, zero_vector,
+    Scalar, Vector, _trusted, nullspace, rank, unit_vector, vector, zero_vector,
 )
 from .grid import DEFAULT_POINT_BUDGET, standard_family
 from .multiaffine import MultiAffineMap, curve_lies_in_line, mask_to_delta, restrict_to_line
@@ -131,7 +131,7 @@ def build_constraints(n: int) -> ConstraintSystem:
             rows.append(tuple(row))
         else:
             rows.append(_zero_sum_row(unknowns, label[1], label[2]))
-    return ConstraintSystem(n, unknowns, Matrix(QQ, tuple(rows)), labels)
+    return ConstraintSystem(n, unknowns, _trusted(Matrix, QQ, tuple(rows)), labels)
 
 
 # ===========================================================================
@@ -297,7 +297,7 @@ def construct_sharp_map(dim: int) -> SharpMapSpec:
     col = {m: i for i, m in enumerate(unknowns)}
     rows = tuple(_zero_sum_row(unknowns, k, subset)
                  for subset in itertools.combinations(range(dim), k - 2))
-    basis = nullspace(Matrix(QQ, rows))
+    basis = nullspace(_trusted(Matrix, QQ, rows))
     if not basis:
         raise InternalInconsistencyError(
             "restricted zero-sum system unexpectedly has a trivial kernel")

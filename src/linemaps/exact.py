@@ -217,6 +217,13 @@ def field_to_json(field: Field) -> dict:
     return {"type": "prime", "p": field.p}
 
 
+def _trusted(cls, *values):
+    """cls from field values, in field order, valid by construction: no __post_init__."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__match_args__, values))
+    return obj
+
+
 def _to_json(value, *extra: str):
     """A report, form or table as JSON.  An int, bool, string or None is kept,
     a tuple becomes a list, and a dataclass becomes the dict of its fields,
@@ -312,7 +319,7 @@ class Matrix:
         return self.rows[i]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, tuple(zip(*self.rows)))
+        return _trusted(Matrix, self.field, tuple(zip(*self.rows)))
 
 
 def matrix(field: Field, rows: Sequence[Sequence]) -> Matrix:
@@ -335,8 +342,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         raise InputError("matrix product size/field mismatch")
     F = a.field
     cols = b.transpose().rows
-    return Matrix(F, tuple(tuple([F.convert(sum(map(mul, r, c))) for c in cols])
-                           for r in a.rows))
+    return _trusted(Matrix, F, tuple(tuple([F.convert(sum(map(mul, r, c))) for c in cols])
+                                     for r in a.rows))
 
 
 @dataclass(frozen=True)
@@ -460,7 +467,7 @@ def rref(m: Matrix) -> RrefResult:
             dense[k] = v
         rows.append(tuple(dense))
     rows += [(zero,) * m.ncols] * (m.nrows - len(rows))
-    return RrefResult(Matrix(F, tuple(rows)), len(reduced),
+    return RrefResult(_trusted(Matrix, F, tuple(rows)), len(reduced),
                       tuple(c for c, _ in reduced))
 
 
@@ -502,10 +509,12 @@ def solve(m: Matrix, rhs: Vector) -> Optional[Vector]:
     if len(rhs) != m.nrows:
         raise InputError("rhs length mismatch")
     F = m.field
-    aug = Matrix(F, tuple(r + (b,) for r, b in zip(m.rows, rhs)))
+    for b in rhs:  # m's entries are checked already, the caller's rhs is not
+        if not F.contains(b):
+            raise InputError(f"entry {b!r} is not an element of {F}")
     zero = F.zero()
     x = [zero] * m.ncols
-    for pc, row in _reduced_rows(F, aug.rows):
+    for pc, row in _reduced_rows(F, [r + (b,) for r, b in zip(m.rows, rhs)]):
         if pc == m.ncols:
             return None  # a pivot in the rhs column: inconsistent
         x[pc] = row.get(m.ncols, zero)
@@ -524,13 +533,12 @@ def inverse(m: Matrix) -> Matrix:
         raise InputError("only square matrices invert")
     F = m.field
     n = m.nrows
-    aug = Matrix(F, tuple(r + unit_vector(F, n, i) for i, r in enumerate(m.rows)))
-    reduced = _reduced_rows(F, aug.rows)
+    reduced = _reduced_rows(F, [r + unit_vector(F, n, i) for i, r in enumerate(m.rows)])
     if [pc for pc, _ in reduced[:n]] != list(range(n)):
         raise InputError("matrix is singular")
     zero = F.zero()
-    return Matrix(F, tuple(tuple(row.get(k, zero) for k in range(n, 2 * n))
-                           for _, row in reduced))
+    return _trusted(Matrix, F, tuple(tuple(row.get(k, zero) for k in range(n, 2 * n))
+                                     for _, row in reduced))
 
 
 def is_j_independent(field: Field, vectors_: Sequence[Vector], j: int) -> bool:

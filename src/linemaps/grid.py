@@ -205,15 +205,6 @@ def table_from_json(obj: dict) -> FiniteMapTable:
         raise InputError(f"bad table JSON: {exc}") from exc
 
 
-def _unchecked_table(p: int, n: int, m: int, values: Tuple[Point, ...]) -> FiniteMapTable:
-    """A FiniteMapTable of a map (Z_p)^n -> (Z_p)^m whose values are residue
-    points by construction: built without __post_init__'s check per entry."""
-    table = object.__new__(FiniteMapTable)
-    for name, value in (("p", p), ("n", n), ("m", m), ("values", values)):
-        object.__setattr__(table, name, value)
-    return table
-
-
 # ===========================================================================
 # the lines of one direction
 # ===========================================================================

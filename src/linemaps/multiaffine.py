@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, Sequence, Tuple
 
 from .exact import (
-    Field, InputError, Matrix, PrimeField, Scalar, Vector,
+    Field, InputError, Matrix, PrimeField, Scalar, Vector, _trusted,
     field_from_json, field_to_json, exact_int, mat_vec, unit_vector, vec_add, vec_is_zero,
     vec_scale, vector, vectors_parallel, zero_vector,
 )
@@ -259,8 +259,8 @@ def tabulate(map_: MultiAffineMap, budget: int = DEFAULT_POINT_BUDGET):
         raise InputError("tabulate needs a prime-field map")
     p = F.p
     _grid_size(p, map_.n, budget, "point budget")
-    values = tuple(evaluate(map_, x) for x in grid_points(p, map_.n))
-    return FiniteMapTable(p, map_.n, map_.m, values)
+    values = tuple(evaluate(map_, x) for x in grid_points(p, map_.n))  # residues mod p
+    return _trusted(FiniteMapTable, p, map_.n, map_.m, values)
 
 
 # ---------------------------------------------------------------------------

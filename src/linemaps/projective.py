@@ -17,8 +17,8 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .exact import (
     Field, InputError, InternalInconsistencyError, Matrix, PrimeField, ResourceError, Vector,
-    _reduced_rows, _to_json, exact_int, identity_matrix, inverse, is_j_independent,
-    mat_mul, mat_vec, normalize_coords, rank_of_vectors, vector,
+    _echelon, _reduced_rows, _to_json, _trusted, exact_int, identity_matrix, inverse,
+    is_j_independent, mat_mul, mat_vec, normalize_coords, vector,
 )
 from .grid import DEFAULT_POINT_BUDGET, FiniteMapTable, point_index
 
@@ -114,10 +114,10 @@ class ProjLinearMap:
             raise InputError("projective-linear maps need a square matrix")
         F, k = m.field, m.ncols
         flat = _scaled(F, [x for row in m.rows for x in row], "zero matrix")
-        scaled = Matrix(F, tuple(flat[i:i + k] for i in range(0, len(flat), k)))
-        if rank_of_vectors(F, scaled.rows) != m.nrows:
+        rows = tuple(flat[i:i + k] for i in range(0, len(flat), k))
+        if len(_echelon(F, rows)) != k:
             raise InputError("matrix must be invertible")
-        object.__setattr__(self, "matrix", scaled)
+        object.__setattr__(self, "matrix", _trusted(Matrix, F, rows))
 
     @property
     def field(self) -> Field:
@@ -172,8 +172,8 @@ def _frame_matrix(field: Field, lifts: Sequence[Vector]) -> Optional[Matrix]:
     if lam is None:
         return None
     k = len(lam)
-    return Matrix(field, tuple(tuple([field.convert(lam[j] * lifts[j][i]) for j in range(k)])
-                               for i in range(k)))
+    return _trusted(Matrix, field, tuple(tuple([field.convert(lam[j] * lifts[j][i])
+                                                for j in range(k)]) for i in range(k)))
 
 
 def transform_from_correspondence(src: Sequence[ProjPoint],
@@ -243,9 +243,11 @@ def _images(m: ProjLinearMap, p: int) -> Iterator[Coords]:
 
 
 def proj_table_from_map(m: ProjLinearMap, p: int) -> ProjTable:
-    if not isinstance(m.field, PrimeField) or m.field.p != p:
+    if m.field != PrimeField(p):
         raise InputError("map is not over Z_p")
-    return ProjTable(p, m.dim, tuple(_images(m, p)))
+    if m.dim < 1:  # a 1x1 matrix: PG(0,p) is one point
+        raise InputError("need n >= 1 and (p^(n+1)-1)/(p-1) values, got n = 0, 1 values")
+    return _trusted(ProjTable, p, m.dim, tuple(_images(m, p)))
 
 
 def proj_table_to_json(table: ProjTable) -> dict:
@@ -397,4 +399,4 @@ def embed_affine_table(table) -> ProjTable:
             inv = pow(c[-1], p - 2, p)
             x = tuple(v * inv % p for v in c[:-1])
             values.append(normalize_coords(p, table.values[point_index(p, x)] + (1,)))
-    return ProjTable(p, n, tuple(values))
+    return _trusted(ProjTable, p, n, tuple(values))

@@ -13,7 +13,7 @@ from math import factorial, gcd
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
-from .exact import InputError, PrimeField, ResourceError, _to_json, exact_int
+from .exact import InputError, PrimeField, ResourceError, _to_json, _trusted, exact_int
 from .grid import _backtrack, _lines, _plane_directions, _plane_pencil
 
 Table = Tuple[int, ...]
@@ -47,7 +47,7 @@ class ScalarFunctionTable:
 
 
 def identity_table(p: int) -> ScalarFunctionTable:
-    return ScalarFunctionTable(p, tuple(range(p)))
+    return _trusted(ScalarFunctionTable, PrimeField(p).p, tuple(range(p)))
 
 
 def is_additive(f: ScalarFunctionTable) -> bool:
@@ -64,8 +64,8 @@ def is_multiplicative(f: ScalarFunctionTable) -> bool:
 
 def bijections_fixing_0_1(p: int):
     """All bijections of Z_p with f(0)=0, f(1)=1, in lexicographic order."""
-    for rest in itertools.permutations(range(2, p)):
-        yield ScalarFunctionTable(p, (0, 1) + rest)
+    for rest in itertools.permutations(range(2, PrimeField(p).p)):
+        yield _trusted(ScalarFunctionTable, p, (0, 1) + rest)
 
 
 # ===========================================================================
@@ -129,7 +129,7 @@ def multiplicative_injections(p: int) -> List[ScalarFunctionTable]:
     out = []
     for k in range(1, p - 1):
         if gcd(k, p - 1) == 1:
-            out.append(ScalarFunctionTable(p, tuple(pow(x, k, p) for x in range(p))))
+            out.append(_trusted(ScalarFunctionTable, p, tuple(pow(x, k, p) for x in range(p))))
     return out
 
 
@@ -181,14 +181,14 @@ def verify_multiplicative_rigidity(p: int) -> MultRigidityReport:
     f2_one: List[Table] = []
     for f in candidates:
         v = f.values
-        g = ScalarFunctionTable(p, tuple((v[(x + 1) % p] - 1) % p for x in range(p)))
+        g = _trusted(ScalarFunctionTable, p, tuple((v[(x + 1) % p] - 1) % p for x in range(p)))
         if is_multiplicative(g) != (v == ident):
             shifted_ok = False
         if v[2] == 1:
             f2_one.append(v)
             continue
         s = pow(v[2] - 1, p - 2, p)
-        g2 = ScalarFunctionTable(p, tuple((v[(x + 1) % p] - 1) * s % p for x in range(p)))
+        g2 = _trusted(ScalarFunctionTable, p, tuple((v[(x + 1) % p] - 1) * s % p for x in range(p)))
         if is_multiplicative(g2) != (v == ident):
             scaled_ok = False
     return MultRigidityReport(p, exponents, agrees, shifted_ok, scaled_ok, tuple(f2_one))

@@ -946,7 +946,7 @@ def test_search_budget_refuses_the_expansion_before_building_it(monkeypatch, dir
         raise AssertionError("built past the budget")
 
     monkeypatch.setattr(collineations, "_affine_transversal", never)
-    monkeypatch.setattr(collineations, "_unchecked_table", never)
+    monkeypatch.setattr(collineations, "_trusted", never)
     for budget in (nodes, nodes + tables - 1):
         monkeypatch.setattr(grid, "SEARCH_NODE_BUDGET", budget)
         with pytest.raises(ResourceError, match=f"budget of {budget} nodes"):
