@@ -46,6 +46,15 @@ from .scalars import (
 
 _E_TOKEN = re.compile(r"^e(\d{1,9})$")  # int() refuses a string of over 4300 digits
 
+# int <-> str conversion stops past 4300 digits, CPython's default limit, and
+# Fraction builds 10**exponent before it reduces.  So a literal is measured by
+# its text first: the digits it writes times a power of ten, over a power of
+# ten, as Fraction parses it (a superset of its grammar; anything else is
+# left to Fraction to refuse)
+_MAX_DIGITS = 4300
+_LITERAL = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)([\d_]*)(?:/([\d_]+)|(?:\.([\d_]*))?(?:[eE]([-+]?)([\d_]+))?)\s*")
+
 
 def parse_field(text: str) -> Field:
     if text in ("q", "Q", "rational"):
@@ -58,11 +67,31 @@ def parse_field(text: str) -> Field:
     raise InputError(f"field must be 'q' or 'p:<prime>', got {text!r}")
 
 
+def _literal_digits(text: str) -> int:
+    """The most digits of an integer that Fraction builds from the literal,
+    counted from its text without building one; 0 for any other text."""
+    m = _LITERAL.fullmatch(text)
+    if m is None:
+        return 0
+    num, den, dec, sign, exp = (g.replace("_", "") if g else "" for g in m.groups())
+    exp = exp.lstrip("0")
+    if len(exp) > 4:  # 10**exponent alone passes the limit
+        return _MAX_DIGITS + 1
+    e = int(sign + (exp or "0"))
+    # 10**k has k + 1 digits
+    return max(len(num) + len(dec) + max(e, 0), len(den), len(dec) + max(-e, 0) + 1)
+
+
 def parse_rational(text, what: str) -> Fraction:
-    """A rational literal such as "-3", "2/5" or "1.5"; anything else,
-    "1/0" included, is an InputError naming `what`."""
+    """A rational literal such as "-3", "2/5" or "1.5e-3"; anything else,
+    "1/0" included, is an InputError naming `what`.  So is a literal whose
+    numerator or denominator, as written, has more than 4300 digits: it is
+    refused before Fraction builds it."""
+    text = str(text)
+    if _literal_digits(text) > _MAX_DIGITS:
+        raise InputError(f"bad {what}: a literal of more than {_MAX_DIGITS} digits")
     try:
-        return Fraction(str(text))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad {what} {text!r}") from exc
 
@@ -119,7 +148,10 @@ def _read_json(path: str):
     """The JSON value in the file at path.  The CLI reads every input file
     here, and nothing in the library opens a file."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # malformed, or an int past 4300 digits
+            raise InputError(str(exc)) from exc
 
 
 def _load_directions(args, n: int) -> List[Tuple[Fraction, ...]]:
@@ -371,7 +403,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ResourceError as exc:

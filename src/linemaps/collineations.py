@@ -408,6 +408,15 @@ class PlaneForm:
     g: Tuple[int, ...]
     base: Point
 
+    def __post_init__(self):
+        # read as DiagonalForm reads its fields: exact ints mod p, of lengths m and p
+        p, m = self.p, len(self.base)
+        PrimeField(p)
+        if not m:
+            raise InputError("a plane form needs m >= 1")
+        for name, length in (("u1", m), ("u2", m), ("u3", m), ("f", p), ("g", p), ("base", m)):
+            object.__setattr__(self, name, _grid_point(p, length, getattr(self, name)))
+
     @property
     def m(self) -> int:
         return len(self.base)
@@ -448,7 +457,7 @@ def recover_plane_form(table: FiniteMapTable) -> PlaneForm:
     (u1, f), (u2, g) = _axis(table, range(0, p * p, p)), _axis(table, range(p))
     base = values[0]
     u3 = tuple((c - o - a - b) % p for c, o, a, b in zip(values[p + 1], base, u1, u2))
-    form = PlaneForm(p, u1, u2, u3, f, g, base)
+    form = _trusted(PlaneForm, p, u1, u2, u3, f, g, base)
     if tuple(itertools.starmap(form._evaluate, itertools.product(range(p), repeat=2))) != values:
         raise InternalInconsistencyError("recovered plane form does not reproduce the table")
     return form

@@ -23,6 +23,10 @@ RATIO_MAX_P = 7  # (p-2)! bijections
 BRUTE_FORCE_MAX_P = 7  # p! permutations, cross-checking the power maps
 DIAGONAL_MAX_P = 7  # ((p-2)!)^2 pairs of scalars
 ADDITIVE_MAX_P = 5  # p^4 matrices
+# the pair checks of verify_multiplicative_rigidity, phi(p-1) p (p+1) at most:
+# is_multiplicative reads p(p+1)/2 pairs of g and of g2 for each power map.
+# It admits every p up to 131 and some up to 151; p = 7919 ran 46 s unguarded
+MULT_PAIR_BUDGET = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -122,15 +126,17 @@ def ratio_criterion(p: int) -> RatioReport:
 # multiplicative injections and the shift-to-identity characterizations
 # ===========================================================================
 
+def _power_exponents(p: int) -> Tuple[int, ...]:
+    """The k in 1..p-2 with gcd(k, p-1) = 1, phi(p-1) of them."""
+    return tuple(k for k in range(1, p - 1) if gcd(k, p - 1) == 1)
+
+
 def multiplicative_injections(p: int) -> List[ScalarFunctionTable]:
     """All multiplicative injections of Z_p: the power maps x -> x^k with
     gcd(k, p-1) = 1 (f(0)=0 and f(1)=1 are forced for any of them)."""
     PrimeField(p)
-    out = []
-    for k in range(1, p - 1):
-        if gcd(k, p - 1) == 1:
-            out.append(_trusted(ScalarFunctionTable, p, tuple(pow(x, k, p) for x in range(p))))
-    return out
+    return [_trusted(ScalarFunctionTable, p, tuple(pow(x, k, p) for x in range(p)))
+            for k in _power_exponents(p)]
 
 
 def _brute_force_multiplicative_injections(p: int) -> List[Table]:
@@ -165,10 +171,15 @@ def verify_multiplicative_rigidity(p: int) -> MultRigidityReport:
     multiplicative only for f = identity.
 
     The structural enumeration by power maps is cross-checked against a brute
-    force over all permutations when p is small enough.
+    force over all permutations when p is small enough.  Past
+    MULT_PAIR_BUDGET pair checks it is refused before any map is built.
     """
+    PrimeField(p)
+    # phi(p-1) >= 1, so p(p+1) is compared first: a huge p lists no exponent
+    if (p * (p + 1) > MULT_PAIR_BUDGET
+            or len(exponents := _power_exponents(p)) * p * (p + 1) > MULT_PAIR_BUDGET):
+        raise ResourceError(f"phi(p-1) p (p+1) pair checks guarded at {MULT_PAIR_BUDGET}")
     candidates = multiplicative_injections(p)
-    exponents = tuple(k for k in range(1, p - 1) if gcd(k, p - 1) == 1)
 
     agrees: Optional[bool] = None
     if p <= BRUTE_FORCE_MAX_P:

@@ -20,6 +20,7 @@ from linemaps import (
     LineFamily,
     Matrix,
     MultiAffineMap,
+    PlaneForm,
     PrimeField,
     ProjLinearMap,
     ProjTable,
@@ -39,6 +40,7 @@ from linemaps import (
     multiplicative_injections,
     proj_table_from_map,
     recover_diagonal_form,
+    recover_plane_form,
     rref,
     solve,
     table_from_function,
@@ -102,6 +104,14 @@ def _recovery_case(rng):
     return tabulate_diagonal_form(form), LineFamily(PrimeField(form.p), form.n, form.u)
 
 
+def _plane_map(rng):
+    """(f(s), g(t), f(s) g(t)) for bijections f and g of Z_p: injective, and
+    linear along each axis line."""
+    p = rng.choice((3, 5, 7))
+    f, g = (rng.sample(range(p), p) for _ in range(2))
+    return table_from_function(p, 2, 3, lambda x: (f[x[0]], g[x[1]], f[x[0]] * g[x[1]]))
+
+
 def _random_self_map(rng):
     p, n = rng.choice((3, 5)), rng.randint(1, 2)
     return table_from_function(p, n, n, lambda x: [rng.randrange(p) for _ in x])
@@ -125,6 +135,7 @@ PRODUCERS = {
         Matrix, lambda rng, F: (lambda form: form._u_inverse, _diagonal_form(rng))),
     "recover_diagonal_form": (
         DiagonalForm, lambda rng, F: (recover_diagonal_form, *_recovery_case(rng))),
+    "recover_plane_form": (PlaneForm, lambda rng, F: (recover_plane_form, _plane_map(rng))),
     "exhaustive_bijection_search": (
         FiniteMapTable, lambda rng, F: (exhaustive_bijection_search, 3, 2, _search_family(rng))),
     "ProjLinearMap": (Matrix, lambda rng, F: (ProjLinearMap, _invertible(rng, F, 3))),

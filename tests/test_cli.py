@@ -430,6 +430,60 @@ def test_dirs_file_accepts_rational_entries(capsys, tmp_path):
     assert code == 0 and json.loads(out)["count"] == 432
 
 
+def test_a_rational_literal_past_the_digit_limit_is_refused_before_it_is_built(
+        capsys, tmp_path, monkeypatch):
+    # example --alpha 1e4400 built the value and then failed to print it: a
+    # ValueError traceback from _emit, exit 1; Fraction("1e9999999") alone took
+    # 5 s.  The numerator and denominator as written are counted from the text
+    # (10**k has k + 1 digits), and Fraction is never called on such a literal
+    import linemaps.cli as cli_module
+
+    def never(text):
+        raise AssertionError("Fraction was called")
+
+    huge = ("1e4400", "1e-5000", "1e9999999", "0e99999999", "1e4300", "1e-4300", "1" * 4301,
+            "0." + "0" * 4299 + "1", "1/" + "1" * 4301, "1_0e4299", "1e" + "9" * 5000)
+    with monkeypatch.context() as patched:
+        patched.setattr(cli_module, "Fraction", never)
+        for alpha in huge:
+            code, elapsed, err = _exit_code_and_time(
+                capsys, ["example", "--name", "four-dir-1", "--alpha", alpha])
+            assert (code, err) == (2, "input error: bad --alpha: a literal of more than "
+                                      "4300 digits\n"), alpha[:20]
+            assert elapsed < 0.1
+    # at the limit the value is built and printed exactly
+    for alpha, value in (("1e4299", 10 ** 4299), ("1e-4299", Fraction(1, 10 ** 4299)),
+                         ("0." + "0" * 4298 + "1", Fraction(1, 10 ** 4299))):
+        code, out = run(capsys, "example", "--name", "four-dir-1", "--alpha", alpha)
+        assert code == 0 and json.loads(out)["coeffs"][3]["value"][0] == str(value)
+    # the same reader serves --dirs and --dirs-file entries
+    dirs = tmp_path / "dirs.json"
+    dirs.write_text(json.dumps([[1, 0], ["1e-5000", 1]]))
+    for argv, what in ((["--dirs", "1e4400,1"], "direction entry"),
+                       (["--dirs-file", str(dirs)], "--dirs-file entry")):
+        code, _, err = _exit_code_and_time(capsys, ["exhaust", "--p", "3", "--n", "2", *argv])
+        assert (code, err) == (2, f"input error: bad {what}: a literal of more than 4300 digits\n")
+
+
+def test_a_json_int_past_the_digit_limit_is_an_input_error(capsys, tmp_path):
+    # json.load raises a bare ValueError on such an int, not a JSONDecodeError:
+    # it escaped as a traceback with exit 1
+    path = tmp_path / "dirs.json"
+    path.write_text("[[1, " + "1" * 5000 + "]]")
+    code, _, err = _exit_code_and_time(
+        capsys, ["exhaust", "--p", "3", "--n", "2", "--dirs-file", str(path)])
+    assert code == 2 and err.startswith("input error: Exceeds the limit (4300 digits)")
+
+
+def test_the_multiplicative_lemmas_refuse_a_prime_past_their_guard(capsys):
+    # scalar-lemmas --p 7919 --lemma f2-id ran 46 s and exited 0
+    for lemma in ("mult-id", "f2-id"):
+        code, elapsed, err = _exit_code_and_time(
+            capsys, ["scalar-lemmas", "--p", "7919", "--lemma", lemma])
+        assert code == 3 and err.startswith("resource guard: phi(p-1) p (p+1) pair checks")
+        assert elapsed < 0.1
+
+
 def test_huge_prime_hits_the_guard_at_once(capsys):
     # 2^61 - 1 is prime: it used to take trial division past 15 s to see that
     t0 = time.perf_counter()
@@ -621,3 +675,65 @@ def test_exhaust_fuzz_ends_in_an_exit_code_and_never_a_traceback(p, n, dirs):
     else:
         payload = json.loads(out.getvalue())
         assert payload["count"] == len(payload["tables"]) > 0, argv
+
+
+# --alpha literals: small rationals, exponents either way past the digit limit,
+# a zero denominator, more digits than the limit, junk
+_ALPHA = st.one_of(
+    st.fractions(max_denominator=50).map(str), st.integers(-6000, 6000).map("1e{}".format),
+    st.integers(0, 10 ** 12).map("0.5e-{}".format),
+    st.sampled_from(("1/0", "0", "x", "", "nan", "1_0", "1" * 5000, "1e" + "9" * 5000)))
+_FIELD = st.sampled_from(("q", "p:5", "p:7", "p:4"))
+# p: primes each side of the guards, and any int text as for exhaust
+_P = st.one_of(st.sampled_from((3, 5, 7, 11, 13, 131, 137, 7919, 2 ** 61 - 1)).map(str), _INT_TEXT)
+_X0 = st.one_of(st.tuples(st.integers(-1, 2), st.integers(-1, 2)).map("{0[0]},{0[1]}".format),
+                st.sampled_from(("1", "1,1,1", "1.5,1", "True,1", "9" * 5000 + ",1")),
+                st.text(max_size=6))
+_ARGV = st.one_of(
+    st.builds(lambda name, field, alpha: ["example", f"--name={name}", f"--field={field}",
+                                          f"--alpha={alpha}"],
+              st.sampled_from(("r3", "four-dir-1", "four-dir-2", "sharp-r4", "r4-noninjective")),
+              _FIELD, _ALPHA),
+    st.builds(lambda variant, alpha, u, field: ["refute-fifth", f"--variant={variant}",
+                                                f"--alpha={alpha}", f"--u={u}",
+                                                f"--field={field}"],
+              st.sampled_from(("1", "2")), _ALPHA,
+              st.sampled_from(("2,3,1", "-1,1/2,1", "1,1,1", "2,3", "1e9999,3,1")), _FIELD),
+    st.builds(lambda p, lemma, x0: ["scalar-lemmas", f"--p={p}", f"--lemma={lemma}",
+                                    f"--x0={x0}"],
+              _P, st.sampled_from(("ratio", "mult-id", "f2-id", "diag2str", "add1str")), _X0))
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), time.perf_counter() - t0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(argv=_ARGV)
+# the breaches this test found: an --alpha past the digit limit, either way,
+# and the unguarded multiplicative lemmas
+@example(argv=["example", "--name=four-dir-1", "--alpha=1e4400"])
+@example(argv=["refute-fifth", "--variant=1", "--alpha=1e-5000"])
+@example(argv=["example", "--name=four-dir-2", "--alpha=1e9999999"])
+@example(argv=["scalar-lemmas", "--p=7919", "--lemma=f2-id"])
+@example(argv=["scalar-lemmas", "--p=13", "--lemma=mult-id"])
+@example(argv=["refute-fifth", "--variant=2", "--u=1,1,1"])
+def test_other_commands_fuzz_end_in_an_exit_code_and_never_a_traceback(argv):
+    # in-process through main, twice: an exception other than argparse's
+    # SystemExit fails the test
+    code, out, err, elapsed = _run_in_process(argv)
+    assert elapsed < 1.0, argv
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err, argv
+    if code in (0, 1):
+        json.loads(out)
+    else:
+        assert out == "", argv
+    assert _run_in_process(argv)[:3] == (code, out, err), argv

@@ -17,6 +17,7 @@ from linemaps import (
     FiniteMapTable,
     InputError,
     LineFamily,
+    PlaneForm,
     PrimeField,
     QQ,
     ResourceError,
@@ -733,6 +734,25 @@ def test_hyperbolic_paraboloid_plane_form():
     assert not form.cross_term_vanishes
     for pt in grid_points(5, 2):
         assert form.apply(pt) == tab.apply(pt)
+
+
+def test_plane_form_reads_its_fields_as_residues():
+    ident = tuple(range(5))
+    form = PlaneForm(5, (6, 0), (0, -4), (0, 0), ident, ident, (5, 7))
+    assert (form.u1, form.u2, form.base) == ((1, 0), (0, 1), (0, 2))
+    assert form.apply((2, 3)) == (2, 0)
+    # a float u1 was applied as (1.5, 1) and failed in to_json, a short f
+    # raised a bare IndexError at apply, and base=() gave a form with m = 0
+    with pytest.raises(InputError, match="not an int"):
+        PlaneForm(5, (1.5, 0), (0, 1), (0, 0), ident, ident, (0, 0))
+    with pytest.raises(InputError, match="not an int"):
+        PlaneForm(5, (1, 0), (0, 1), (0, 0), ident, (0, 1, 2, 3, 4.0), (0, 0))
+    with pytest.raises(InputError, match="point length"):
+        PlaneForm(5, (1, 0), (0, 1), (0, 0), (0, 1), ident, (0, 0))
+    with pytest.raises(InputError, match="m >= 1"):
+        PlaneForm(5, (), (), (), ident, ident, ())
+    with pytest.raises(InputError, match="not prime"):
+        PlaneForm(4, (1, 0), (0, 1), (0, 0), ident[:4], ident[:4], (0, 0))
 
 
 def test_plane_form_recovery_checks_every_point(monkeypatch):

@@ -5,6 +5,7 @@ conditions forcing the identity."""
 from __future__ import annotations
 
 import itertools
+import time
 from math import factorial
 
 import pytest
@@ -23,7 +24,7 @@ from linemaps import (
     verify_diagonal_rigidity,
     verify_multiplicative_rigidity,
 )
-from linemaps import grid, grid_points, points_collinear
+from linemaps import grid, grid_points, points_collinear, scalars
 from linemaps.grid import _plane_pencil
 from linemaps.scalars import (
     _brute_force_multiplicative_injections, _is_additive_image, _line_triples,
@@ -122,6 +123,35 @@ def test_multiplicative_rigidity(p):
         assert report.brute_force_agrees is True
     else:
         assert report.brute_force_agrees is None
+
+
+def test_multiplicative_rigidity_guard(monkeypatch):
+    # phi(p-1) p (p+1) pair checks: 12, 60, 112, 528, 728 for p = 3 .. 13
+    for p in (3, 5, 7, 11, 13):
+        assert verify_multiplicative_rigidity(p).ok
+    # unguarded, p = 7919 tested its 3,816 power maps for 46 s
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceError, match="guarded at 1000000"):
+        verify_multiplicative_rigidity(7919)
+    assert time.perf_counter() - t0 < 0.1
+
+    def never(p):
+        raise AssertionError("reached")
+
+    # the boundary, with no candidate built past it
+    monkeypatch.setattr(scalars, "multiplicative_injections", never)
+    monkeypatch.setattr(scalars, "MULT_PAIR_BUDGET", 112)
+    with pytest.raises(AssertionError, match="reached"):
+        verify_multiplicative_rigidity(7)  # phi(6) * 7 * 8 = 112
+    monkeypatch.setattr(scalars, "MULT_PAIR_BUDGET", 111)
+    with pytest.raises(ResourceError, match="guarded at 111"):
+        verify_multiplicative_rigidity(7)
+    # p(p+1) alone passes the guard: the exponents of a huge p are not listed
+    monkeypatch.setattr(scalars, "_power_exponents", never)
+    with pytest.raises(ResourceError, match="guarded at 111"):
+        verify_multiplicative_rigidity(1000000007)
+    with pytest.raises(InputError, match="not prime"):
+        verify_multiplicative_rigidity(10 ** 9)
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
