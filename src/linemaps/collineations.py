@@ -527,7 +527,7 @@ def exhaustive_bijection_search(p: int, n: int, fam: LineFamily) -> List[FiniteM
                         result_cost=total * (total - 1))
     # built only once the budget has counted the tables, which are at least as
     # many as the maps.  Each map as the images of the grid points, so g o G
-    # is G's flat indices read through g: a permutation of the points, a table
+    # is G's flat indices read through g, a permutation of the grid points
     images = [tuple(map(points.__getitem__, g)) for g in _affine_transversal(p, n)]
     found = sorted(tuple(map(g.__getitem__, values)) for values in pinned for g in images)
     return [_trusted(FiniteMapTable, p, n, n, values) for values in found]

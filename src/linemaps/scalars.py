@@ -25,7 +25,7 @@ DIAGONAL_MAX_P = 7  # ((p-2)!)^2 pairs of scalars
 ADDITIVE_MAX_P = 5  # p^4 matrices
 # the pair checks of verify_multiplicative_rigidity, phi(p-1) p (p+1) at most:
 # is_multiplicative reads p(p+1)/2 pairs of g and of g2 for each power map.
-# It admits every p up to 131 and some up to 151; p = 7919 ran 46 s unguarded
+# It admits every p up to 131, and 139 and 151; p = 7919 ran 46 s unguarded
 MULT_PAIR_BUDGET = 10 ** 6
 
 

@@ -975,8 +975,8 @@ def test_search_budget_refuses_the_expansion_before_building_it(monkeypatch, dir
 
 def test_search_refuses_a_grid_whose_affine_group_passes_the_budget(monkeypatch):
     # every affine bijection survives every family, so |AGL(n,p)| =
-    # p^n (p^n - 1) ... (p^n - p^(n-1)) nodes are refused before the identity
-    # table or the kernel is built; the grids whose group fits reach them
+    # p^n (p^n - 1) ... (p^n - p^(n-1)) nodes are refused before the grid
+    # points are listed or the kernel runs; the grids whose group fits reach them
     class Reached(Exception):
         pass
 
@@ -984,7 +984,7 @@ def test_search_refuses_a_grid_whose_affine_group_passes_the_budget(monkeypatch)
         raise Reached
 
     monkeypatch.setattr(collineations, "_backtrack", reached)
-    monkeypatch.setattr(collineations, "FiniteMapTable", reached)
+    monkeypatch.setattr(collineations, "grid_points", reached)
 
     def search(p, n):
         return exhaustive_bijection_search(p, n, LineFamily(QQ, n, ((1,) + (0,) * (n - 1),)))
