@@ -9,6 +9,10 @@ Exit codes:
   3  a resource guard tripped (table or search too large for the budget)
   4  an internal inconsistency: a verified precondition later failed, which
      signals a checker bug rather than a property of the input
+
+The parsers need only `exact` and `grid`, which load with this module; each
+command imports the rest of what it runs when it runs, so a process loads only
+the modules of its own command.
 """
 
 from __future__ import annotations
@@ -20,15 +24,6 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .collineations import (
-    check_family, exhaustive_bijection_search, parallelism_report, recover_diagonal_form,
-    recover_plane_form,
-)
-from .constraints import (
-    build_constraints, construct_sharp_map, example_r3_map,
-    fifth_direction_refutation, four_direction_form, noninjective_r4_variant,
-    sharp_r4_map,
-)
 from .exact import (
     Field, InputError, InternalInconsistencyError, PrimeField, QQ,
     ResourceError, unit_vector,
@@ -36,12 +31,6 @@ from .exact import (
 from .grid import (
     DEFAULT_POINT_BUDGET, FiniteMapTable, LineFamily, _grid_size, table_from_json,
     table_to_json,
-)
-from .multiaffine import map_from_json, map_to_json, reduce_mod, tabulate
-from .projective import decide_projective_linear, proj_table_from_json
-from .scalars import (
-    ratio_criterion, verify_additive_rigidity, verify_diagonal_rigidity,
-    verify_multiplicative_rigidity,
 )
 
 _E_TOKEN = re.compile(r"^e(\d{1,9})$")  # int() refuses a string of over 4300 digits
@@ -175,6 +164,7 @@ def _table_for(args) -> FiniteMapTable:
         return table_from_json(_read_json(args.table))
     if not getattr(args, "map", None):
         raise InputError("need --map or --table")
+    from .multiaffine import map_from_json, reduce_mod, tabulate
     m = map_from_json(_read_json(args.map))
     if getattr(args, "field", None):
         field = parse_field(args.field)
@@ -189,6 +179,7 @@ def _table_for(args) -> FiniteMapTable:
 
 
 def cmd_verify_family(args) -> int:
+    from .collineations import check_family, parallelism_report
     table = _table_for(args)
     fam = LineFamily(QQ, table.n, tuple(_load_directions(args, table.n)))
     report = check_family(table, fam, args.mode)
@@ -206,6 +197,7 @@ def cmd_verify_family(args) -> int:
 
 
 def cmd_recover_form(args) -> int:
+    from .collineations import recover_diagonal_form, recover_plane_form
     table = _table_for(args)
     if args.kind == "plane":
         form = recover_plane_form(table)
@@ -217,12 +209,15 @@ def cmd_recover_form(args) -> int:
 
 
 def cmd_constraints(args) -> int:
+    from .constraints import build_constraints
     system = build_constraints(args.n)
     _emit(system.to_json(), args.emit)
     return 0
 
 
 def cmd_construct_sharp(args) -> int:
+    from .constraints import construct_sharp_map
+    from .multiaffine import map_to_json
     spec = construct_sharp_map(args.dim)
     alphas = [{"delta": [(m >> i) & 1 for i in range(spec.dim)],
                "value": QQ.to_json(a)} for m, a in sorted(spec.alphas.items())]
@@ -231,23 +226,27 @@ def cmd_construct_sharp(args) -> int:
     return 0
 
 
+# each stock example, built from the `constraints` module that the command loads
 _EXAMPLES = {
-    "r3": lambda field, alpha: example_r3_map(field),
-    "four-dir-1": lambda field, alpha: four_direction_form(alpha, 1, field),
-    "four-dir-2": lambda field, alpha: four_direction_form(alpha, 2, field),
-    "sharp-r4": lambda field, alpha: sharp_r4_map(field),
-    "r4-noninjective": lambda field, alpha: noninjective_r4_variant(field),
+    "r3": lambda c, field, alpha: c.example_r3_map(field),
+    "four-dir-1": lambda c, field, alpha: c.four_direction_form(alpha, 1, field),
+    "four-dir-2": lambda c, field, alpha: c.four_direction_form(alpha, 2, field),
+    "sharp-r4": lambda c, field, alpha: c.sharp_r4_map(field),
+    "r4-noninjective": lambda c, field, alpha: c.noninjective_r4_variant(field),
 }
 
 
 def cmd_example(args) -> int:
+    from . import constraints
+    from .multiaffine import map_to_json
     field = parse_field(args.field)
     alpha = field.convert(parse_rational(args.alpha, "--alpha"))
-    _emit(map_to_json(_EXAMPLES[args.name](field, alpha)), args.out)
+    _emit(map_to_json(_EXAMPLES[args.name](constraints, field, alpha)), args.out)
     return 0
 
 
 def cmd_refute_fifth(args) -> int:
+    from .constraints import fifth_direction_refutation, four_direction_form
     field = parse_field(args.field)
     alpha = field.convert(parse_rational(args.alpha, "--alpha"))
     map_ = four_direction_form(alpha, args.variant, field)
@@ -262,6 +261,7 @@ def cmd_refute_fifth(args) -> int:
 
 
 def cmd_decide_proj(args) -> int:
+    from .projective import decide_projective_linear, proj_table_from_json
     m = decide_projective_linear(proj_table_from_json(_read_json(args.table)))
     if m is None:
         _emit({"projective_linear": False}, args.out)
@@ -274,6 +274,7 @@ def cmd_decide_proj(args) -> int:
 
 
 def cmd_exhaust(args) -> int:
+    from .collineations import exhaustive_bijection_search
     # a huge n is refused before the directions are read: e1 is a vector of length n
     _grid_size(PrimeField(args.p).p, args.n, DEFAULT_POINT_BUDGET, "point budget")
     fam = LineFamily(QQ, args.n, tuple(_load_directions(args, args.n)))
@@ -284,6 +285,10 @@ def cmd_exhaust(args) -> int:
 
 
 def cmd_scalar_lemmas(args) -> int:
+    from .scalars import (
+        ratio_criterion, verify_additive_rigidity, verify_diagonal_rigidity,
+        verify_multiplicative_rigidity,
+    )
     p = args.p
     if args.lemma == "ratio":
         report = ratio_criterion(p)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import time
 from fractions import Fraction
@@ -19,6 +20,7 @@ from linemaps import (
     example_r3_map,
     map_to_json,
     matrix,
+    pg_points,
     proj_table_from_map,
     proj_table_to_json,
     reduce_mod,
@@ -411,12 +413,14 @@ def test_map_files_with_coerced_entries_are_input_errors(capsys, tmp_path):
 
 
 def test_internal_inconsistency_has_its_own_exit_code(capsys, monkeypatch):
-    import linemaps.cli as cli_module
+    # the command imports construct_sharp_map when it runs, so it is patched
+    # where it is defined
+    import linemaps.constraints as constraints_module
 
     def broken(dim):
         raise InternalInconsistencyError("sharp map violates the constraint system")
 
-    monkeypatch.setattr(cli_module, "construct_sharp_map", broken)
+    monkeypatch.setattr(constraints_module, "construct_sharp_map", broken)
     assert main(["construct-sharp", "--dim", "4"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -731,6 +735,184 @@ def test_other_commands_fuzz_end_in_an_exit_code_and_never_a_traceback(argv):
     code, out, err, elapsed = _run_in_process(argv)
     assert elapsed < 1.0, argv
     assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err, argv
+    if code in (0, 1):
+        json.loads(out)
+    else:
+        assert out == "", argv
+    assert _run_in_process(argv)[:3] == (code, out, err), argv
+
+
+# the commands that read files, and constraints and construct-sharp
+# ------------------------------------------------------------------
+
+# JSON text for an int field: small, any size, past int()'s 4300 digits, a
+# float (NaN and the infinities too), a bool, a string, null
+_JSON_INT = st.one_of(
+    st.integers(-1, 8).map(str), st.integers().map(str), st.just("9" * 5000),
+    st.floats().map(json.dumps), st.booleans().map(json.dumps), st.sampled_from(('"3"', "null")))
+# a size flag: small, past the dense guards, negative, a float or a bool.
+# constraints --n 10..12 and construct-sharp --dim 10..14 are left out: they
+# are valid jobs of 0.2 to 3 s (constraints --n 12 prints 45 MB), bounded by
+# the dense guards, not bad input
+_SIZE_TEXT = st.one_of(
+    st.integers(-1, 9).map(str), st.integers(max_value=-2).map(str), st.integers(min_value=15).map(str), st.just("9" * 5000),
+    st.floats().map(repr), st.booleans().map(str))
+# --dirs-file contents: entries that are rationals, junk, zero denominators,
+# floats and bools, in vectors of any length, and empty, duplicate, zero and
+# non-list families
+_DIRS_JSON = st.one_of(
+    st.lists(st.lists(st.one_of(st.integers(-2, 2), st.sampled_from(("1/2", "1/0", "x")),
+                                st.floats(), st.booleans()), max_size=4), max_size=4),
+    st.sampled_from(([], [[1, 0], [1, 0]], [[1, 0, 0], [2, 0, 0]], [[0, 0, 0]], {"e1": 1},
+                     [1, 0])))
+
+
+def _spoil(draw, obj, fields):
+    """obj as JSON text, half the time with one fault: one of its int fields
+    replaced by a _JSON_INT; its value list cut short, grown, emptied or
+    flattened to numbers; its first entry out of range or not an int; or the
+    value list alone in place of the object."""
+    spoil = draw(st.sampled_from(("short", "long", "empty", "flat", "entry", "bare") + fields)) \
+        if draw(st.booleans()) else None
+    values = obj["values"]
+    if spoil == "bare":
+        return json.dumps(values)
+    if spoil == "entry":
+        first = draw(st.sampled_from((-1, obj["p"], 1.5, True, "1", None)))
+        obj["values"] = [[first] + values[0][1:]] + values[1:]
+    else:
+        obj["values"] = {"short": values[:-1], "long": values + values[:1], "empty": [],
+                         "flat": [c for v in values for c in v]}.get(spoil, values)
+    text = json.dumps(obj)
+    if spoil in fields:
+        text = text.replace(f'"{spoil}": {obj[spoil]}', f'"{spoil}": {draw(_JSON_INT)}')
+    return text
+
+
+@st.composite
+def _table_json(draw):
+    """A table of (Z_p)^n -> (Z_p)^m: the identity, or the plane's x1*x2
+    when m > n, permuted or random, then perhaps spoiled."""
+    p, n, m = draw(st.sampled_from(((3, 1, 1), (3, 2, 2), (3, 2, 3), (5, 2, 2), (5, 2, 3))))
+    values = [list(x) + [x[0] * x[-1] % p] * (m - n)
+              for x in itertools.product(range(p), repeat=n)]
+    values = draw(st.one_of(
+        st.just(values), st.permutations(values),
+        st.lists(st.lists(st.integers(0, p - 1), min_size=m, max_size=m),
+                 min_size=len(values), max_size=len(values))))
+    return _spoil(draw, {"p": p, "n": n, "m": m, "values": values}, ("p", "n", "m"))
+
+
+@st.composite
+def _proj_table_json(draw):
+    """A table of PG(n,p): the identity, permuted, or random coordinates,
+    then perhaps spoiled."""
+    p, n = draw(st.sampled_from(((3, 1), (3, 2), (5, 1), (5, 2))))
+    points = [list(c) for c in pg_points(p, n)]
+    values = draw(st.one_of(
+        st.just(points), st.permutations(points),
+        st.lists(st.lists(st.integers(0, p - 1), min_size=n + 1, max_size=n + 1),
+                 min_size=len(points), max_size=len(points))))
+    return _spoil(draw, {"p": p, "n": n, "values": values}, ("p", "n"))
+
+
+@st.composite
+def _map_json(draw):
+    """The r3 example map, half the time with one fault: its n, m or field p
+    replaced by a _JSON_INT, a coefficient repeated, a coefficient vector cut
+    short, or the coefficient list alone in place of the object."""
+    obj = map_to_json(example_r3_map(QQ))
+    text = json.dumps(obj)
+    spoil = draw(st.sampled_from(("n", "m", "field", "repeat", "short", "bare"))) \
+        if draw(st.booleans()) else None
+    if spoil in ("n", "m"):
+        text = text.replace(f'"{spoil}": 3', f'"{spoil}": {draw(_JSON_INT)}')
+    elif spoil == "field":
+        text = text.replace('{"type": "rational"}', f'{{"type": "prime", "p": {draw(_JSON_INT)}}}')
+    elif spoil == "repeat":
+        obj["coeffs"].append(obj["coeffs"][0])
+        text = json.dumps(obj)
+    elif spoil == "short":
+        obj["coeffs"][0]["value"].pop()
+        text = json.dumps(obj)
+    elif spoil == "bare":
+        text = json.dumps(obj["coeffs"])
+    return text
+
+
+@st.composite
+def _file_argv(draw):
+    """argv for one command, with the files it reads: file arguments name a
+    file under "<dir>/", and the files map each name to its text."""
+    command = draw(st.sampled_from(
+        ("verify-family", "recover-form", "decide-proj", "constraints", "construct-sharp")))
+    if command == "constraints":
+        return ["constraints", f"--n={draw(_SIZE_TEXT)}"], {}
+    if command == "construct-sharp":
+        return ["construct-sharp", f"--dim={draw(_SIZE_TEXT)}"], {}
+    if command == "decide-proj":
+        return ["decide-proj", "--table=<dir>/proj.json"], {"proj.json": draw(_proj_table_json())}
+    argv, files = [command], {}
+    if draw(st.booleans()):
+        files["table.json"] = draw(_table_json())
+        argv.append("--table=<dir>/table.json")
+    else:
+        files["map.json"] = draw(_map_json())
+        argv += ["--map=<dir>/map.json", f"--field={draw(_FIELD)}"]
+    kind = draw(st.sampled_from(("plane", "diagonal"))) if command == "recover-form" else None
+    if kind:
+        argv.append(f"--kind={kind}")
+    if kind != "plane":
+        if draw(st.booleans()):
+            dirs = st.one_of(st.sampled_from(("e1", "e1,e2", "e1,e2,e3", "e1,e2,e3,1,1,-1")), _DIRS)
+            argv.append(f"--dirs={draw(dirs)}")
+        else:
+            files["dirs.json"] = json.dumps(draw(_DIRS_JSON))
+            argv.append("--dirs-file=<dir>/dirs.json")
+    if command == "verify-family":
+        argv += draw(st.sampled_from(([], ["--mode=into"], ["--parallelism"])))
+    return argv, files
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=_file_argv())
+# exit 0 of each command and exit 1 of the two that report a violation, then
+# the guards and an empty family
+@example(case=(["verify-family", "--table=<dir>/t.json", "--dirs=e1,e2,1,1"],
+               {"t.json": json.dumps(table_to_json(table_from_function(3, 2, 2, tuple)))}))
+@example(case=(["verify-family", "--map=<dir>/r3.json", "--field=p:5", "--dirs=e1,e2,e3",
+                "--parallelism"], {"r3.json": json.dumps(map_to_json(example_r3_map(QQ)))}))
+@example(case=(["recover-form", "--table=<dir>/t.json", "--kind=plane"],
+               {"t.json": json.dumps(table_to_json(table_from_function(
+                   5, 2, 3, lambda x: (x[0], x[1], x[0] * x[1] % 5))))}))
+@example(case=(["decide-proj", "--table=<dir>/t.json"],
+               {"t.json": json.dumps({"p": 3, "n": 2, "values": pg_points(3, 2)})}))
+@example(case=(["decide-proj", "--table=<dir>/t.json"],
+               {"t.json": json.dumps({"p": 5, "n": 1, "values": [[0, 1], [1, 0], [1, 1], [1, 2],
+                                                                [1, 4], [1, 3]]})}))
+@example(case=(["constraints", "--n=4"], {}))
+@example(case=(["construct-sharp", "--dim=6"], {}))
+@example(case=(["constraints", "--n=13"], {}))
+@example(case=(["construct-sharp", "--dim=16"], {}))
+@example(case=(["verify-family", "--table=<dir>/t.json", "--dirs=e1,e2"],
+               {"t.json": '{"p": 3, "n": 99999, "m": 2, "values": []}'}))
+@example(case=(["decide-proj", "--table=<dir>/t.json"],
+               {"t.json": '{"p": 3, "n": 99999, "values": []}'}))
+@example(case=(["recover-form", "--table=<dir>/t.json", "--kind=diagonal",
+                "--dirs-file=<dir>/d.json"],
+               {"t.json": '{"p": 3, "n": 1, "m": 1, "values": [[0], [1], [2]]}',
+                "d.json": "[]"}))
+def test_file_commands_fuzz_end_in_an_exit_code_and_never_a_traceback(tmp_path_factory, case):
+    # in-process through main, twice; every file is written before the first call
+    argv, files = case
+    where = tmp_path_factory.mktemp("fuzz")
+    for name, text in files.items():
+        (where / name).write_text(text)
+    argv = [arg.replace("<dir>", str(where)) for arg in argv]
+    code, out, err, elapsed = _run_in_process(argv)
+    assert elapsed < 1.0, argv
+    assert code in (0, 1, 2, 3, 4), argv
     assert "Traceback" not in err, argv
     if code in (0, 1):
         json.loads(out)

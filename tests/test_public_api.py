@@ -3,6 +3,8 @@ purpose, together with this list."""
 
 from __future__ import annotations
 
+import json
+
 import linemaps
 
 PUBLIC = [
@@ -45,3 +47,27 @@ def test_every_public_name_resolves():
     namespace = {}
     exec("from linemaps import *", namespace)
     assert [name for name in PUBLIC if name not in namespace] == []
+
+
+# in a fresh interpreter, where `import linemaps` has loaded no module yet
+FRESH = """
+import json, types, linemaps
+listed = set(dir(linemaps)) >= set(linemaps.__all__)
+modules = [name for name in ("exact", "grid", "multiaffine", "collineations", "constraints",
+                             "projective", "scalars")
+           if not isinstance(getattr(linemaps, name), types.ModuleType)]
+try:
+    linemaps.no_such_name
+    unknown = "resolved"
+except AttributeError as exc:
+    unknown = str(exc)
+namespace = {}
+exec("from linemaps import *", namespace)
+print(json.dumps([listed, modules, unknown,
+                  sorted(name for name in namespace if name != "__builtins__")]))
+"""
+
+
+def test_the_lazy_package_resolves_every_name_in_a_fresh_interpreter(fresh_python):
+    assert json.loads(fresh_python(FRESH)) == [
+        True, [], "module 'linemaps' has no attribute 'no_such_name'", PUBLIC]
