@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .exact import (
@@ -112,6 +114,82 @@ class FamilyReport:
         return _to_json(self)
 
 
+# The direction numbers of every difference key, (2p)^m of them, are built
+# at once while they number at most DIFFERENCE_TABLE_BOUND: a list of 10,000
+# at p = 5, m = 4.  Past it they are kept in a memo filled on first use, which
+# answers every key but keeps at most DIFFERENCE_MEMO_CAP of them.  Nothing
+# sized (2p)^m is built for a large m: at m = 40 it would never finish.
+DIFFERENCE_TABLE_BOUND = 1 << 16
+DIFFERENCE_MEMO_CAP = 1 << 12
+
+
+class _DirectionNumbers:
+    """Integer codes for the values of (Z_p)^m, and the direction number of
+    each difference of two values.
+
+    A value's code c(y) is the integer whose base-R digits are its entries,
+    for a radix R >= 2p.  For values y and y0, c(y) - c(y0) + c((p, ..., p))
+    has the digits y_j - y0_j + p, all in [1, 2p) and so below R: no digit
+    borrows, and the number names the difference y - y0.  It is the
+    difference's key.  Its direction number is the same for two nonzero
+    differences iff they are parallel, and 0 for a zero difference.
+
+    While (2p)^m is at most DIFFERENCE_TABLE_BOUND, R = 2p: a code is read by
+    Horner's rule, column by column over the values, and `numbers` is a list
+    with the number of every key, the flat index of the difference scaled so
+    its first nonzero entry is 1.  Past the bound, R = 256^itemsize of an
+    array type that holds 2p - 1, and a code is the bytes of an array of the
+    entries read as one int (in the machine's byte order), one pass whatever m
+    is.  `numbers` is then a dict that `number` fills on first use, with the
+    code of the scaled difference as the number."""
+
+    def __init__(self, p: int, m: int):
+        self.p, self.m = p, m
+        if m < DIFFERENCE_TABLE_BOUND.bit_length() and (2 * p) ** m <= DIFFERENCE_TABLE_BOUND:
+            self.typecode = None
+            # the residue vector of each key digit by digit, then its number
+            residues = [(d - p) % p for d in range(2 * p)]
+            index = [0]
+            for _ in range(m):
+                index = [i * p + r for i in index for r in residues]
+            numbers = [point_index(p, normalize_coords(p, v)) if any(v) else 0
+                       for v in grid_points(p, m)]
+            self.numbers = [numbers[i] for i in index]
+        else:
+            # a table holds p^n >= p values, so p is far below 2^63
+            self.typecode = next(t for t in "BHILQ" if 256 ** array(t).itemsize >= 2 * p)
+            self.numbers = {}
+        (self.offset,) = self.codes([(p,) * m])
+
+    def codes(self, values: Sequence[Sequence[int]]) -> List[int]:
+        """The code of each value, in order."""
+        if self.typecode is None:
+            codes, radix = [0] * len(values), 2 * self.p
+            for column in zip(*values):
+                codes = [c * radix + y for c, y in zip(codes, column)]
+            return codes
+        t, order = self.typecode, sys.byteorder
+        return [int.from_bytes(array(t, y), order) for y in values]
+
+    def number(self, key: int) -> int:
+        """The direction number of a key past the list's bound, remembered
+        while the memo has room."""
+        number = self.numbers.get(key)
+        if number is None:
+            p, digits = self.p, array(self.typecode)
+            digits.frombytes(key.to_bytes(self.m * digits.itemsize, sys.byteorder))
+            diff = [(d - p) % p for d in digits]
+            number = self.codes([normalize_coords(p, diff)])[0] if any(diff) else 0
+            if len(self.numbers) < DIFFERENCE_MEMO_CAP:
+                self.numbers[key] = number
+        return number
+
+
+@lru_cache(maxsize=8)
+def _direction_numbers(p: int, m: int) -> _DirectionNumbers:
+    return _DirectionNumbers(p, m)
+
+
 def _walk(table: FiniteMapTable,
           d: Point) -> Tuple[Point, Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
     """The one walk over the lines of the table's grid parallel to the
@@ -122,34 +200,51 @@ def _walk(table: FiniteMapTable,
     image of the direction's first line).  A line's number is its place in
     `_line_kernel` of the canonical direction.
 
+    The walk reads each value as its integer code, computed once per table
+    and kept next to the walks, and each difference from a line's first
+    image as its direction number (see `_DirectionNumbers`).  A line's image
+    is a line iff all its nonzero differences have one direction number (a
+    zero difference is a repeated point, which a table that is not injective
+    can have), and two image lines are parallel iff their numbers are equal.
+
     An injective table maps p points to p distinct points, so a collinear
     image is a whole line and the onto test is skipped; a table that is not
     injective gets no parallel test (its consumers refuse it first).  The
     parallel lines mean something only when every image is a line."""
     p = table.p
     key = normalize_coords(p, d)
-    walks = table.__dict__.setdefault("_walks", {})
+    memo = table.__dict__
+    walks = memo.setdefault("_walks", {})
     walk = walks.get(key)
     if walk is None:
+        directions = _direction_numbers(p, table.m)
+        codes = memo.get("_codes")
+        if codes is None:
+            codes = memo["_codes"] = directions.codes(table.values)
         injective = table.is_injective()
-        origin = (0,) * table.m
+        known, offset = directions.numbers, directions.offset
         ref = None
         not_line: List[int] = []
         not_onto: List[int] = []
         not_parallel: List[int] = []
-        for i, (_d, _base, images) in enumerate(_family_lines(table, (key,))):
-            if not points_collinear(p, images):
+        for i, (_base, idx) in enumerate(_lines(p, table.n, key)):
+            base = codes[idx[0]] - offset
+            try:
+                numbers = {known[codes[j] - base] for j in idx}
+            except KeyError:  # a memo past the list's bound
+                numbers = {directions.number(codes[j] - base) for j in idx}
+            numbers.discard(0)
+            if len(numbers) > 1:
                 not_line.append(i)
             elif not injective:
-                if len(set(images)) < p:
+                if len({codes[j] for j in idx}) < p:
                     not_onto.append(i)
             else:
-                # injective: delta and ref are nonzero, so they are parallel
-                # iff 0, ref and delta lie on one line
-                delta = tuple((a - b) % p for a, b in zip(images[1], images[0]))
+                # injective: the line's one direction number is its image's direction
+                number = numbers.pop()
                 if ref is None:
-                    ref = delta
-                elif not points_collinear(p, (origin, ref, delta)):
+                    ref = number
+                elif number != ref:
                     not_parallel.append(i)
         walk = walks[key] = (key, tuple(not_line), tuple(not_onto), tuple(not_parallel))
     return walk
@@ -228,14 +323,6 @@ def _diagonal_hypothesis(table: FiniteMapTable, fam: LineFamily) -> Tuple[List[P
     return dirs, None
 
 
-def _differences(table: FiniteMapTable, points: Sequence[Sequence[int]]) -> List[Point]:
-    """F(x) - F(0) (mod p) at these points, read by flat index; F(0) is
-    values[0]."""
-    p, values = table.p, table.values
-    base = values[0]
-    return [tuple((a - b) % p for a, b in zip(values[point_index(p, x)], base)) for x in points]
-
-
 def _axis(table: FiniteMapTable, along: Sequence[int]) -> Tuple[Point, Tuple[int, ...]]:
     """The map read along a direction v, given the flat indices of the points
     a*v for a = 0, ..., p-1: w = F(v) - F(0) and the f with
@@ -270,6 +357,18 @@ class SpanInvariantReport:
         return _to_json(self)
 
 
+def _translate(p: int, columns: List[List[int]], v: Sequence[int], c: int) -> List[List[int]]:
+    """The points x + c*v (mod p), with the points x and the result kept as
+    coordinate columns."""
+    return [[(a + s) % p for a in column] if s else column
+            for column, s in zip(columns, (c * b % p for b in v))]
+
+
+def _concatenate(parts: Sequence[List[List[int]]]) -> List[List[int]]:
+    """The points of every part in turn, as coordinate columns."""
+    return [sum(columns, []) for columns in zip(*parts)]
+
+
 def verify_span_invariants(table: FiniteMapTable, fam: LineFamily) -> SpanInvariantReport:
     """For an injective table sending every family line onto a line, with
     parallel lines onto parallel lines and n independent directions, check
@@ -280,31 +379,39 @@ def verify_span_invariants(table: FiniteMapTable, fam: LineFamily) -> SpanInvari
       (3) the image of the affine slice v_k + span{v_1..v_{k-1}} is the
           corresponding affine slice of the images.
 
-    Everything is normalized by subtracting the value at 0 first.  Failures
-    of the hypotheses are reported as such, not as conclusion failures.
+    Both sides are compared translated by F(0), which is one bijection.
+    Failures of the hypotheses are reported as such, not as conclusion
+    failures.
     """
-    p, n, m = table.p, table.n, table.m
+    p, n = table.p, table.n
     dirs, failure = _diagonal_hypothesis(table, fam)
     if failure is not None:
         return SpanInvariantReport(False, False, failure)
-    # span{v_1..v_{k-1}} and span{w_1..w_{k-1}}, grown one direction at a time;
-    # the slices c*v_k + dom (c in Z_p) make up span{v_1..v_k}
-    dom, img = [(0,) * n], {(0,) * m}
+    values, base = table.values, table.values[0]
+    # span{v_1..v_{k-1}} and F(0) + span{w_1..w_{k-1}} as coordinate columns,
+    # grown one direction at a time; the slices c*v_k + dom (c in Z_p) make up
+    # span{v_1..v_k}, and the flat indices of a slice are read off its columns
+    dom, img = [[0]] * n, [[b] for b in base]
     for k, v in enumerate(dirs, 1):
-        w = _differences(table, [v])[0]
-        slices = [[tuple((a + c * b) % p for a, b in zip(x, v)) for x in dom] for c in range(p)]
-        img_slices = [{tuple((a + c * b) % p for a, b in zip(y, w)) for y in img}
-                      for c in range(p)]
-        dom, img = [x for sl in slices for x in sl], set().union(*img_slices)
+        w = [(a - b) % p for a, b in zip(values[point_index(p, v)], base)]
+        slices = [_translate(p, dom, v, c) for c in range(p)]
+        img_slices = [_translate(p, img, w, c) for c in range(p)]
+        dom, img = _concatenate(slices), _concatenate(img_slices)
         if k == 1:
             continue
         # a span of rank r has p^r points
-        if len(img) != p ** k:
+        span = set(zip(*img))
+        if len(span) != p ** k:
             return SpanInvariantReport(False, True, "images of the directions are dependent", k)
-        images = [set(_differences(table, sl)) for sl in slices]
-        if set().union(*images) != img:
+        images = []
+        for columns in slices:
+            flat = columns[0]
+            for column in columns[1:]:
+                flat = [i * p + a for i, a in zip(flat, column)]
+            images.append({values[i] for i in flat})
+        if set().union(*images) != span:
             return SpanInvariantReport(False, True, "image of span != span of images", k)
-        if images[1] != img_slices[1]:
+        if images[1] != set(zip(*img_slices[1])):
             return SpanInvariantReport(False, True, "affine slice images disagree", k)
     return SpanInvariantReport(True, True)
 
@@ -351,11 +458,8 @@ class DiagonalForm:
         return inverse(_trusted(Matrix, PrimeField(self.p), tuple(zip(*self.u)))).rows
 
     def apply(self, x: Sequence[int]) -> Point:
-        return self._evaluate(_grid_point(self.p, self.n, x))
-
-    def _evaluate(self, x: Point) -> Point:
-        """F(x) at a residue point: base + sum f_i(alpha_i) w_i, reduced mod p."""
-        p = self.p
+        """F(x) = base + sum f_i(alpha_i) w_i, reduced mod p."""
+        p, x = self.p, _grid_point(self.p, self.n, x)
         out = list(self.base)
         for row, f, w in zip(self._u_inverse, self.f, self.w):
             fa = f[sum(r * c for r, c in zip(row, x)) % p]
@@ -367,9 +471,28 @@ class DiagonalForm:
 
 
 def tabulate_diagonal_form(form: DiagonalForm) -> FiniteMapTable:
-    # the evaluator reduces mod p: the values are residues by construction
-    return _trusted(FiniteMapTable, form.p, form.n, form.m,
-                    tuple(map(form._evaluate, grid_points(form.p, form.n))))
+    """The form's values over the grid, built column by column: alpha_i over
+    the grid in lexicographic order one coordinate at a time, then each
+    output coordinate as base_j plus sum_i f_i(alpha_i) w_ij, with the term
+    looked up per entry from its p values, reduced mod p: residues by
+    construction."""
+    p, size = form.p, form.p ** form.n
+    alphas = []
+    for row in form._u_inverse:
+        alpha = [0]
+        for r in row:
+            shifts = [r * a % p for a in range(p)]
+            alpha = [(c + s) % p for c in alpha for s in shifts]
+        alphas.append(alpha)
+    columns = []
+    for j, b in enumerate(form.base):
+        column = [b] * size
+        for alpha, f, w in zip(alphas, form.f, form.w):
+            if w[j]:
+                term = [t * w[j] for t in f]
+                column = list(map(add, column, map(term.__getitem__, alpha)))
+        columns.append([c % p for c in column])
+    return _trusted(FiniteMapTable, p, form.n, form.m, tuple(zip(*columns)))
 
 
 def recover_diagonal_form(table: FiniteMapTable, fam: LineFamily) -> DiagonalForm:

@@ -17,7 +17,7 @@ from .exact import (
     field_from_json, field_to_json, exact_int, mat_vec, unit_vector, vec_add, vec_is_zero,
     vec_scale, vector, vectors_parallel, zero_vector,
 )
-from .grid import DEFAULT_POINT_BUDGET, FiniteMapTable, _grid_size, grid_points
+from .grid import DEFAULT_POINT_BUDGET, FiniteMapTable, _grid_size
 
 
 def mask_to_delta(mask: int, n: int) -> Tuple[int, ...]:
@@ -253,14 +253,35 @@ def reduce_mod(map_: MultiAffineMap, p: int) -> MultiAffineMap:
 # ---------------------------------------------------------------------------
 
 def tabulate(map_: MultiAffineMap, budget: int = DEFAULT_POINT_BUDGET):
-    """Evaluate the map on all p^n grid points, lexicographic index order."""
+    """Evaluate the map on all p^n grid points, lexicographic index order.
+
+    Built one output coordinate at a time, one variable at a time: before
+    variable i is read, a column holds at index B*p^i + A the coefficient of
+    the monomial with mask B << i in the map with x_0..x_{i-1} set to the
+    point of lexicographic index A.  Reading x_i = a splits B into its low bit
+    b and the rest, and sends the pair (b = 0, b = 1) to lo + a*hi at index
+    B'*p^(i+1) + A*p + a.  After n variables the column is the coordinate's
+    table, in O(p^n) steps per coordinate (p >= 3)."""
     F = map_.field
     if not isinstance(F, PrimeField):
         raise InputError("tabulate needs a prime-field map")
-    p = F.p
-    _grid_size(p, map_.n, budget, "point budget")
-    values = tuple(evaluate(map_, x) for x in grid_points(p, map_.n))  # residues mod p
-    return _trusted(FiniteMapTable, p, map_.n, map_.m, values)
+    p, n = F.p, map_.n
+    _grid_size(p, n, budget, "point budget")
+    zero = (0,) * map_.m
+    coeffs = [map_.coeffs.get(mask, zero) for mask in range(1 << n)]
+    columns = []
+    for column in zip(*coeffs):
+        size = 1  # p^i
+        for _ in range(n):
+            column = [(lo + a * hi) % p
+                      for start in range(0, len(column), 2 * size)
+                      for lo, hi in zip(column[start:start + size],
+                                        column[start + size:start + 2 * size])
+                      for a in range(p)]
+            size *= p
+        columns.append(column)
+    # residues mod p
+    return _trusted(FiniteMapTable, p, n, map_.m, tuple(zip(*columns)))
 
 
 # ---------------------------------------------------------------------------

@@ -526,6 +526,20 @@ def test_finite_table_with_a_huge_dimension_is_rejected_before_the_power(capsys,
     assert elapsed < 1.0
 
 
+def test_a_table_of_long_values_is_checked_at_once(capsys, tmp_path):
+    # an injective table of (Z_3)^1 into (Z_3)^40: the line walk must build
+    # nothing sized by (2p)^m, which at m = 40 never finishes
+    path = tmp_path / "long.json"
+    values = [[(i * j + i) % 3 for j in range(40)] for i in range(3)]
+    path.write_text(json.dumps({"p": 3, "n": 1, "m": 40, "values": values}))
+    t0 = time.perf_counter()
+    code = main(["verify-family", "--table", str(path), "--dirs", "e1", "--parallelism"])
+    elapsed = time.perf_counter() - t0
+    assert code == 0 and elapsed < 0.1
+    assert json.loads(capsys.readouterr().out) == {
+        "ok": True, "parallelism": {"ok": True, "violations": []}, "violations": []}
+
+
 def test_a_huge_dimension_trips_the_grid_guards_before_the_power(capsys, tmp_path):
     # both guards formatted p**n into their message, and a power past 4300
     # digits cannot be turned into a string: a ValueError traceback, exit 1

@@ -522,6 +522,165 @@ def test_a_diagonal_job_walks_each_direction_once(monkeypatch, n, walks):
 
 
 # ---------------------------------------------------------------------------
+# the integer line walk against points_collinear
+# ---------------------------------------------------------------------------
+
+
+def diagonal_failure_by_line_loop(table, fam):
+    """`_diagonal_hypothesis`'s failure string with the uncached line loops
+    as its collinear and parallel tests; the family has n directions."""
+    p, n = table.p, table.n
+    dirs = collineations._residue_directions(p, n, fam)
+    if rank_of_vectors(PrimeField(p), dirs) != n:
+        return "directions are not linearly independent"
+    if len(set(table.values)) < len(table.values):
+        return "table is not injective"
+    violations = parallel_violations_by_line_loop(table, dirs)
+    if violations is None:
+        return "a family line is not mapped onto a line"
+    return "parallel family lines have non-parallel images" if violations else None
+
+
+def walk_tables(p, n, m):
+    """Seeded tables of (Z_p)^n -> (Z_p)^m.  For m >= n: an affine injection,
+    the same with two values swapped (torn), with one e1-line squashed onto
+    two points and a point of another line moved off it (repeated images and
+    a bent line), and, for m > n, the injection x -> (x, x1 xn, 0, ...)
+    whose e1-lines are lines but not parallel ones.  For every m: a constant
+    map, a map through a random line, a random map and a random injection
+    when p^n <= p^m."""
+    rng = Random(10007 * p + 101 * n + m)
+    grid = list(grid_points(p, n))
+    rand = lambda: tuple(rng.randrange(p) for _ in range(m))
+    tables = {"constant": [rand()] * len(grid), "random": [rand() for _ in grid]}
+    a, d = rand(), rand()
+    t = [rng.randrange(p) for _ in grid]
+    tables["line"] = [tuple((x + s * y) % p for x, y in zip(a, d)) for s in t]
+    if m >= n:
+        while True:
+            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+            if rank_of_vectors(PrimeField(p), rows) == n:
+                break
+        b = rand()
+        affine = lambda x: tuple((b[j] + sum(r * c for r, c in zip(rows[j], x))) % p
+                                 for j in range(m))
+        tables["affine"] = [affine(x) for x in grid]
+        torn = list(tables["affine"])
+        i, j = rng.sample(range(len(grid)), 2)
+        torn[i], torn[j] = torn[j], torn[i]
+        tables["torn"] = torn
+        lines = enumerate_lines(p, n, (1,) + (0,) * (n - 1))
+        squashed = list(tables["affine"])
+        flat = rng.choice(lines)
+        for x in flat[:-1]:
+            squashed[grid.index(x)] = affine(flat[0])
+        if len(lines) > 1:
+            bent = rng.choice([line for line in lines if line != flat])
+            squashed[grid.index(bent[1])] = affine(flat[-1])
+        tables["squashed"] = squashed
+        tables["injection"] = rng.sample(list(grid_points(p, m)), len(grid))
+        if m > n:
+            tables["skew"] = [x + (x[0] * x[-1] % p,) + (0,) * (m - n - 1) for x in grid]
+    return {kind: FiniteMapTable(p, n, m, tuple(values)) for kind, values in tables.items()}
+
+
+def walk_families(n):
+    """The axes (n independent directions), and at n >= 2 the axes with the
+    diagonal, the pair e1, e1 + 2 e2 (scaled in a second copy) and s_family."""
+    fams = [standard_family(QQ, n)]
+    if n >= 2:
+        pair = ((1,) + (0,) * (n - 1), (1, 2) + (0,) * (n - 2))
+        fams += [standard_family(QQ, n, True), LineFamily(QQ, n, pair),
+                 LineFamily(QQ, n, tuple(tuple(2 * c for c in d) for d in pair)), s_family(n)]
+    return fams
+
+
+def outcome(fn, *args):
+    try:
+        return "returned", fn(*args).to_json()
+    except InputError as exc:
+        return "raised", str(exc)
+
+
+def walk_outcomes_against_the_line_loops(p, m, ns):
+    """Every report read from the walk on fresh tables of (Z_p)^n for n in
+    ns, asserted equal to the uncached line loops over points_collinear and
+    the origin/ref/delta parallel test: check_family in both modes,
+    parallelism_report, and the failure string of the diagonal-form
+    hypotheses.  Returns the outcomes seen."""
+    seen = set()
+    for n in ns:
+        for kind, table in walk_tables(p, n, m).items():
+            copy = lambda: FiniteMapTable(p, n, m, table.values)
+            for fam in walk_families(n):
+                for mode in ("into", "onto"):
+                    got = check_family(copy(), fam, mode)
+                    assert got == check_family_by_line_loop(table, fam, mode), (kind, n, mode)
+                    seen.add((mode, got.ok, tuple(sorted({v.reason for v in got.violations}))))
+                expected = parallel_violations_by_line_loop(
+                    table, collineations._residue_directions(p, n, fam))
+                if len(set(table.values)) < len(table.values):
+                    expected = ("raised", "parallelism check needs an injective table")
+                elif expected is None:
+                    expected = ("raised", "parallelism check requires the onto check to pass first")
+                else:
+                    expected = ("returned", FamilyReport(not expected, expected).to_json())
+                assert outcome(parallelism_report, copy(), fam) == expected, (kind, n)
+                seen.add(expected[0] == "returned" and expected[1]["ok"])
+                if len(collineations._residue_directions(p, n, fam)) == n:
+                    _dirs, failure = collineations._diagonal_hypothesis(copy(), fam)
+                    assert failure == diagonal_failure_by_line_loop(table, fam), (kind, n)
+                    seen.add(failure)
+    return seen
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+@pytest.mark.parametrize("m", (1, 2, 3, 4))
+def test_the_integer_walk_agrees_with_points_collinear(p, m):
+    seen = walk_outcomes_against_the_line_loops(p, m, [n for n in (1, 2, 3) if p ** n <= 400])
+    # each outcome appears somewhere in the cases of this (p, m)
+    assert ("onto", False, ("not-onto",)) in seen and ("into", True, ()) in seen
+    if m >= 2:
+        assert ("into", False, ("not-a-line",)) in seen
+        assert "a family line is not mapped onto a line" in seen
+    if m >= 3:
+        assert "parallel family lines have non-parallel images" in seen
+        assert {True, False} <= seen
+
+
+def test_the_direction_memo_past_the_table_bound(monkeypatch):
+    # with no list of direction numbers, the memo filled on first use gives
+    # the same reports, and keeps at most its cap; at p = 131 the memo is
+    # used without the patch, (2p)^2 passing the bound, with two-byte digits
+    monkeypatch.setattr(collineations, "DIFFERENCE_MEMO_CAP", 5)
+    collineations._direction_numbers.cache_clear()
+    try:
+        walk_outcomes_against_the_line_loops(131, 2, (1,))
+        assert isinstance(collineations._direction_numbers(131, 2).numbers, dict)
+        monkeypatch.setattr(collineations, "DIFFERENCE_TABLE_BOUND", 0)
+        for p, m in ((3, 1), (3, 4), (5, 3), (7, 2)):
+            walk_outcomes_against_the_line_loops(p, m, (1, 2))
+            assert len(collineations._direction_numbers(p, m).numbers) == 5
+    finally:
+        collineations._direction_numbers.cache_clear()
+
+
+def test_a_long_value_builds_nothing_sized_by_its_length():
+    # a table of 40-entry values: a table of (2p)^m difference keys would
+    # never be built, and the walk reads each value once
+    table = FiniteMapTable(3, 1, 40, tuple(tuple((i * j + i) % 3 for j in range(40))
+                                           for i in range(3)))
+    fam = LineFamily(QQ, 1, ((1,),))
+    t0 = time.perf_counter()
+    assert table.is_injective()
+    assert check_family(table, fam, "onto").ok and check_family(table, fam, "into").ok
+    assert parallelism_report(table, fam).ok
+    assert time.perf_counter() - t0 < 0.1
+    bent = FiniteMapTable(3, 1, 40, ((0,) * 40, (1,) + (0,) * 39, (0, 1) + (0,) * 38))
+    assert check_family(bent, fam, "into").violations == (Violation((1,), (0,), "not-a-line"),)
+
+
+# ---------------------------------------------------------------------------
 # span invariants (image of a span is the span of the images)
 # ---------------------------------------------------------------------------
 
@@ -604,6 +763,23 @@ def test_span_invariants_need_exactly_n_directions():
 # ---------------------------------------------------------------------------
 # diagonal form recovery
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_tabulate_diagonal_form_is_apply_at_every_grid_point(p):
+    # the column-wise tabulation against one `apply` call per point, on
+    # seeded forms with independent u's and any w's, f's and base
+    rng = Random(p)
+    for n, m in ((1, 1), (1, 3), (2, 2), (2, 3), (3, 3), (3, 4)):
+        for _ in range(3):
+            while True:
+                u = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(n)]
+                if rank_of_vectors(PrimeField(p), u) == n:
+                    break
+            form = DiagonalForm(p, u, [tuple(rng.randrange(p) for _ in range(m)) for _ in range(n)],
+                                [tuple(rng.randrange(p) for _ in range(p)) for _ in range(n)],
+                                tuple(rng.randrange(p) for _ in range(m)))
+            assert tabulate_diagonal_form(form).values == tuple(map(form.apply, grid_points(p, n)))
 
 
 def test_identity_diagonal_form():

@@ -186,6 +186,28 @@ def test_tabulate_agrees_with_evaluate():
     assert table.apply((1, 2, 0)) == tuple(evaluate(m, (1, 2, 0)))
 
 
+def _seeded_maps(rng, p, n):
+    """Over Z_p: for each m = 1..4 a map with each monomial present by a coin
+    toss, then the constant-only map and the identity."""
+    F = PrimeField(p)
+    maps = [MultiAffineMap(n, m, F, {mask: tuple(rng.randrange(p) for _ in range(m))
+                                     for mask in range(1 << n) if rng.random() < 0.6})
+            for m in (1, 2, 3, 4)]
+    return maps + [MultiAffineMap(n, 2, F, {0: (rng.randrange(1, p), rng.randrange(p))}),
+                   identity_map(F, n)]
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+def test_tabulate_is_evaluate_at_every_grid_point(p, n):
+    # the column-wise tabulation against one `evaluate` call per point
+    rng = Random(100 * p + n)
+    for map_ in _seeded_maps(rng, p, n):
+        table = tabulate(map_)
+        assert (table.p, table.n, table.m) == (p, n, map_.m)
+        assert table.values == tuple(evaluate(map_, x) for x in grid_points(p, n))
+
+
 def _maps_over_q():
     """Seeded constraint solutions and the stock examples, over Q, every
     denominator prime to 3, 5 and 7."""
