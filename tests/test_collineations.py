@@ -595,13 +595,6 @@ def walk_families(n):
     return fams
 
 
-def outcome(fn, *args):
-    try:
-        return "returned", fn(*args).to_json()
-    except InputError as exc:
-        return "raised", str(exc)
-
-
 def walk_outcomes_against_the_line_loops(p, m, ns):
     """Every report read from the walk on fresh tables of (Z_p)^n for n in
     ns, asserted equal to the uncached line loops over points_collinear and
@@ -620,12 +613,13 @@ def walk_outcomes_against_the_line_loops(p, m, ns):
                 expected = parallel_violations_by_line_loop(
                     table, collineations._residue_directions(p, n, fam))
                 if len(set(table.values)) < len(table.values):
-                    expected = ("raised", "parallelism check needs an injective table")
+                    expected = ("raised", "InputError", "parallelism check needs an injective table")
                 elif expected is None:
-                    expected = ("raised", "parallelism check requires the onto check to pass first")
+                    expected = ("raised", "InputError",
+                                "parallelism check requires the onto check to pass first")
                 else:
                     expected = ("returned", FamilyReport(not expected, expected).to_json())
-                assert outcome(parallelism_report, copy(), fam) == expected, (kind, n)
+                assert memo_outcome(parallelism_report, copy(), (fam,)) == expected, (kind, n)
                 seen.add(expected[0] == "returned" and expected[1]["ok"])
                 if len(collineations._residue_directions(p, n, fam)) == n:
                     _dirs, failure = collineations._diagonal_hypothesis(copy(), fam)
