@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
-from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add, itemgetter
@@ -22,8 +20,8 @@ from .exact import (
     inverse, normalize_coords,
 )
 from .grid import (
-    DEFAULT_POINT_BUDGET, FiniteMapTable, LineFamily, Point, _backtrack, _charge, _grid_point,
-    _grid_size, _line_kernel, _lines, grid_points, point_index,
+    DEFAULT_POINT_BUDGET, FiniteMapTable, LineFamily, Point, _all_lines, _backtrack, _charge,
+    _grid_point, _grid_size, _line_kernel, _lines, grid_points, point_index,
 )
 
 
@@ -66,9 +64,10 @@ def points_collinear(p: int, pts: Sequence[Point]) -> bool:
     """All points on one affine line of (Z_p)^m (where m = len of each point)."""
     first = pts[0]
     if len(first) == 2:
-        # plane images are the common case (the n = 2 tables and the searches),
-        # and the unrolled test is several times faster there than the pivot
-        # test below: (ex, ey) is the first nonzero difference from the first point
+        # plane images are the common case (`recover_plane_form`'s axis lines
+        # and the tests), and the unrolled test is several times faster there
+        # than the pivot test below: (ex, ey) is the first nonzero difference
+        # from the first point
         x0, y0 = first
         ex = ey = 0
         for x, y in pts:
@@ -114,80 +113,53 @@ class FamilyReport:
         return _to_json(self)
 
 
-# The direction numbers of every difference key, (2p)^m of them, are built
-# at once while they number at most DIFFERENCE_TABLE_BOUND: a list of 10,000
-# at p = 5, m = 4.  Past it they are kept in a memo filled on first use, which
-# answers every key but keeps at most DIFFERENCE_MEMO_CAP of them.  Nothing
-# sized (2p)^m is built for a large m: at m = 40 it would never finish.
+# The direction numbers of every difference key, (2p)^m of them, are one list
+# while they number at most DIFFERENCE_TABLE_BOUND: 10,000 at p = 5, m = 4.
+# Past it the walk reads the values themselves, so nothing sized (2p)^m is
+# built for a large m: at m = 40 it would never finish.
 DIFFERENCE_TABLE_BOUND = 1 << 16
-DIFFERENCE_MEMO_CAP = 1 << 12
 
 
 class _DirectionNumbers:
     """Integer codes for the values of (Z_p)^m, and the direction number of
-    each difference of two values.
+    each difference of two values, while (2p)^m is at most
+    DIFFERENCE_TABLE_BOUND.
 
-    A value's code c(y) is the integer whose base-R digits are its entries,
-    for a radix R >= 2p.  For values y and y0, c(y) - c(y0) + c((p, ..., p))
-    has the digits y_j - y0_j + p, all in [1, 2p) and so below R: no digit
-    borrows, and the number names the difference y - y0.  It is the
-    difference's key.  Its direction number is the same for two nonzero
-    differences iff they are parallel, and 0 for a zero difference.
-
-    While (2p)^m is at most DIFFERENCE_TABLE_BOUND, R = 2p: a code is read by
-    Horner's rule, column by column over the values, and `numbers` is a list
-    with the number of every key, the flat index of the difference scaled so
-    its first nonzero entry is 1.  Past the bound, R = 256^itemsize of an
-    array type that holds 2p - 1, and a code is the bytes of an array of the
-    entries read as one int (in the machine's byte order), one pass whatever m
-    is.  `numbers` is then a dict that `number` fills on first use, with the
-    code of the scaled difference as the number."""
+    A value's code c(y) is the integer whose base-2p digits are its entries,
+    read by Horner's rule, column by column over the values.  For values y
+    and y0, c(y) - c(y0) + c((p, ..., p)) has the digits y_j - y0_j + p, all
+    in [1, 2p): no digit borrows, and the number names the difference y - y0.
+    It is the difference's key, and `numbers` lists the direction number of
+    every key: the flat index of the difference scaled so its first nonzero
+    entry is 1, and 0 for a zero difference.  So two nonzero differences have
+    one number iff they are parallel."""
 
     def __init__(self, p: int, m: int):
-        self.p, self.m = p, m
-        if m < DIFFERENCE_TABLE_BOUND.bit_length() and (2 * p) ** m <= DIFFERENCE_TABLE_BOUND:
-            self.typecode = None
-            # the residue vector of each key digit by digit, then its number
-            residues = [(d - p) % p for d in range(2 * p)]
-            index = [0]
-            for _ in range(m):
-                index = [i * p + r for i in index for r in residues]
-            numbers = [point_index(p, normalize_coords(p, v)) if any(v) else 0
-                       for v in grid_points(p, m)]
-            self.numbers = [numbers[i] for i in index]
-        else:
-            # a table holds p^n >= p values, so p is far below 2^63
-            self.typecode = next(t for t in "BHILQ" if 256 ** array(t).itemsize >= 2 * p)
-            self.numbers = {}
+        self.p = p
+        # the residue vector of each key digit by digit, then its number
+        residues = [(d - p) % p for d in range(2 * p)]
+        index = [0]
+        for _ in range(m):
+            index = [i * p + r for i in index for r in residues]
+        numbers = [point_index(p, normalize_coords(p, v)) if any(v) else 0
+                   for v in grid_points(p, m)]
+        self.numbers = [numbers[i] for i in index]
         (self.offset,) = self.codes([(p,) * m])
 
     def codes(self, values: Sequence[Sequence[int]]) -> List[int]:
         """The code of each value, in order."""
-        if self.typecode is None:
-            codes, radix = [0] * len(values), 2 * self.p
-            for column in zip(*values):
-                codes = [c * radix + y for c, y in zip(codes, column)]
-            return codes
-        t, order = self.typecode, sys.byteorder
-        return [int.from_bytes(array(t, y), order) for y in values]
-
-    def number(self, key: int) -> int:
-        """The direction number of a key past the list's bound, remembered
-        while the memo has room."""
-        number = self.numbers.get(key)
-        if number is None:
-            p, digits = self.p, array(self.typecode)
-            digits.frombytes(key.to_bytes(self.m * digits.itemsize, sys.byteorder))
-            diff = [(d - p) % p for d in digits]
-            number = self.codes([normalize_coords(p, diff)])[0] if any(diff) else 0
-            if len(self.numbers) < DIFFERENCE_MEMO_CAP:
-                self.numbers[key] = number
-        return number
+        codes, radix = [0] * len(values), 2 * self.p
+        for column in zip(*values):
+            codes = [c * radix + y for c, y in zip(codes, column)]
+        return codes
 
 
 @lru_cache(maxsize=8)
-def _direction_numbers(p: int, m: int) -> _DirectionNumbers:
-    return _DirectionNumbers(p, m)
+def _direction_numbers(p: int, m: int) -> Optional[_DirectionNumbers]:
+    """The direction numbers of (Z_p)^m, or None past DIFFERENCE_TABLE_BOUND."""
+    if m < DIFFERENCE_TABLE_BOUND.bit_length() and (2 * p) ** m <= DIFFERENCE_TABLE_BOUND:
+        return _DirectionNumbers(p, m)
+    return None
 
 
 def _walk(table: FiniteMapTable,
@@ -200,12 +172,16 @@ def _walk(table: FiniteMapTable,
     image of the direction's first line).  A line's number is its place in
     `_line_kernel` of the canonical direction.
 
-    The walk reads each value as its integer code, computed once per table
-    and kept next to the walks, and each difference from a line's first
-    image as its direction number (see `_DirectionNumbers`).  A line's image
-    is a line iff all its nonzero differences have one direction number (a
-    zero difference is a repeated point, which a table that is not injective
-    can have), and two image lines are parallel iff their numbers are equal.
+    A line's numbers are those of its nonzero differences from its first
+    image.  Its image is a line iff it has one number (a zero difference is
+    a repeated point, which a table that is not injective can have), and two
+    image lines are parallel iff their numbers are equal.  While the values
+    have direction numbers (see `_DirectionNumbers`), the walk reads each
+    value as its integer code, computed once per table and kept next to the
+    walks, and each difference's number from the list.  Past the bound a
+    value is its own code, and a difference's number is the difference
+    scaled by `normalize_coords`; values are residues, so a difference is
+    zero iff its two values are equal.
 
     An injective table maps p points to p distinct points, so a collinear
     image is a whole line and the onto test is skipped; a table that is not
@@ -218,22 +194,27 @@ def _walk(table: FiniteMapTable,
     walk = walks.get(key)
     if walk is None:
         directions = _direction_numbers(p, table.m)
-        codes = memo.get("_codes")
-        if codes is None:
-            codes = memo["_codes"] = directions.codes(table.values)
+        if directions is None:
+            codes = table.values
+        else:
+            codes = memo.get("_codes")
+            if codes is None:
+                codes = memo["_codes"] = directions.codes(table.values)
+            known, offset = directions.numbers, directions.offset
         injective = table.is_injective()
-        known, offset = directions.numbers, directions.offset
         ref = None
         not_line: List[int] = []
         not_onto: List[int] = []
         not_parallel: List[int] = []
         for i, (_base, idx) in enumerate(_lines(p, table.n, key)):
-            base = codes[idx[0]] - offset
-            try:
+            if directions is None:
+                y0 = codes[idx[0]]
+                numbers = {normalize_coords(p, [(a - b) % p for a, b in zip(codes[j], y0)])
+                           for j in idx if codes[j] != y0}
+            else:
+                base = codes[idx[0]] - offset
                 numbers = {known[codes[j] - base] for j in idx}
-            except KeyError:  # a memo past the list's bound
-                numbers = {directions.number(codes[j] - base) for j in idx}
-            numbers.discard(0)
+                numbers.discard(0)
             if len(numbers) > 1:
                 not_line.append(i)
             elif not injective:
@@ -638,15 +619,16 @@ def exhaustive_bijection_search(p: int, n: int, fam: LineFamily) -> List[FiniteM
     _charge(total * math.prod(total - p ** i for i in range(n)))
     points = tuple(grid_points(p, n))
 
-    # bounded: a search run up to the node budget would keep a key per node
-    collinear = lru_cache(maxsize=1 << 14)(
-        lambda key: points_collinear(p, [points[v] for v in key]))
+    # the kernel's values are distinct flat indices, and p distinct collinear
+    # points are a whole line: a line's images are collinear iff, sorted, they
+    # are one of the grid's lines
+    grid_lines = frozenset(_all_lines(p, n))
     lines = [(idx, itemgetter(*idx)) for d in dirs for _base, idx in _lines(p, n, d)]
     # the kernel fills the first line's slots first, then the rest in order
     x0, x1 = lines[0][0][:2]
     domains = [range(2, total)] * total
     domains[x0], domains[x1] = (0,), (1,)
-    pinned = _backtrack(domains, lines, lambda a, images: collinear(tuple(sorted(images(a)))),
+    pinned = _backtrack(domains, lines, lambda a, images: tuple(sorted(images(a))) in grid_lines,
                         result_cost=total * (total - 1))
     # built only once the budget has counted the tables, which are at least as
     # many as the maps.  Each map as the images of the grid points, so g o G

@@ -245,18 +245,22 @@ def _lines(p: int, n: int, direction: Point) -> Tuple[Tuple[Point, Tuple[int, ..
     return _line_kernel(p, n, normalize_coords(p, direction))
 
 
-def _plane_directions(p: int) -> List[Point]:
-    """The p+1 directions of (Z_p)^2 up to scaling: (0,1), (1,0), ..., (1,p-1)."""
-    return [(0, 1)] + [(1, t) for t in range(p)]
+@lru_cache(maxsize=8)
+def _all_lines(p: int, n: int) -> Tuple[Tuple[int, ...], ...]:
+    """Every line of (Z_p)^n as the sorted flat indices of its points,
+    direction by direction: the directions scaled to a leading 1, in
+    lexicographic order ((0,1), (1,0), ..., (1,p-1) in the plane), and each
+    direction's lines in `_lines` order.  For the small grids of the searches
+    and the plane lemmas: there are p^(n-1) (p^n - 1)/(p - 1) of them."""
+    return tuple(idx for d in grid_points(p, n) if any(d) and normalize_coords(p, d) == d
+                 for _base, idx in _lines(p, n, d))
 
 
 def _plane_pencil(p: int, c: Point) -> List[List[Point]]:
-    """The p+1 lines of (Z_p)^2 through c, one per direction of
-    `_plane_directions`, each as its sorted points."""
+    """The p+1 lines of (Z_p)^2 through c, one per direction in
+    `_all_lines` order, each as its sorted points."""
     i = point_index(p, c)
-    return [[divmod(j, p) for j in idx]
-            for d in _plane_directions(p)
-            for _base, idx in _lines(p, 2, d) if i in idx]
+    return [[divmod(j, p) for j in idx] for idx in _all_lines(p, 2) if i in idx]
 
 
 # ===========================================================================

@@ -14,7 +14,7 @@ from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from .exact import InputError, PrimeField, ResourceError, _to_json, _trusted, exact_int
-from .grid import _backtrack, _lines, _plane_directions, _plane_pencil
+from .grid import _all_lines, _backtrack, _plane_pencil
 
 Table = Tuple[int, ...]
 
@@ -314,8 +314,8 @@ def verify_additive_rigidity(p: int, n: int = 2,
     # points as flat indices x*p + y, so i // p and i % p are its coordinates
     size = p * p
     add = [[(i // p + j // p) % p * p + (i + j) % p for j in range(size)] for i in range(size)]
-    lines = {idx for d in _plane_directions(p) for _base, idx in _lines(p, 2, d)}
-    pencil = sorted(line for line in lines if x0[0] * p + x0[1] in line)
+    lines = frozenset(_all_lines(p, 2))
+    pencil = [line for line in _all_lines(p, 2) if x0[0] * p + x0[1] in line]
 
     total = 0
     bijections = 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from functools import lru_cache
 from random import Random
 
@@ -44,7 +45,7 @@ from linemaps import (
 )
 from linemaps import collineations, grid
 from linemaps.collineations import FamilyReport, Violation
-from linemaps.exact import InternalInconsistencyError
+from linemaps.exact import InternalInconsistencyError, normalize_coords
 from linemaps.grid import _backtrack
 
 
@@ -107,6 +108,29 @@ def test_enumerate_lines_partitions_the_grid():
             assert line == sorted(line)
             seen.update(line)
         assert len(seen) == 125
+
+
+@pytest.mark.parametrize("p, n", ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2), (3, 3)))
+def test_all_lines_lists_every_line_of_the_grid_once(p, n):
+    lines = grid._all_lines(p, n)
+    points = list(grid_points(p, n))
+    assert len(lines) == p ** (n - 1) * (p ** n - 1) // (p - 1)
+    assert len(set(lines)) == len(lines)
+    for line in lines:
+        assert len(line) == p and list(line) == sorted(set(line))
+        assert points_collinear(p, [points[i] for i in line])
+    # every pair of distinct points lies on exactly one line
+    pairs = Counter(pair for line in lines for pair in itertools.combinations(line, 2))
+    assert len(pairs) == len(points) * (len(points) - 1) // 2
+    assert set(pairs.values()) == {1}
+    if n == 2:
+        # p lines a direction, in the order the plane pencils and the
+        # diagonal search's node counts rest on: (0,1), (1,0), ..., (1,p-1)
+        directions = [normalize_coords(p, [(b - a) % p for a, b in
+                                           zip(points[line[0]], points[line[1]])])
+                      for line in lines]
+        assert directions == [d for d in [(0, 1)] + [(1, t) for t in range(p)]
+                              for _ in range(p)]
 
 
 def test_enumerate_lines_rejects_a_direction_that_is_not_ints():
@@ -642,19 +666,19 @@ def test_the_integer_walk_agrees_with_points_collinear(p, m):
         assert {True, False} <= seen
 
 
-def test_the_direction_memo_past_the_table_bound(monkeypatch):
-    # with no list of direction numbers, the memo filled on first use gives
-    # the same reports, and keeps at most its cap; at p = 131 the memo is
-    # used without the patch, (2p)^2 passing the bound, with two-byte digits
-    monkeypatch.setattr(collineations, "DIFFERENCE_MEMO_CAP", 5)
+def test_the_walk_past_the_table_bound(monkeypatch):
+    # with no list of direction numbers the walk reads the values themselves
+    # and gives the same reports: at p = 131 without a patch, (2p)^2 passing
+    # the bound, and at small p and m with the bound patched to 0
     collineations._direction_numbers.cache_clear()
     try:
         walk_outcomes_against_the_line_loops(131, 2, (1,))
-        assert isinstance(collineations._direction_numbers(131, 2).numbers, dict)
+        assert collineations._direction_numbers(131, 2) is None
         monkeypatch.setattr(collineations, "DIFFERENCE_TABLE_BOUND", 0)
+        collineations._direction_numbers.cache_clear()
         for p, m in ((3, 1), (3, 4), (5, 3), (7, 2)):
             walk_outcomes_against_the_line_loops(p, m, (1, 2))
-            assert len(collineations._direction_numbers(p, m).numbers) == 5
+            assert collineations._direction_numbers(p, m) is None
     finally:
         collineations._direction_numbers.cache_clear()
 
