@@ -13,15 +13,15 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add, itemgetter
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .exact import (
     InputError, InternalInconsistencyError, Matrix, PrimeField, _echelon, _to_json, _trusted,
     inverse, normalize_coords,
 )
 from .grid import (
-    DEFAULT_POINT_BUDGET, FiniteMapTable, LineFamily, Point, _all_lines, _backtrack, _charge,
-    _grid_point, _grid_size, _line_kernel, _lines, grid_points, point_index,
+    DEFAULT_POINT_BUDGET, FiniteMapTable, LineFamily, Point, _affine_incidence, _backtrack,
+    _charge, _grid_point, _grid_size, _line_kernel, grid_points, point_index,
 )
 
 
@@ -48,16 +48,6 @@ def _residue_directions(p: int, n: int, fam: LineFamily) -> List[Point]:
             seen.add(canon)
             out.append(dd)
     return out
-
-
-def _family_lines(table: FiniteMapTable,
-                  dirs: Sequence[Point]) -> Iterator[Tuple[Point, Point, List[Point]]]:
-    """Every line of the table's grid parallel to one of the residue
-    directions, direction by direction: (direction, line[0], its images)."""
-    p, n, values = table.p, table.n, table.values
-    for d in dirs:
-        for base, idx in _lines(p, n, d):
-            yield d, base, [values[i] for i in idx]
 
 
 def points_collinear(p: int, pts: Sequence[Point]) -> bool:
@@ -180,8 +170,8 @@ def _walk(table: FiniteMapTable,
     value as its integer code, computed once per table and kept next to the
     walks, and each difference's number from the list.  Past the bound a
     value is its own code, and a difference's number is the difference
-    scaled by `normalize_coords`; values are residues, so a difference is
-    zero iff its two values are equal.
+    scaled by `normalize_coords`, up to the line's second number; values are
+    residues, so a difference is zero iff its two values are equal.
 
     An injective table maps p points to p distinct points, so a collinear
     image is a whole line and the onto test is skipped; a table that is not
@@ -206,11 +196,14 @@ def _walk(table: FiniteMapTable,
         not_line: List[int] = []
         not_onto: List[int] = []
         not_parallel: List[int] = []
-        for i, (_base, idx) in enumerate(_lines(p, table.n, key)):
+        for i, (_base, idx) in enumerate(_line_kernel(p, table.n, key)):
             if directions is None:
-                y0 = codes[idx[0]]
-                numbers = {normalize_coords(p, [(a - b) % p for a, b in zip(codes[j], y0)])
-                           for j in idx if codes[j] != y0}
+                y0, numbers = codes[idx[0]], set()
+                for y in map(codes.__getitem__, idx):
+                    if y != y0:
+                        numbers.add(normalize_coords(p, [(a - b) % p for a, b in zip(y, y0)]))
+                        if len(numbers) > 1:
+                            break  # two numbers settle a bent line
             else:
                 base = codes[idx[0]] - offset
                 numbers = {known[codes[j] - base] for j in idx}
@@ -553,8 +546,8 @@ def recover_plane_form(table: FiniteMapTable) -> PlaneForm:
         raise InputError("table is not injective")
     p, values = table.p, table.values
     # injective: the p images of an axis line are distinct, so into is onto
-    if not all(points_collinear(p, images)
-               for _d, _base, images in _family_lines(table, ((1, 0), (0, 1)))):
+    if not all(points_collinear(p, [values[i] for i in idx])
+               for d in ((1, 0), (0, 1)) for _base, idx in _line_kernel(p, 2, d)):
         raise InputError("an axis-parallel line is not mapped onto a line")
 
     # a*e1 = (a, 0) has flat index a*p, a*e2 = (0, a) index a, and (1, 1) index p+1
@@ -620,15 +613,16 @@ def exhaustive_bijection_search(p: int, n: int, fam: LineFamily) -> List[FiniteM
     points = tuple(grid_points(p, n))
 
     # the kernel's values are distinct flat indices, and p distinct collinear
-    # points are a whole line: a line's images are collinear iff, sorted, they
-    # are one of the grid's lines
-    grid_lines = frozenset(_all_lines(p, n))
-    lines = [(idx, itemgetter(*idx)) for d in dirs for _base, idx in _lines(p, n, d)]
+    # points are a whole line: a line's images are collinear iff they are one
+    # of the grid's lines
+    is_line = _affine_incidence(p, n).is_line
+    lines = [(idx, itemgetter(*idx)) for d in dirs
+             for _base, idx in _line_kernel(p, n, normalize_coords(p, d))]
     # the kernel fills the first line's slots first, then the rest in order
     x0, x1 = lines[0][0][:2]
     domains = [range(2, total)] * total
     domains[x0], domains[x1] = (0,), (1,)
-    pinned = _backtrack(domains, lines, lambda a, images: tuple(sorted(images(a))) in grid_lines,
+    pinned = _backtrack(domains, lines, lambda a, images: is_line(images(a)),
                         result_cost=total * (total - 1))
     # built only once the budget has counted the tables, which are at least as
     # many as the maps.  Each map as the images of the grid points, so g o G

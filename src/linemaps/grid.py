@@ -2,9 +2,9 @@
 
 Points of the grid in lexicographic order and their flat indices, families of
 lines parallel to finitely many directions, value tables of maps on the grid,
-the partition of the grid into the lines of one direction (kept as flat
-indices into a value table), and the one backtracking search kernel.  Only
-`exact` is imported, so every module that uses the grid sits above this one.
+the lines of one direction as flat indices into a value table, the incidence
+structure of AG(n,p) and PG(n,p), and the one backtracking search kernel.
+Only `exact` is imported, so every module that uses the grid sits above it.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .exact import (
     Field, InputError, PrimeField, QQ, ResourceError, Vector, _to_json, exact_int,
@@ -206,7 +206,7 @@ def table_from_json(obj: dict) -> FiniteMapTable:
 
 
 # ===========================================================================
-# the lines of one direction
+# the lines of one direction, and the incidence structure of a geometry
 # ===========================================================================
 
 def enumerate_lines(p: int, n: int, direction: Sequence[int]) -> List[List[Point]]:
@@ -235,32 +235,39 @@ def enumerate_lines(p: int, n: int, direction: Sequence[int]) -> List[List[Point
 def _line_kernel(p: int, n: int, direction: Point) -> Tuple[Tuple[Point, Tuple[int, ...]], ...]:
     """The lines of `enumerate_lines(p, n, direction)`, each as its base
     point line[0] and the flat indices of its points into a value table.
-    Keyed by the canonical direction (see `_lines`)."""
+    Keyed by the canonical direction: callers scale it by `normalize_coords`."""
     return tuple((line[0], tuple(point_index(p, x) for x in line))
                  for line in enumerate_lines(p, n, direction))
 
 
-def _lines(p: int, n: int, direction: Point) -> Tuple[Tuple[Point, Tuple[int, ...]], ...]:
-    """Every line of (Z_p)^n parallel to the direction: (line[0], indices)."""
-    return _line_kernel(p, n, normalize_coords(p, direction))
+class _Incidence:
+    """A finite geometry on the point ids 0, ..., size - 1: its lines as
+    sorted id tuples, held once, and each point's pencil, the lines through
+    it in the order the builder gave them."""
+
+    def __init__(self, size: int, lines: Iterable[Tuple[int, ...]]):
+        pencils: List[List[Tuple[int, ...]]] = [[] for _ in range(size)]
+        for line in lines:
+            for x in line:
+                pencils[x].append(line)
+        # read off the pencils, so a builder may yield its lines once
+        self.lines = frozenset(itertools.chain.from_iterable(pencils))
+        self.pencils = tuple(map(tuple, pencils))
+
+    def is_line(self, ids: Iterable[int]) -> bool:
+        """Are these ids, in any order, the points of one line?"""
+        return tuple(sorted(ids)) in self.lines
 
 
 @lru_cache(maxsize=8)
-def _all_lines(p: int, n: int) -> Tuple[Tuple[int, ...], ...]:
-    """Every line of (Z_p)^n as the sorted flat indices of its points,
-    direction by direction: the directions scaled to a leading 1, in
-    lexicographic order ((0,1), (1,0), ..., (1,p-1) in the plane), and each
-    direction's lines in `_lines` order.  For the small grids of the searches
-    and the plane lemmas: there are p^(n-1) (p^n - 1)/(p - 1) of them."""
-    return tuple(idx for d in grid_points(p, n) if any(d) and normalize_coords(p, d) == d
-                 for _base, idx in _lines(p, n, d))
-
-
-def _plane_pencil(p: int, c: Point) -> List[List[Point]]:
-    """The p+1 lines of (Z_p)^2 through c, one per direction in
-    `_all_lines` order, each as its sorted points."""
-    i = point_index(p, c)
-    return [[divmod(j, p) for j in idx] for idx in _all_lines(p, 2) if i in idx]
+def _affine_incidence(p: int, n: int) -> _Incidence:
+    """AG(n,p) on the flat indices, for the small grids of the searches and
+    the plane lemmas.  Its p^(n-1) (p^n - 1)/(p - 1) lines come direction by
+    direction, scaled to a leading 1 in lexicographic order ((0,1), (1,0),
+    ..., (1,p-1) in the plane), each direction's in `_line_kernel` order."""
+    return _Incidence(p ** n, (idx for d in grid_points(p, n)
+                               if any(d) and normalize_coords(p, d) == d
+                               for _base, idx in _line_kernel(p, n, d)))
 
 
 # ===========================================================================

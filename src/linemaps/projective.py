@@ -13,17 +13,16 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul, ne
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exact import (
     Field, InputError, InternalInconsistencyError, Matrix, PrimeField, ResourceError, Vector,
     _echelon, _reduced_rows, _to_json, _trusted, exact_int, identity_matrix, inverse,
     is_j_independent, mat_mul, mat_vec, normalize_coords, vector,
 )
-from .grid import DEFAULT_POINT_BUDGET, FiniteMapTable, point_index
+from .grid import DEFAULT_POINT_BUDGET, FiniteMapTable, _Incidence, point_index
 
 Coords = Tuple[int, ...]
-Line = Tuple[int, ...]  # the sorted indices into pg_points of a line's points
 
 
 # ===========================================================================
@@ -267,36 +266,33 @@ def proj_table_from_json(obj: dict) -> ProjTable:
 # ===========================================================================
 
 @lru_cache(maxsize=None)
-def _incidence(p: int, n: int) -> Tuple[FrozenSet[Line], Tuple[Tuple[Line, ...], ...]]:
-    """The lines of PG(n,p), and each point's pencil: its lines, sorted.
-    Each line is built once, from its reduced basis: b has its leading 1 at
-    column j, and a = head + (0,) + tail for a point head of PG(j-1,p).  b and
-    the a + t*b are normalized already and in sorted order, so nothing is
+def _incidence(p: int, n: int) -> _Incidence:
+    """PG(n,p) on the indices into pg_points, each pencil sorted.  Each line
+    is built once, from its reduced basis: b has its leading 1 at column j,
+    and a = head + (0,) + tail for a point head of PG(j-1,p).  b and the
+    a + t*b are normalized already and in sorted order, so nothing is
     normalized or deduplicated; with j running down, the lines come sorted.
     More than DEFAULT_POINT_BUDGET incidences raise ResourceError."""
     index = _pg_index(p, n)
     if len(index) * ((p ** n - 1) // (p - 1)) > DEFAULT_POINT_BUDGET:
         raise ResourceError(
             f"PG({n},{p}) has more than {DEFAULT_POINT_BUDGET} point-line incidences")
-    pencils: List[List[Line]] = [[] for _ in index]
-    for j in range(n, 0, -1):
-        for b_tail in itertools.product(range(p), repeat=n - j):
-            b = index[(0,) * j + (1,) + b_tail]
-            for head in pg_points(p, j - 1):
-                for tail in itertools.product(range(p), repeat=n - j):
-                    line = (b,) + tuple(
-                        index[head + (t,) + tuple([(x + t * y) % p for x, y in zip(tail, b_tail)])]
-                        for t in range(p))
-                    for x in line:
-                        pencils[x].append(line)
-    return (frozenset(line for pencil in pencils for line in pencil),
-            tuple(map(tuple, pencils)))
+
+    def lines() -> Iterator[Tuple[int, ...]]:
+        for j in range(n, 0, -1):
+            for b_tail in itertools.product(range(p), repeat=n - j):
+                b = index[(0,) * j + (1,) + b_tail]
+                for head in pg_points(p, j - 1):
+                    for tail in itertools.product(range(p), repeat=n - j):
+                        yield (b,) + tuple(index[head + (t,) + tuple(
+                            [(x + t * y) % p for x, y in zip(tail, b_tail)])] for t in range(p))
+    return _Incidence(len(index), lines())
 
 
 def lines_through(point, p: int, n: int) -> List[Tuple[Coords, ...]]:
     """All (p^n - 1)/(p - 1) projective lines through the point, each as a
     sorted tuple of p+1 normalized coordinate tuples."""
-    pts, pencil = pg_points(p, n), _incidence(p, n)[1][_point_id(point, p, n)]
+    pts, pencil = pg_points(p, n), _incidence(p, n).pencils[_point_id(point, p, n)]
     return [tuple(pts[x] for x in line) for line in pencil]
 
 
@@ -323,14 +319,14 @@ def check_projective_hypotheses(table: ProjTable, anchors: Sequence) -> ProjRepo
     if not table.is_injective():
         raise InputError("hypothesis check needs an injective table")
     p, n = table.p, table.n
-    lines, pencils = _incidence(p, n)
+    incidence = _incidence(p, n)
     pts, index = pg_points(p, n), _pg_index(p, n)
     image = [index[v] for v in table.values]
     violations: List[ProjViolation] = []
     for anchor in anchors:
         a = _point_id(anchor, p, n)
-        for line in pencils[a]:
-            if tuple(sorted([image[x] for x in line])) not in lines:
+        for line in incidence.pencils[a]:
+            if not incidence.is_line([image[x] for x in line]):
                 violations.append(ProjViolation(
                     pts[a], tuple(pts[x] for x in line), "not-a-line"))
     return ProjReport(not violations, tuple(violations))

@@ -14,7 +14,7 @@ from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from .exact import InputError, PrimeField, ResourceError, _to_json, _trusted, exact_int
-from .grid import _all_lines, _backtrack, _plane_pencil
+from .grid import _affine_incidence, _backtrack
 
 Table = Tuple[int, ...]
 
@@ -262,9 +262,11 @@ def verify_diagonal_rigidity(p: int, n: int = 2,
     f_domains = [[0], [1]] + [range(2, p)] * (p - 2)
     domains = f_domains + [[p + v for v in dom] for dom in f_domains]
     # F is injective, so each line is checked as its triples, each as soon
-    # as its own slots fill.  A triple lists the slots of its three points.
-    triples = [tuple(s for x, y in tri for s in (x, p + y))
-               for tri in _line_triples(_plane_pencil(p, (0, 0)) + _plane_pencil(p, x0))]
+    # as its own slots fill.  A triple lists the slots of its three points,
+    # point x*p + y at slots x and p+y
+    pencils = _affine_incidence(p, 2).pencils
+    triples = [tuple(s for i in tri for s in (i // p, p + i % p))
+               for tri in _line_triples(pencils[0] + pencils[x0[0] * p + x0[1]])]
     # the p offsets of the f2 slots cancel in the differences
     found = _backtrack(domains, [(sorted(set(t)), t) for t in triples], lambda a, t: (
         (a[t[2]] - a[t[0]]) * (a[t[5]] - a[t[1]])
@@ -314,8 +316,8 @@ def verify_additive_rigidity(p: int, n: int = 2,
     # points as flat indices x*p + y, so i // p and i % p are its coordinates
     size = p * p
     add = [[(i // p + j // p) % p * p + (i + j) % p for j in range(size)] for i in range(size)]
-    lines = frozenset(_all_lines(p, 2))
-    pencil = [line for line in _all_lines(p, 2) if x0[0] * p + x0[1] in line]
+    plane = _affine_incidence(p, 2)
+    pencil = plane.pencils[x0[0] * p + x0[1]]
 
     total = 0
     bijections = 0
@@ -332,7 +334,7 @@ def verify_additive_rigidity(p: int, n: int = 2,
         if not _is_additive_image(img, add):
             all_additive = False
         # img is a bijection: the p images of a line lie on a line iff they are one
-        if not all(tuple(sorted([img[i] for i in line])) in lines for line in pencil):
+        if not all(plane.is_line([img[i] for i in line]) for line in pencil):
             all_lines = False
     expected = (p * p - 1) * (p * p - p)
     return AdditiveRigidityReport(p, x0, total, bijections, expected,

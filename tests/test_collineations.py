@@ -112,10 +112,9 @@ def test_enumerate_lines_partitions_the_grid():
 
 @pytest.mark.parametrize("p, n", ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2), (3, 3)))
 def test_all_lines_lists_every_line_of_the_grid_once(p, n):
-    lines = grid._all_lines(p, n)
-    points = list(grid_points(p, n))
+    incidence = grid._affine_incidence(p, n)
+    lines, points = incidence.lines, list(grid_points(p, n))
     assert len(lines) == p ** (n - 1) * (p ** n - 1) // (p - 1)
-    assert len(set(lines)) == len(lines)
     for line in lines:
         assert len(line) == p and list(line) == sorted(set(line))
         assert points_collinear(p, [points[i] for i in line])
@@ -123,14 +122,18 @@ def test_all_lines_lists_every_line_of_the_grid_once(p, n):
     pairs = Counter(pair for line in lines for pair in itertools.combinations(line, 2))
     assert len(pairs) == len(points) * (len(points) - 1) // 2
     assert set(pairs.values()) == {1}
-    if n == 2:
-        # p lines a direction, in the order the plane pencils and the
-        # diagonal search's node counts rest on: (0,1), (1,0), ..., (1,p-1)
-        directions = [normalize_coords(p, [(b - a) % p for a, b in
-                                           zip(points[line[0]], points[line[1]])])
-                      for line in lines]
-        assert directions == [d for d in [(0, 1)] + [(1, t) for t in range(p)]
-                              for _ in range(p)]
+    # the line test reads the ids in any order
+    assert all(incidence.is_line(line[::-1]) for line in lines)
+    assert not incidence.is_line(range(1, p + 1))
+    # each pencil holds its point's lines in the builder's order: by their
+    # direction scaled to a leading 1, lexicographically
+    direction = lambda line: normalize_coords(p, [(b - a) % p for a, b in
+                                                  zip(points[line[0]], points[line[1]])])
+    pencils = [[] for _ in points]
+    for line in sorted(lines, key=lambda line: (direction(line), line)):
+        for x in line:
+            pencils[x].append(line)
+    assert incidence.pencils == tuple(map(tuple, pencils))
 
 
 def test_enumerate_lines_rejects_a_direction_that_is_not_ints():
@@ -311,7 +314,7 @@ def parallel_violations_by_vectors_parallel(table, fam):
     violations = []
     for d in collineations._residue_directions(table.p, table.n, fam):
         ref = None
-        for base, idx in collineations._lines(p, table.n, d):
+        for base, idx in grid._line_kernel(p, table.n, normalize_coords(p, d)):
             images = [values[i] for i in idx]
             if not points_collinear(p, images):
                 return None
@@ -380,7 +383,7 @@ def check_family_by_line_loop(table, fam, mode):
     p, values = table.p, table.values
     violations = []
     for d in collineations._residue_directions(table.p, table.n, fam):
-        for base, idx in collineations._lines(p, table.n, d):
+        for base, idx in grid._line_kernel(p, table.n, normalize_coords(p, d)):
             images = [values[i] for i in idx]
             if not points_collinear(p, images):
                 violations.append(Violation(d, base, "not-a-line"))
@@ -397,7 +400,7 @@ def parallel_violations_by_line_loop(table, dirs):
     violations = []
     for d in dirs:
         ref = None
-        for base, idx in collineations._lines(p, table.n, d):
+        for base, idx in grid._line_kernel(p, table.n, normalize_coords(p, d)):
             images = [values[i] for i in idx]
             if not points_collinear(p, images):
                 return None
@@ -532,17 +535,18 @@ def test_a_diagonal_job_walks_each_direction_once(monkeypatch, n, walks):
     p = 5
     table = table_from_function(p, n, n, lambda x: (pow(x[0], 3, p),) + x[1:])
     std, axes, sfam = standard_family(QQ, n, True), standard_family(QQ, n), s_family(n)
+    # a walk reads the direction numbers once, before its first line
     walked = []
-    lines = collineations._lines
-    monkeypatch.setattr(collineations, "_lines",
-                        lambda p, n, d: walked.append(d) or lines(p, n, d))
+    numbers = collineations._direction_numbers
+    monkeypatch.setattr(collineations, "_direction_numbers",
+                        lambda p, m: walked.append((p, m)) or numbers(p, m))
     reports = [check_family(table, std, "into"), check_family(table, std, "onto"),
                check_family(table, sfam, "into"), parallelism_report(table, axes),
                verify_span_invariants(table, axes)]
     form = recover_diagonal_form(table, axes)
     assert [r.ok for r in reports] == [False, False, False, True, True]
     assert form.f[0] == tuple(pow(t, 3, p) for t in range(p))
-    assert len(walked) == len(set(walked)) == walks
+    assert len(walked) == len(table.__dict__["_walks"]) == walks
 
 
 # ---------------------------------------------------------------------------
@@ -681,6 +685,25 @@ def test_the_walk_past_the_table_bound(monkeypatch):
             assert collineations._direction_numbers(p, m) is None
     finally:
         collineations._direction_numbers.cache_clear()
+
+
+def test_the_walk_past_the_table_bound_scales_two_differences_of_a_bent_line(monkeypatch):
+    # past the bound a difference's number is the difference scaled by
+    # normalize_coords, and a line's second number settles it as bent: one
+    # walk scales at most two differences a line, plus its direction (the
+    # uncut walk scales all p - 1 = 130).  The image of the e1-line at
+    # height y is t -> (t + y^2, y + t^2): its differences from t = 0 have
+    # the numbers (1, t), so every line bends at its third point
+    p = 131
+    table = table_from_function(p, 2, 2, lambda x: (x[0] + x[1] ** 2, x[1] + x[0] ** 2))
+    assert collineations._direction_numbers(p, 2) is None  # (2p)^2 = 68,644
+    scaled = []
+    scale = collineations.normalize_coords
+    monkeypatch.setattr(collineations, "normalize_coords",
+                        lambda p, v: scaled.append(v) or scale(p, v))
+    _key, not_line, _not_onto, _not_parallel = collineations._walk(table, (1, 0))
+    assert not_line == tuple(range(p))
+    assert len(scaled) <= 2 * p + 1
 
 
 def test_a_long_value_builds_nothing_sized_by_its_length():
@@ -951,16 +974,16 @@ def test_plane_form_reads_its_fields_as_residues():
 
 def test_plane_form_recovery_checks_every_point(monkeypatch):
     # the recovery reads F at 2p+1 points only; a table that is the plane
-    # form but at its last point, with the axis-line walk waved through (it
-    # yields no lines), must still be refused by the check against the whole
-    # table
+    # form but at its last point, with the axis-line test waved through
+    # (every line passes as collinear), must still be refused by the check
+    # against the whole table
     p = 5
     values = list(table_from_function(p, 2, 3, lambda x: (x[0], x[1], x[0] * x[1] % p)).values)
     values[-1] = values[-1][:2] + ((values[-1][2] + 1) % p,)
     table = FiniteMapTable(p, 2, 3, tuple(values))
     with pytest.raises(InputError, match="axis-parallel line"):
         recover_plane_form(table)
-    monkeypatch.setattr(collineations, "_family_lines", lambda table, dirs: iter(()))
+    monkeypatch.setattr(collineations, "points_collinear", lambda p, pts: True)
     with pytest.raises(InternalInconsistencyError, match="plane form"):
         recover_plane_form(table)
 
@@ -972,9 +995,9 @@ def test_plane_form_recovery_refuses_a_torn_axis_line():
 
 
 def test_axis_reader_refuses_a_point_off_the_axis(monkeypatch):
-    # with the axis-line walk waved through, the axis reader itself refuses
+    # with the axis-line test waved through, the axis reader itself refuses
     # the torn table: F(2,0) - F(0) is no multiple of F(1,0) - F(0)
-    monkeypatch.setattr(collineations, "_family_lines", lambda table, dirs: iter(()))
+    monkeypatch.setattr(collineations, "points_collinear", lambda p, pts: True)
     with pytest.raises(InternalInconsistencyError, match="expected axis"):
         recover_plane_form(torn_table())
 

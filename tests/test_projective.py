@@ -4,6 +4,7 @@ linearity decision procedure, and the affine embedding."""
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
@@ -111,14 +112,25 @@ def test_points_are_the_normalized_nonzero_vectors_in_order(p, n):
 @pytest.mark.parametrize("p,n", ((3, 1), (7, 1), (3, 2), (5, 2), (7, 2), (3, 3),
                                  (5, 3), (7, 3), (3, 4), (5, 4)))
 def test_line_count_is_the_gaussian_binomial_and_pencils_are_full(p, n):
-    lines, pencils = _incidence(p, n)
+    incidence = _incidence(p, n)
+    lines, points = incidence.lines, pg_points(p, n)
     assert len(lines) == gaussian_binomial(n + 1, 2, p)
     assert all(len(line) == p + 1 and list(line) == sorted(set(line)) for line in lines)
-    assert len(pencils) == len(pg_points(p, n))
-    for x, pencil in enumerate(pencils):
-        assert len(pencil) == (p ** n - 1) // (p - 1)
-        assert list(pencil) == sorted(pencil)
-        assert all(x in line for line in pencil)
+    # every pair of distinct points lies on exactly one line
+    pairs = Counter(pair for line in lines for pair in itertools.combinations(line, 2))
+    assert len(pairs) == len(points) * (len(points) - 1) // 2
+    assert set(pairs.values()) == {1}
+    # the line test reads the ids in any order
+    assert all(incidence.is_line(line[::-1]) for line in lines)
+    assert not incidence.is_line(range(1, p + 2))
+    # each pencil holds its point's lines, (p^n - 1)/(p - 1) of them, in the
+    # builder's order: sorted
+    pencils = [[] for _ in points]
+    for line in sorted(lines):
+        for x in line:
+            pencils[x].append(line)
+    assert incidence.pencils == tuple(map(tuple, pencils))
+    assert {len(pencil) for pencil in pencils} == {(p ** n - 1) // (p - 1)}
 
 
 @pytest.mark.parametrize("p,n", ((3, 2), (5, 2), (3, 3)))
@@ -214,7 +226,7 @@ def test_spaces_past_the_point_budget_are_resource_errors():
         with pytest.raises(ResourceError, match="more than 1000000 point-line incidences"):
             lines_through((1,) + (0,) * n, p, n)
     # PG(4,5): 781 points with 156 lines through each, 121,836 incidences
-    assert sum(map(len, _incidence(5, 4)[1])) == 121836
+    assert sum(map(len, _incidence(5, 4).pencils)) == 121836
 
 
 def test_general_position():

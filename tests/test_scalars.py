@@ -25,7 +25,6 @@ from linemaps import (
     verify_multiplicative_rigidity,
 )
 from linemaps import grid, grid_points, points_collinear, scalars
-from linemaps.grid import _plane_pencil
 from linemaps.scalars import (
     _brute_force_multiplicative_injections, _is_additive_image, _line_triples,
 )
@@ -183,6 +182,11 @@ def plane_directions(p):
     return [(0, 1)] + [(1, t) for t in range(p)]
 
 
+def plane_pencil(p, c):
+    """The p+1 lines of (Z_p)^2 through c, one a direction, each sorted."""
+    return [sorted(line_through(p, c, d)) for d in plane_directions(p)]
+
+
 def product_loop_diagonal_rigidity(p, x0):
     """The two-pencil search as the full f1 x f2 product loop: the oracle."""
     pencils = [line_through(p, c, d) for c in ((0, 0), x0) for d in plane_directions(p)]
@@ -219,7 +223,7 @@ def test_diagonal_search_node_counts(monkeypatch, p, nodes):
 def test_line_triples_find_every_bent_line(p):
     # for each line, a bijection of the plane that bends it at its last point
     # only: the identity with that point swapped for one off the line
-    lines = sorted({tuple(line) for c in grid_points(p, 2) for line in _plane_pencil(p, c)})
+    lines = sorted({tuple(line) for c in grid_points(p, 2) for line in plane_pencil(p, c)})
     for line in lines:
         F = {x: x for x in grid_points(p, 2)}
         off = next(x for x in F if x not in line)
@@ -232,10 +236,13 @@ def test_line_triples_find_every_bent_line(p):
 
 
 def test_plane_pencil_has_one_line_per_direction():
+    # the pencils of the plane's incidence structure, in the direction order
+    # (0,1), (1,0), ..., (1,p-1) that the two-pencil node counts rest on
     for p in (3, 5, 7):
-        for c in grid_points(p, 2):
-            assert _plane_pencil(p, c) == [sorted(line_through(p, c, d))
-                                           for d in plane_directions(p)]
+        points = list(grid_points(p, 2))
+        pencils = grid._affine_incidence(p, 2).pencils
+        for i, c in enumerate(points):
+            assert [[points[j] for j in line] for line in pencils[i]] == plane_pencil(p, c)
 
 
 def test_diagonal_rigidity_guards():
@@ -267,7 +274,7 @@ def test_one_pencil_is_not_enough():
     cube = lambda v: pow(v, 3, p)
 
     def pencil_straight(center):
-        for line in _plane_pencil(p, center):
+        for line in plane_pencil(p, center):
             images = {(cube(x), cube(y)) for x, y in line}
             if len(images) != p or not points_collinear(p, sorted(images)):
                 return False
@@ -302,7 +309,7 @@ def test_additive_rigidity_guards():
 def apply_loop_additive_rigidity(p, x0):
     """The additive check on point tuples: each matrix applied to every
     pair of points, the pencil tested with points_collinear: the oracle."""
-    pencil = _plane_pencil(p, x0)
+    pencil = plane_pencil(p, x0)
     points = list(grid_points(p, 2))
     total = bijections = 0
     all_additive = all_lines = True
