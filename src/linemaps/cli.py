@@ -22,7 +22,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .exact import (
     Field, InputError, InternalInconsistencyError, PrimeField, QQ,
@@ -124,13 +124,21 @@ def parse_directions(text: str, n: int) -> List[Tuple[Fraction, ...]]:
     return dirs
 
 
+def _compact(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def _emit(obj: dict, out: Optional[str]) -> None:
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    _write([_compact(obj), "\n"], out)
+
+
+def _write(chunks: Iterable[str], out: Optional[str]) -> None:
+    """The report's text, piece by piece, on stdout or in the file at out."""
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _read_json(path: str):
@@ -210,8 +218,20 @@ def cmd_recover_form(args) -> int:
 
 def cmd_constraints(args) -> int:
     from .constraints import build_constraints
+    from .multiaffine import mask_to_delta
     system = build_constraints(args.n)
-    _emit(system.to_json(), args.emit)
+
+    def text() -> Iterator[str]:
+        # what `_emit` writes for system.to_json(), one row at a time: at
+        # n = 12 the rows hold 11,354,112 entries, whose JSON tree and text
+        # would otherwise be built whole.  Sorted, "rows" comes before "unknowns"
+        yield '{"rows":['
+        for i, row in enumerate(system.rows.rows):
+            yield ("," if i else "") + _compact([QQ.to_json(c) for c in row])
+        unknowns = [list(mask_to_delta(m, system.n)) for m in system.unknowns]
+        yield '],"unknowns":' + _compact(unknowns) + "}\n"
+
+    _write(text(), args.emit)
     return 0
 
 

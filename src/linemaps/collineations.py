@@ -297,21 +297,34 @@ def _diagonal_hypothesis(table: FiniteMapTable, fam: LineFamily) -> Tuple[List[P
     return dirs, None
 
 
-def _axis(table: FiniteMapTable, along: Sequence[int]) -> Tuple[Point, Tuple[int, ...]]:
+def _axis_read(p: int, values: Sequence[Point],
+               along: Sequence[int]) -> Optional[Tuple[Point, Tuple[int, ...]]]:
     """The map read along a direction v, given the flat indices of the points
-    a*v for a = 0, ..., p-1: w = F(v) - F(0) and the f with
-    F(a*v) - F(0) = f[a]*w for every a, or raise if a point is off that axis.
-    f[a] is read at w's first nonzero entry, whose inverse is taken once."""
-    p, values = table.p, table.values
+    a*v for a = 0, ..., p-1: w = F(v) - F(0) and f[a], the entry of
+    F(a*v) - F(0) at w's first nonzero entry over that of w, whose inverse is
+    taken once; None when w is zero.  No point is checked to be on the axis."""
     base = values[0]
-    diffs = [tuple((a - b) % p for a, b in zip(values[i], base)) for i in along]
-    w = diffs[1]
-    j0 = next((j for j, c in enumerate(w) if c), None)
-    if j0 is None:
+    w = tuple([(a - b) % p for a, b in zip(values[along[1]], base)])
+    for j0, c in enumerate(w):
+        if c:
+            break
+    else:
+        return None
+    inv, b = pow(w[j0], p - 2, p), base[j0]
+    return w, tuple([(values[i][j0] - b) * inv % p for i in along])
+
+
+def _axis(table: FiniteMapTable, along: Sequence[int]) -> Tuple[Point, Tuple[int, ...]]:
+    """`_axis_read`, or raise if w is zero or a point is off the axis: the f
+    with F(a*v) - F(0) = f[a]*w for every a."""
+    p, values = table.p, table.values
+    read = _axis_read(p, values, along)
+    if read is None:
         raise InternalInconsistencyError("axis vector is zero")
-    inv = pow(w[j0], p - 2, p)
-    f = tuple(d[j0] * inv % p for d in diffs)
-    if any(c != s * e % p for d, s in zip(diffs, f) for c, e in zip(d, w)):
+    w, f = read
+    base = values[0]
+    if any((a - b) % p != s * e % p
+           for i, s in zip(along, f) for a, b, e in zip(values[i], base, w)):
         raise InternalInconsistencyError("point is not on the expected axis")
     return w, f
 
@@ -523,10 +536,7 @@ class PlaneForm:
         return all(c == 0 for c in self.u3)
 
     def apply(self, x: Sequence[int]) -> Point:
-        return self._evaluate(*_grid_point(self.p, 2, x))
-
-    def _evaluate(self, s: int, t: int) -> Point:
-        """F(s, t) at residues s and t."""
+        s, t = _grid_point(self.p, 2, x)
         fs, gt = self.f[s], self.g[t]
         return tuple((b + fs * a1 + gt * a2 + fs * gt * a3) % self.p
                      for b, a1, a2, a3 in zip(self.base, self.u1, self.u2, self.u3))
@@ -537,7 +547,15 @@ class PlaneForm:
 
 def recover_plane_form(table: FiniteMapTable) -> PlaneForm:
     """Read u1, u2, u3, f, g off an injective planar table that maps all
-    axis-parallel lines onto lines; verified on the full grid afterwards."""
+    axis-parallel lines onto lines; verified on the full grid afterwards.
+
+    The form is read at 2p+1 points and compared with the whole table.  A
+    table it reproduces meets the hypothesis: the image of the line through
+    (s, 0) along e2 is base + f(s) u1 + g(t) (u2 + f(s) u3), and that of the
+    line through (0, t) along e1 is base + g(t) u2 + f(s) (u1 + g(t) u3), each
+    a line.  Only a table it does not reproduce is checked point by point:
+    the axis-line test, then the axis reader's test, then the comparison
+    itself names the failure."""
     if table.n != 2:
         raise InputError("plane form recovery needs n = 2")
     if table.m < 2:
@@ -545,19 +563,30 @@ def recover_plane_form(table: FiniteMapTable) -> PlaneForm:
     if not table.is_injective():
         raise InputError("table is not injective")
     p, values = table.p, table.values
+    base = values[0]
+    # a*e1 = (a, 0) has flat index a*p, a*e2 = (0, a) index a, and (1, 1)
+    # index p+1.  F is injective, so neither F(e1) - F(0) nor F(e2) - F(0) is zero
+    axes = (range(0, p * p, p), range(p))
+    (u1, f), (u2, g) = (_axis_read(p, values, along) for along in axes)
+    u3 = tuple((c - o - a - b) % p for c, o, a, b in zip(values[p + 1], base, u1, u2))
+    # F(s, t) = b + f(s) a1 + g(t) (a2 + f(s) a3) in each output column,
+    # over the grid in lexicographic order
+    for column, b, a1, a2, a3 in zip(zip(*values), base, u1, u2, u3):
+        form_column = []
+        for fs in f:
+            c0, c1 = b + fs * a1, a2 + fs * a3
+            form_column += [(c0 + gt * c1) % p for gt in g]
+        if tuple(form_column) != column:
+            break
+    else:
+        return _trusted(PlaneForm, p, u1, u2, u3, f, g, base)
     # injective: the p images of an axis line are distinct, so into is onto
     if not all(points_collinear(p, [values[i] for i in idx])
                for d in ((1, 0), (0, 1)) for _base, idx in _line_kernel(p, 2, d)):
         raise InputError("an axis-parallel line is not mapped onto a line")
-
-    # a*e1 = (a, 0) has flat index a*p, a*e2 = (0, a) index a, and (1, 1) index p+1
-    (u1, f), (u2, g) = _axis(table, range(0, p * p, p)), _axis(table, range(p))
-    base = values[0]
-    u3 = tuple((c - o - a - b) % p for c, o, a, b in zip(values[p + 1], base, u1, u2))
-    form = _trusted(PlaneForm, p, u1, u2, u3, f, g, base)
-    if tuple(itertools.starmap(form._evaluate, itertools.product(range(p), repeat=2))) != values:
-        raise InternalInconsistencyError("recovered plane form does not reproduce the table")
-    return form
+    for along in axes:
+        _axis(table, along)
+    raise InternalInconsistencyError("recovered plane form does not reproduce the table")
 
 
 # ===========================================================================
@@ -625,8 +654,11 @@ def exhaustive_bijection_search(p: int, n: int, fam: LineFamily) -> List[FiniteM
     pinned = _backtrack(domains, lines, lambda a, images: is_line(images(a)),
                         result_cost=total * (total - 1))
     # built only once the budget has counted the tables, which are at least as
-    # many as the maps.  Each map as the images of the grid points, so g o G
-    # is G's flat indices read through g, a permutation of the grid points
-    images = [tuple(map(points.__getitem__, g)) for g in _affine_transversal(p, n)]
-    found = sorted(tuple(map(g.__getitem__, values)) for values in pinned for g in images)
-    return [_trusted(FiniteMapTable, p, n, n, values) for values in found]
+    # many as the maps.  g o G is G's flat indices read through g, a
+    # permutation of the flat indices (p^n >= 3 of them, so an itemgetter
+    # picks a tuple).  The tables are sorted as flat indices, whose order
+    # `point_index` makes that of the points, and then read as points
+    transversal = _affine_transversal(p, n)
+    picks = [itemgetter(*values) for values in pinned]
+    found = sorted(pick(g) for pick in picks for g in transversal)
+    return [_trusted(FiniteMapTable, p, n, n, itemgetter(*values)(points)) for values in found]

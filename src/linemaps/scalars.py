@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial, gcd
+from math import factorial, gcd, isqrt
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
@@ -342,8 +342,13 @@ def verify_additive_rigidity(p: int, n: int = 2,
 
 
 def _is_additive_image(img: Sequence[int], add: Sequence[Sequence[int]]) -> bool:
-    """F(a+b) = F(a) + F(b) for every ordered pair of points, where F maps
-    flat index i to img[i] and add[a][b] is the flat index of a+b.  Row a
-    compares the images F(a+b) with the sums F(a) + F(b), for every b at once."""
+    """F(x+e) = F(x) + F(e) for every point x and both generators e = e1, e2
+    of (Z_p)^2, where F maps flat index i to img[i] and add[a][b] is the flat
+    index of a+b.  That is every ordered pair's additivity: at x = 0 it gives
+    F(0) = 0, and then F(x + a e1 + b e2) = F(x) + a F(e1) + b F(e2), so F is
+    linear.  Row e compares the images F(x+e) with the sums F(x) + F(e), for
+    every x at once."""
     pick = itemgetter(*img)  # pick(row) = (row[img[0]], row[img[1]], ...)
-    return all(itemgetter(*row)(img) == pick(add[img[a]]) for a, row in enumerate(add))
+    p = isqrt(len(img))
+    # e1 = (1, 0) has flat index p, e2 = (0, 1) index 1
+    return all(itemgetter(*add[e])(img) == pick(add[img[e]]) for e in (p, 1))

@@ -221,6 +221,18 @@ def test_constraints_cli_writes_files(capsys, tmp_path):
     assert len(payload["unknowns"]) == 16
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_constraints_cli_streams_the_compact_json_of_the_system(capsys, tmp_path, n):
+    # written a row at a time, byte for byte what json.dumps gives for the
+    # whole report, on stdout and in a file
+    from linemaps.constraints import build_constraints
+    want = json.dumps(build_constraints(n).to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+    assert run(capsys, "constraints", "--n", str(n)) == (0, want)
+    path = tmp_path / "system.json"
+    assert main(["constraints", "--n", str(n), "--emit", str(path)]) == 0
+    assert path.read_text() == want
+
+
 def test_constraints_cli_rejects_n1(capsys):
     assert main(["constraints", "--n", "1"]) == 2
 

@@ -1239,6 +1239,156 @@ def test_search_kernel_on_a_small_case_and_a_deep_one():
 
 
 # ---------------------------------------------------------------------------
+# plane form recovery against the point-by-point reading
+# ---------------------------------------------------------------------------
+
+
+def pointwise_plane_form(table):
+    """The plane form read point by point, every check made before the form
+    is compared with the table: the axis-line test on every axis line, the
+    axis reader's test at every axis point, then the form evaluated at every
+    point.  The oracle of `recover_plane_form`."""
+    if table.n != 2:
+        raise InputError("plane form recovery needs n = 2")
+    if table.m < 2:
+        raise InputError("plane form recovery needs m >= 2")
+    if not table.is_injective():
+        raise InputError("table is not injective")
+    p, values = table.p, table.values
+    if not all(collineations.points_collinear(p, [table.apply(x) for x in line])
+               for d in ((1, 0), (0, 1)) for line in enumerate_lines(p, 2, d)):
+        raise InputError("an axis-parallel line is not mapped onto a line")
+
+    def axis(v):
+        diffs = [tuple((a - b) % p for a, b in zip(table.apply((s * v[0], s * v[1])), values[0]))
+                 for s in range(p)]
+        w = diffs[1]
+        j0 = next((j for j, c in enumerate(w) if c), None)
+        if j0 is None:
+            raise InternalInconsistencyError("axis vector is zero")
+        f = tuple(d[j0] * pow(w[j0], p - 2, p) % p for d in diffs)
+        if any(c != s * e % p for d, s in zip(diffs, f) for c, e in zip(d, w)):
+            raise InternalInconsistencyError("point is not on the expected axis")
+        return w, f
+
+    (u1, f), (u2, g) = axis((1, 0)), axis((0, 1))
+    base = values[0]
+    u3 = tuple((c - o - a - b) % p for c, o, a, b in zip(table.apply((1, 1)), base, u1, u2))
+    form = PlaneForm(p, u1, u2, u3, f, g, base)
+    if tuple(form.apply(x) for x in grid_points(p, 2)) != values:
+        raise InternalInconsistencyError("recovered plane form does not reproduce the table")
+    return form
+
+
+def assert_plane_forms_agree(tables):
+    """Each table's outcome, asserted equal under both readings."""
+    outcomes = []
+    for table in tables:
+        outcome = memo_outcome(recover_plane_form, table, ())
+        assert outcome == memo_outcome(pointwise_plane_form, table, ()), table.values
+        outcomes.append(outcome)
+    return outcomes
+
+
+@pytest.mark.parametrize("dirs", PLANE_DIRECTION_SETS)
+def test_plane_form_matches_the_pointwise_reading_on_search_survivors(dirs):
+    # two or more directions leave AGL(2,3), whose forms are affine; one
+    # direction leaves maps that tear the other axis, an input error
+    outcomes = assert_plane_forms_agree(exhaustive_bijection_search(3, 2, LineFamily(QQ, 2, dirs)))
+    kinds = Counter(outcome[:1] + outcome[2:] for outcome in outcomes)
+    if len(dirs) > 1:
+        assert kinds == {("returned",): 432}
+    else:
+        assert set(kinds) == {("returned",),
+                              ("raised", "an axis-parallel line is not mapped onto a line")}
+
+
+def plane_tables():
+    """Tables of every outcome of `recover_plane_form`: plane forms with and
+    without a cross term, seeded bijections and forms of (Z_5)^2 with m = 2
+    and 3, torn, non-injective and last-point-perturbed tables, and tables
+    of the wrong n or m."""
+    rng = Random(27)
+    f, g = [0, 2, 4, 1, 3], [0, 3, 1, 4, 2]
+    tables = [table_from_function(5, 2, 2, lambda x: (f[x[0]], g[x[1]])),
+              table_from_function(5, 2, 3, lambda x: (x[0], x[1], x[0] * x[1] % 5)),
+              table_from_function(3, 2, 3, lambda x: (x[0], x[1], x[0] * x[1] % 3)),
+              torn_table(), identity_table(3, 2),
+              table_from_function(5, 2, 2, lambda x: (x[0], 0)),
+              table_from_function(5, 2, 1, lambda x: (x[0] + 2 * x[1],)),
+              identity_table(5, 1), identity_table(3, 3)]
+    points = list(grid_points(5, 2))
+    for _ in range(100):
+        tables.append(FiniteMapTable(5, 2, 2, tuple(rng.sample(points, 25))))
+    for m in (2, 3):
+        for _ in range(100):
+            u = [tuple(rng.randrange(5) for _ in range(m)) for _ in range(4)]
+            f, g = ([0] + rng.sample(range(1, 5), 4) for _ in range(2))
+            form = PlaneForm(5, *u[:3], f, g, u[3])
+            tables.append(table_from_function(5, 2, m, form.apply))
+    for table in tables[:3]:
+        # the form but at its last point
+        last = table.values[-1]
+        values = table.values[:-1] + (((last[0] + 1) % table.p,) + last[1:],)
+        tables.append(FiniteMapTable(table.p, 2, table.m, values))
+    return tables
+
+
+def test_plane_form_matches_the_pointwise_reading(monkeypatch):
+    tables = plane_tables()
+    outcomes = assert_plane_forms_agree(tables)
+    # with every axis line waved through as collinear, the axis reader and
+    # the comparison with the whole table name the failures
+    monkeypatch.setattr(collineations, "points_collinear", lambda p, pts: True)
+    outcomes += assert_plane_forms_agree(tables)
+    assert {o[2] for o in outcomes if o[0] == "raised"} == {
+        "plane form recovery needs n = 2", "plane form recovery needs m >= 2",
+        "table is not injective", "an axis-parallel line is not mapped onto a line",
+        "point is not on the expected axis", "recovered plane form does not reproduce the table"}
+    assert {o[1]["cross_term_vanishes"] for o in outcomes if o[0] == "returned"} == {True, False}
+
+
+def test_plane_form_recovery_checks_the_axes_only_when_the_form_fails(monkeypatch):
+    # a table the form reproduces meets the axis-line hypothesis and the axis
+    # reader's test by the form alone: neither runs.  A table it does not
+    # reproduce is checked by both, in that order
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(collineations, name)
+
+        def count(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(collineations, name, count)
+
+    counted("points_collinear")
+    counted("_axis")
+    p5 = table_from_function(5, 2, 3, lambda x: (x[0], x[1], x[0] * x[1] % 5))
+    for table in (identity_table(3, 2), p5):
+        recover_plane_form(table)
+    for dirs in PLANE_DIRECTION_SETS[4:6]:
+        for table in exhaustive_bijection_search(3, 2, LineFamily(QQ, 2, dirs)):
+            recover_plane_form(table)
+    assert calls == {}
+    with pytest.raises(InputError, match="axis-parallel line"):
+        recover_plane_form(torn_table())
+    assert calls["points_collinear"] > 0 and calls["_axis"] == 0
+    # the form but at its last point (4, 4): the first four lines along e1
+    # pass, and the fifth, through (0, 4), is refused
+    calls.clear()
+    values = p5.values[:-1] + (p5.values[-1][:2] + ((p5.values[-1][2] + 1) % 5,),)
+    with pytest.raises(InputError, match="axis-parallel line"):
+        recover_plane_form(FiniteMapTable(5, 2, 3, values))
+    assert calls == {"points_collinear": 5}
+    monkeypatch.setattr(collineations, "points_collinear", lambda p, pts: True)
+    with pytest.raises(InternalInconsistencyError, match="does not reproduce"):
+        recover_plane_form(FiniteMapTable(5, 2, 3, values))
+    assert calls["_axis"] == 2
+
+
+# ---------------------------------------------------------------------------
 # tables and serialization
 # ---------------------------------------------------------------------------
 

@@ -6,7 +6,10 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from math import factorial
+from operator import itemgetter
+from random import Random
 
 import pytest
 
@@ -353,3 +356,81 @@ def test_additivity_check_rejects_a_swapped_table():
         swapped = img[:]
         swapped[i], swapped[j] = swapped[j], swapped[i]
         assert not _is_additive_image(swapped, add)
+
+
+def all_pairs_additive(img, add):
+    """F(a+b) = F(a) + F(b) for every ordered pair of points: the oracle of
+    the generator test.  Row a compares F(a+b) with F(a) + F(b) for every b."""
+    pick = itemgetter(*img)
+    return all(itemgetter(*row)(img) == pick(add[img[a]]) for a, row in enumerate(add))
+
+
+def plane_addition(p):
+    """add[a][b], the flat index of a+b, for flat indices x*p + y."""
+    return [[(i // p + j // p) % p * p + (i + j) % p for j in range(p * p)] for i in range(p * p)]
+
+
+def test_the_generator_test_matches_all_pairs_on_every_bijection_fixing_0_mod_3():
+    # additive along e1 and e2 forces F(0) = 0 and linearity: exactly the 48
+    # invertible matrices pass, among the 8! bijections fixing 0
+    add = plane_addition(3)
+    additive = 0
+    for rest in itertools.permutations(range(1, 9)):
+        img = (0,) + rest
+        verdict = _is_additive_image(img, add)
+        assert verdict == all_pairs_additive(img, add), img
+        additive += verdict
+    assert additive == 48
+
+
+def map_additive_along_one_axis(rng, p):
+    """A seeded bijection F of (Z_p)^2, as flat indices, and the flat index
+    of a generator e with F(x+e) = F(x) + F(e) for every x: A applied to
+    (s + c(t), h(t)) for e = e1 or to (h(s), t + c(s)) for e = e2, with c
+    fixing 0 and h a bijection fixing 0.  Along the other generator it is
+    additive only if c and h are linear."""
+    c = [0] + [rng.randrange(p) for _ in range(p - 1)]
+    h = [0] + rng.sample(range(1, p), p - 1)
+    while True:
+        a = [rng.randrange(p) for _ in range(4)]
+        if (a[0] * a[3] - a[1] * a[2]) % p:
+            break
+    along_e1 = rng.random() < 0.5
+    img = []
+    for s, t in grid_points(p, 2):
+        x, y = ((s + c[t]) % p, h[t]) if along_e1 else (h[s], (t + c[s]) % p)
+        img.append((a[0] * x + a[1] * y) % p * p + (a[2] * x + a[3] * y) % p)
+    return img, p if along_e1 else 1
+
+
+def test_the_generator_test_matches_all_pairs_on_seeded_maps_mod_5():
+    p = 5
+    add = plane_addition(p)
+    rng = Random(27)
+    linear = [[(m[0] * x + m[1] * y) % p * p + (m[2] * x + m[3] * y) % p
+               for x, y in grid_points(p, 2)]
+              for m in itertools.product(range(p), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % p]
+    one_axis = []
+    for _ in range(400):
+        img, e = map_additive_along_one_axis(rng, p)
+        assert all(img[add[x][e]] == add[img[x]][img[e]] for x in range(p * p))
+        one_axis.append(img)
+    shuffled = [rng.sample(range(p * p), p * p) for _ in range(400)]
+    verdicts = Counter()
+    for kind, maps in (("linear", linear), ("one axis", one_axis), ("shuffled", shuffled)):
+        for img in maps:
+            verdict = _is_additive_image(img, add)
+            assert verdict == all_pairs_additive(img, add), (kind, img)
+            verdicts[kind, verdict] += 1
+    # no map of this seed has c and h both linear, so each fails along its other axis
+    assert verdicts == {("linear", True): 480, ("one axis", False): 400, ("shuffled", False): 400}
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_additive_rigidity_report_at_every_pinning_point(p):
+    for x0 in grid_points(p, 2):
+        assert verify_additive_rigidity(p, 2, x0).to_json() == {
+            "p": p, "x0": list(x0), "matrices_total": p ** 4,
+            "bijections": (p * p - 1) * (p * p - p),
+            "expected_bijections": (p * p - 1) * (p * p - p),
+            "all_additive": True, "all_lines_ok": True, "ok": True}
