@@ -28,10 +28,7 @@ from .exact import (
     Field, InputError, InternalInconsistencyError, PrimeField, QQ,
     ResourceError, unit_vector,
 )
-from .grid import (
-    DEFAULT_POINT_BUDGET, FiniteMapTable, LineFamily, _grid_size, table_from_json,
-    table_to_json,
-)
+from .grid import FiniteMapTable, LineFamily, _grid_size, table_from_json, table_to_json
 
 _E_TOKEN = re.compile(r"^e(\d{1,9})$")  # int() refuses a string of over 4300 digits
 
@@ -183,7 +180,7 @@ def _table_for(args) -> FiniteMapTable:
             raise InputError("cannot lift a prime-field map to the rationals")
     if m.field == QQ:
         raise InputError("tabulation needs a prime field; pass --field p:<prime>")
-    return tabulate(m, budget=args.budget)
+    return tabulate(m)
 
 
 def cmd_verify_family(args) -> int:
@@ -296,7 +293,7 @@ def cmd_decide_proj(args) -> int:
 def cmd_exhaust(args) -> int:
     from .collineations import exhaustive_bijection_search
     # a huge n is refused before the directions are read: e1 is a vector of length n
-    _grid_size(PrimeField(args.p).p, args.n, DEFAULT_POINT_BUDGET, "point budget")
+    _grid_size(PrimeField(args.p).p, args.n)
     fam = LineFamily(QQ, args.n, tuple(_load_directions(args, args.n)))
     tables = exhaustive_bijection_search(args.p, args.n, fam)
     _emit({"count": len(tables),
@@ -344,11 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact verification toolkit for maps sending line families onto lines")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, budget=False):
+    def common(p):
         p.add_argument("--out", default=None, help="report path (default: stdout)")
-        if budget:
-            p.add_argument("--budget", type=int, default=DEFAULT_POINT_BUDGET,
-                           help="largest grid p^n a map may be tabulated on")
 
     p = sub.add_parser("verify-family", help="check lines-onto-lines for a map or table")
     p.add_argument("--map", help="multiaffine map JSON")
@@ -359,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["into", "onto"], default="onto")
     p.add_argument("--parallelism", action="store_true",
                    help="also require parallel lines to have parallel images")
-    common(p, budget=True)
+    common(p)
     p.set_defaults(fn=cmd_verify_family)
 
     p = sub.add_parser("recover-form", help="recover the plane or diagonal normal form")
@@ -369,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["plane", "diagonal"], required=True)
     p.add_argument("--dirs", help="n independent directions (diagonal kind)")
     p.add_argument("--dirs-file")
-    common(p, budget=True)
+    common(p)
     p.set_defaults(fn=cmd_recover_form)
 
     p = sub.add_parser("constraints", help="emit the coefficient constraint system")

@@ -20,8 +20,8 @@ from .exact import (
     inverse, normalize_coords,
 )
 from .grid import (
-    DEFAULT_POINT_BUDGET, FiniteMapTable, LineFamily, Point, _affine_incidence, _backtrack,
-    _charge, _grid_point, _grid_size, _line_kernel, grid_points, point_index,
+    FiniteMapTable, LineFamily, Point, _affine_incidence, _backtrack, _charge, _grid_point,
+    _grid_size, _line_kernel, grid_points, point_index,
 )
 
 
@@ -52,25 +52,10 @@ def _residue_directions(p: int, n: int, fam: LineFamily) -> List[Point]:
 
 def points_collinear(p: int, pts: Sequence[Point]) -> bool:
     """All points on one affine line of (Z_p)^m (where m = len of each point)."""
-    first = pts[0]
-    if len(first) == 2:
-        # plane images are the common case (`recover_plane_form`'s axis lines
-        # and the tests), and the unrolled test is several times faster there
-        # than the pivot test below: (ex, ey) is the first nonzero difference
-        # from the first point
-        x0, y0 = first
-        ex = ey = 0
-        for x, y in pts:
-            dx, dy = (x - x0) % p, (y - y0) % p
-            if ex or ey:
-                if (ex * dy - ey * dx) % p:
-                    return False
-            else:
-                ex, ey = dx, dy
-        return True
     # e is the first nonzero difference from the first point and k its first
     # nonzero entry: a later difference d = q - first is a multiple of e iff
     # e[k]*d - d[k]*e = 0 (e[k] is a unit), m products per point
+    first = pts[0]
     e: Optional[List[int]] = None
     for q in pts[1:]:
         if e is not None:
@@ -297,36 +282,18 @@ def _diagonal_hypothesis(table: FiniteMapTable, fam: LineFamily) -> Tuple[List[P
     return dirs, None
 
 
-def _axis_read(p: int, values: Sequence[Point],
-               along: Sequence[int]) -> Optional[Tuple[Point, Tuple[int, ...]]]:
-    """The map read along a direction v, given the flat indices of the points
-    a*v for a = 0, ..., p-1: w = F(v) - F(0) and f[a], the entry of
-    F(a*v) - F(0) at w's first nonzero entry over that of w, whose inverse is
-    taken once; None when w is zero.  No point is checked to be on the axis."""
+def _axis_read(p: int, values: Sequence[Point], along: Sequence[int]) -> Tuple[Point, Tuple[int, ...]]:
+    """The map read along a direction v of an injective table, given the flat
+    indices of the points a*v for a = 0, ..., p-1: w = F(v) - F(0), nonzero,
+    and f[a], the entry of F(a*v) - F(0) at w's first nonzero entry over that
+    of w, whose inverse is taken once.  No point is checked to be on the axis:
+    where the walk finds the axis line mapped onto a line, F(a*v) - F(0) =
+    f[a]*w, and each caller compares the form it reads with the whole table."""
     base = values[0]
     w = tuple([(a - b) % p for a, b in zip(values[along[1]], base)])
-    for j0, c in enumerate(w):
-        if c:
-            break
-    else:
-        return None
+    j0 = next(j for j, c in enumerate(w) if c)
     inv, b = pow(w[j0], p - 2, p), base[j0]
     return w, tuple([(values[i][j0] - b) * inv % p for i in along])
-
-
-def _axis(table: FiniteMapTable, along: Sequence[int]) -> Tuple[Point, Tuple[int, ...]]:
-    """`_axis_read`, or raise if w is zero or a point is off the axis: the f
-    with F(a*v) - F(0) = f[a]*w for every a."""
-    p, values = table.p, table.values
-    read = _axis_read(p, values, along)
-    if read is None:
-        raise InternalInconsistencyError("axis vector is zero")
-    w, f = read
-    base = values[0]
-    if any((a - b) % p != s * e % p
-           for i, s in zip(along, f) for a, b, e in zip(values[i], base, w)):
-        raise InternalInconsistencyError("point is not on the expected axis")
-    return w, f
 
 
 # ===========================================================================
@@ -493,10 +460,10 @@ def recover_diagonal_form(table: FiniteMapTable, fam: LineFamily) -> DiagonalFor
     dirs, failure = _diagonal_hypothesis(table, fam)
     if failure is not None:
         raise InputError(failure)
-    p = table.p
-    w, f = zip(*(_axis(table, [point_index(p, [a * c for c in v]) for a in range(p)])
+    p, values = table.p, table.values
+    w, f = zip(*(_axis_read(p, values, [point_index(p, [a * c for c in v]) for a in range(p)])
                  for v in dirs))
-    form = _trusted(DiagonalForm, p, tuple(dirs), w, f, table.values[0])
+    form = _trusted(DiagonalForm, p, tuple(dirs), w, f, values[0])
     if tabulate_diagonal_form(form).values != table.values:
         raise InternalInconsistencyError("recovered diagonal form does not reproduce the table")
     return form
@@ -553,9 +520,9 @@ def recover_plane_form(table: FiniteMapTable) -> PlaneForm:
     table it reproduces meets the hypothesis: the image of the line through
     (s, 0) along e2 is base + f(s) u1 + g(t) (u2 + f(s) u3), and that of the
     line through (0, t) along e1 is base + g(t) u2 + f(s) (u1 + g(t) u3), each
-    a line.  Only a table it does not reproduce is checked point by point:
-    the axis-line test, then the axis reader's test, then the comparison
-    itself names the failure."""
+    a line.  A table it does not reproduce has its two axis directions
+    walked: a torn axis line is an input error, and otherwise the axes were
+    read right and the mismatch is an internal inconsistency."""
     if table.n != 2:
         raise InputError("plane form recovery needs n = 2")
     if table.m < 2:
@@ -580,12 +547,11 @@ def recover_plane_form(table: FiniteMapTable) -> PlaneForm:
             break
     else:
         return _trusted(PlaneForm, p, u1, u2, u3, f, g, base)
-    # injective: the p images of an axis line are distinct, so into is onto
-    if not all(points_collinear(p, [values[i] for i in idx])
-               for d in ((1, 0), (0, 1)) for _base, idx in _line_kernel(p, 2, d)):
+    # injective: the p images of an axis line are distinct, so into is onto.
+    # Both axes are walked, not short-circuited, so the table's memo holds
+    # the two walks a later check of the standard family reads
+    if any([_walk(table, d)[1] for d in ((1, 0), (0, 1))]):
         raise InputError("an axis-parallel line is not mapped onto a line")
-    for along in axes:
-        _axis(table, along)
     raise InternalInconsistencyError("recovered plane form does not reproduce the table")
 
 
@@ -636,7 +602,7 @@ def exhaustive_bijection_search(p: int, n: int, fam: LineFamily) -> List[FiniteM
     passes the node budget is refused before anything is built.
     """
     dirs = _residue_directions(p, n, fam)  # validates p and the family's dimension
-    total = _grid_size(p, n, DEFAULT_POINT_BUDGET, "point budget")  # never p^n for a huge n
+    total = _grid_size(p, n)  # never p^n for a huge n
     # |AGL(n, p)| = p^n (p^n - 1) ... (p^n - p^(n-1)), a bound compared on its own
     _charge(total * math.prod(total - p ** i for i in range(n)))
     points = tuple(grid_points(p, n))

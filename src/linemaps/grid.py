@@ -29,11 +29,12 @@ Point = Tuple[int, ...]
 DEFAULT_POINT_BUDGET = 10 ** 6
 
 
-def _grid_size(p: int, n: int, budget: int, guard: str) -> int:
-    """p^n, or a ResourceError naming p and n when it passes the budget.
+def _grid_size(p: int, n: int) -> int:
+    """p^n, or a ResourceError naming p and n when it passes the point budget.
     p^n > 2^n, so once n reaches the budget's bit length no power is built."""
-    if n >= budget.bit_length() or p ** n > budget:
-        raise ResourceError(f"a grid of {p}^{n} points exceeds the {guard} of {budget} points")
+    if n >= DEFAULT_POINT_BUDGET.bit_length() or p ** n > DEFAULT_POINT_BUDGET:
+        raise ResourceError(f"a grid of {p}^{n} points exceeds the point budget "
+                            f"of {DEFAULT_POINT_BUDGET} points")
     return p ** n
 
 
@@ -183,7 +184,7 @@ def _grid_point(p: int, n: int, point: Sequence[int]) -> Point:
 
 def table_from_function(p: int, n: int, m: int, fn: Callable[[Point], Sequence[int]]) -> FiniteMapTable:
     PrimeField(p)  # validates p before the grid is walked
-    _grid_size(p, n, DEFAULT_POINT_BUDGET, "point budget")
+    _grid_size(p, n)
     values = []
     for x in grid_points(p, n):
         y = tuple(exact_int(c, "function value") % p for c in fn(x))

@@ -17,7 +17,7 @@ from .exact import (
     field_from_json, field_to_json, exact_int, mat_vec, unit_vector, vec_add, vec_is_zero,
     vec_scale, vector, vectors_parallel, zero_vector,
 )
-from .grid import DEFAULT_POINT_BUDGET, FiniteMapTable, _grid_size
+from .grid import FiniteMapTable, _grid_size
 
 
 def mask_to_delta(mask: int, n: int) -> Tuple[int, ...]:
@@ -252,7 +252,7 @@ def reduce_mod(map_: MultiAffineMap, p: int) -> MultiAffineMap:
 # tabulation over Z_p
 # ---------------------------------------------------------------------------
 
-def tabulate(map_: MultiAffineMap, budget: int = DEFAULT_POINT_BUDGET):
+def tabulate(map_: MultiAffineMap):
     """Evaluate the map on all p^n grid points, lexicographic index order.
 
     Built one output coordinate at a time, one variable at a time: before
@@ -266,7 +266,7 @@ def tabulate(map_: MultiAffineMap, budget: int = DEFAULT_POINT_BUDGET):
     if not isinstance(F, PrimeField):
         raise InputError("tabulate needs a prime-field map")
     p, n = F.p, map_.n
-    _grid_size(p, n, budget, "point budget")
+    _grid_size(p, n)
     zero = (0,) * map_.m
     coeffs = [map_.coeffs.get(mask, zero) for mask in range(1 << n)]
     columns = []

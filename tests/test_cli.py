@@ -614,22 +614,33 @@ def test_table_files_with_coerced_sizes_are_input_errors(capsys, tmp_path):
         assert elapsed < 1.0
 
 
-def test_budget_is_an_option_of_the_tabulating_commands_only(capsys, r3_map_file):
-    with pytest.raises(SystemExit) as exc:
-        main(["scalar-lemmas", "--p", "5", "--lemma", "ratio", "--budget", "5"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    # the r3 map over Z_5 has 125 points
-    assert main(["verify-family", "--map", r3_map_file, "--field", "p:5",
-                 "--dirs", "e1", "--budget", "100"]) == 3
-    assert capsys.readouterr().err.startswith("resource guard: ")
-    # the search's one guard is the node budget, and into and onto agree for
-    # bijections: exhaust has neither a size option nor a mode
-    for flag in (("--budget", "9"), ("--mode", "onto")):
+def test_budget_is_an_option_of_no_command(capsys, r3_map_file):
+    # each command's own arguments parse, and --budget is refused: the point
+    # budget of a tabulated map is a constant, as the search's node budget is
+    for argv in (["verify-family", "--map", r3_map_file, "--field", "p:5", "--dirs", "e1"],
+                 ["recover-form", "--map", r3_map_file, "--field", "p:5", "--kind", "plane"],
+                 ["constraints", "--n", "2"], ["construct-sharp", "--dim", "2"],
+                 ["example", "--name", "r3"], ["refute-fifth", "--variant", "1"],
+                 ["decide-proj", "--table", r3_map_file],
+                 ["exhaust", "--p", "3", "--n", "2", "--dirs", "e1"],
+                 ["scalar-lemmas", "--p", "5", "--lemma", "ratio"]):
         with pytest.raises(SystemExit) as exc:
-            main(["exhaust", "--p", "3", "--n", "2", "--dirs", "e1", *flag])
-        assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+            main([*argv, "--budget", "100"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == "", argv
+        assert "unrecognized arguments: --budget 100" in captured.err, argv
+    # the r3 map over Z_101 has 101^3 = 1,030,301 points, past the default
+    for command in (["verify-family", "--dirs", "e1"], ["recover-form", "--kind", "plane"]):
+        assert main([*command, "--map", r3_map_file, "--field", "p:101"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("resource guard: a grid of 101^3 points exceeds the "
+                                       "point budget of 1000000 points")
+    # into and onto agree for bijections: exhaust has no mode
+    with pytest.raises(SystemExit) as exc:
+        main(["exhaust", "--p", "3", "--n", "2", "--dirs", "e1", "--mode", "onto"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_exhaust_refuses_a_huge_dimension_before_building_the_family(capsys, monkeypatch):

@@ -189,7 +189,7 @@ def point_sets(draw, length):
     return p, pts
 
 
-@pytest.mark.parametrize("length", (1, 2, 3, 4))  # 2 takes the plane branch
+@pytest.mark.parametrize("length", (1, 2, 3, 4))
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_collinearity_agrees_with_the_rank_of_the_differences(length, data):
@@ -974,16 +974,15 @@ def test_plane_form_reads_its_fields_as_residues():
 
 def test_plane_form_recovery_checks_every_point(monkeypatch):
     # the recovery reads F at 2p+1 points only; a table that is the plane
-    # form but at its last point, with the axis-line test waved through
-    # (every line passes as collinear), must still be refused by the check
-    # against the whole table
+    # form but at its last point, with the axis walk waved through (no line
+    # is torn), must still be refused by the check against the whole table
     p = 5
     values = list(table_from_function(p, 2, 3, lambda x: (x[0], x[1], x[0] * x[1] % p)).values)
     values[-1] = values[-1][:2] + ((values[-1][2] + 1) % p,)
     table = FiniteMapTable(p, 2, 3, tuple(values))
     with pytest.raises(InputError, match="axis-parallel line"):
         recover_plane_form(table)
-    monkeypatch.setattr(collineations, "points_collinear", lambda p, pts: True)
+    monkeypatch.setattr(collineations, "_walk", lambda table, d: (d, (), (), ()))
     with pytest.raises(InternalInconsistencyError, match="plane form"):
         recover_plane_form(table)
 
@@ -991,14 +990,6 @@ def test_plane_form_recovery_checks_every_point(monkeypatch):
 def test_plane_form_recovery_refuses_a_torn_axis_line():
     # an input error (exit 2), not an internal inconsistency (exit 4)
     with pytest.raises(InputError, match="axis-parallel line"):
-        recover_plane_form(torn_table())
-
-
-def test_axis_reader_refuses_a_point_off_the_axis(monkeypatch):
-    # with the axis-line test waved through, the axis reader itself refuses
-    # the torn table: F(2,0) - F(0) is no multiple of F(1,0) - F(0)
-    monkeypatch.setattr(collineations, "points_collinear", lambda p, pts: True)
-    with pytest.raises(InternalInconsistencyError, match="expected axis"):
         recover_plane_form(torn_table())
 
 
@@ -1334,58 +1325,37 @@ def plane_tables():
     return tables
 
 
-def test_plane_form_matches_the_pointwise_reading(monkeypatch):
-    tables = plane_tables()
-    outcomes = assert_plane_forms_agree(tables)
-    # with every axis line waved through as collinear, the axis reader and
-    # the comparison with the whole table name the failures
-    monkeypatch.setattr(collineations, "points_collinear", lambda p, pts: True)
-    outcomes += assert_plane_forms_agree(tables)
+def test_plane_form_matches_the_pointwise_reading():
+    # the reference checks every axis point as well; agreement shows that
+    # check never fires once the axis lines are lines
+    outcomes = assert_plane_forms_agree(plane_tables())
     assert {o[2] for o in outcomes if o[0] == "raised"} == {
         "plane form recovery needs n = 2", "plane form recovery needs m >= 2",
-        "table is not injective", "an axis-parallel line is not mapped onto a line",
-        "point is not on the expected axis", "recovered plane form does not reproduce the table"}
+        "table is not injective", "an axis-parallel line is not mapped onto a line"}
     assert {o[1]["cross_term_vanishes"] for o in outcomes if o[0] == "returned"} == {True, False}
 
 
-def test_plane_form_recovery_checks_the_axes_only_when_the_form_fails(monkeypatch):
-    # a table the form reproduces meets the axis-line hypothesis and the axis
-    # reader's test by the form alone: neither runs.  A table it does not
-    # reproduce is checked by both, in that order
-    calls = Counter()
-
-    def counted(name):
-        original = getattr(collineations, name)
-
-        def count(*args):
-            calls[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(collineations, name, count)
-
-    counted("points_collinear")
-    counted("_axis")
+def test_plane_form_recovery_walks_the_axes_only_when_the_form_fails():
+    # a table the form reproduces meets the axis-line hypothesis by the form
+    # alone: no line is walked.  A table it does not reproduce has both axis
+    # directions walked, and the walks serve a later family check as they are
     p5 = table_from_function(5, 2, 3, lambda x: (x[0], x[1], x[0] * x[1] % 5))
-    for table in (identity_table(3, 2), p5):
-        recover_plane_form(table)
+    reproduced = [identity_table(3, 2), p5]
     for dirs in PLANE_DIRECTION_SETS[4:6]:
-        for table in exhaustive_bijection_search(3, 2, LineFamily(QQ, 2, dirs)):
-            recover_plane_form(table)
-    assert calls == {}
-    with pytest.raises(InputError, match="axis-parallel line"):
-        recover_plane_form(torn_table())
-    assert calls["points_collinear"] > 0 and calls["_axis"] == 0
-    # the form but at its last point (4, 4): the first four lines along e1
-    # pass, and the fifth, through (0, 4), is refused
-    calls.clear()
+        reproduced += exhaustive_bijection_search(3, 2, LineFamily(QQ, 2, dirs))
+    for table in reproduced:
+        recover_plane_form(table)
+        assert "_walks" not in table.__dict__
+    # the form but at its last point (4, 4): the e1-line through (0, 4) is torn
     values = p5.values[:-1] + (p5.values[-1][:2] + ((p5.values[-1][2] + 1) % 5,),)
-    with pytest.raises(InputError, match="axis-parallel line"):
-        recover_plane_form(FiniteMapTable(5, 2, 3, values))
-    assert calls == {"points_collinear": 5}
-    monkeypatch.setattr(collineations, "points_collinear", lambda p, pts: True)
-    with pytest.raises(InternalInconsistencyError, match="does not reproduce"):
-        recover_plane_form(FiniteMapTable(5, 2, 3, values))
-    assert calls["_axis"] == 2
+    fam = standard_family(QQ, 2)
+    for fresh in (torn_table, lambda: FiniteMapTable(5, 2, 3, values)):
+        table = fresh()
+        with pytest.raises(InputError, match="axis-parallel line"):
+            recover_plane_form(table)
+        assert set(table.__dict__["_walks"]) == {(1, 0), (0, 1)}
+        report = check_family(table, fam)
+        assert not report.ok and report == check_family(fresh(), fam)
 
 
 # ---------------------------------------------------------------------------

@@ -232,9 +232,17 @@ def test_reduce_once_agrees_with_the_rationals_mod_p(p):
 
 
 def test_tabulate_budget_guard():
-    m = reduce_mod(example_r3_map(QQ), 5)
-    with pytest.raises(ResourceError):
-        tabulate(m, budget=100)  # 125 points > 100
+    # the r3 map over Z_101 has 101^3 = 1,030,301 points, past the point
+    # budget: refused before a coefficient is read, so before any value
+    m = reduce_mod(example_r3_map(QQ), 101)
+
+    class Unread(dict):
+        def get(self, *args):
+            raise AssertionError("a coefficient was read")
+
+    object.__setattr__(m, "coeffs", Unread(m.coeffs))
+    with pytest.raises(ResourceError, match="a grid of 101\\^3 points exceeds the point budget"):
+        tabulate(m)
 
 
 def test_map_json_round_trip():
