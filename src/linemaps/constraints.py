@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
@@ -149,6 +149,17 @@ class ConstraintCheck:
         return self.ok
 
 
+def _integer_coeffs(map_: MultiAffineMap) -> Dict[int, Vector]:
+    """The map's coefficients as integers with the same zero tests: over Q
+    each times the common denominator of them all, a positive scale, and over
+    Z_p as they are."""
+    if map_.field != QQ:
+        return map_.coeffs
+    d = lcm(*{c.denominator for u in map_.coeffs.values() for c in u})
+    return {mask: tuple([c.numerator * (d // c.denominator) for c in u])
+            for mask, u in map_.coeffs.items()}
+
+
 def satisfies_constraints(map_: MultiAffineMap) -> ConstraintCheck:
     """Does every output coordinate of the map satisfy every condition row?
     Reports the first violated row (and the coordinate it fails in).
@@ -161,12 +172,13 @@ def satisfies_constraints(map_: MultiAffineMap) -> ConstraintCheck:
         raise ResourceError(f"the constraint system for n = {map_.n} has more than "
                             f"{DEFAULT_POINT_BUDGET} unknowns")
     F = map_.field
+    coeffs = _integer_coeffs(map_)
     by_degree: Dict[int, List[Tuple[int, Vector]]] = {}
-    for mask, u in map_.coeffs.items():
+    for mask, u in coeffs.items():
         by_degree.setdefault(mask.bit_count(), []).append((mask, u))
     for ri, label in enumerate(_row_labels(map_.n)):
         if label[0] == "vanish":
-            terms = [map_.coeffs[label[1]]] if label[1] in map_.coeffs else []
+            terms = [coeffs[label[1]]] if label[1] in coeffs else []
         else:
             s_mask = _subset_mask(label[2])
             terms = [u for mask, u in by_degree.get(label[1], ())
@@ -208,11 +220,14 @@ def _symbolic_excess_degree(map_: MultiAffineMap, b: Vector) -> int:
         sum over {delta >= T, |delta| = |T| + k} of u_delta * prod_{i in
         delta minus T} b_i,
     and, being multiaffine in w, it vanishes at every point of the field (Q
-    or Z_p alike) iff all these coefficients vanish.
+    or Z_p alike) iff all these coefficients vanish.  The coefficients and b
+    are taken in integers: b times lam scales the t^k coefficient by lam^k.
     """
     F = map_.field
-    totals: Dict[Tuple[int, int], List[Scalar]] = {}
-    for mask, u in map_.coeffs.items():
+    lam = lcm(*(c.denominator for c in b))
+    b = [c.numerator * (lam // c.denominator) for c in b]
+    totals: Dict[Tuple[int, int], List[int]] = {}
+    for mask, u in _integer_coeffs(map_).items():
         size = mask.bit_count()
         if size < 2:
             continue
@@ -405,27 +420,36 @@ def fifth_direction_refutation(map_: MultiAffineMap, u: Vector) -> bool:
 # ===========================================================================
 
 @lru_cache(maxsize=None)
-def _solution_basis(n: int) -> Tuple[Tuple[Tuple[int, Scalar], ...], ...]:
-    """The nullspace basis, each vector as its nonzero (unknown mask, value) pairs."""
+def _solution_basis(n: int) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], ...], int]:
+    """The nullspace basis as integer numerators over one common denominator
+    D: each vector as its nonzero (unknown mask, numerator) pairs, and D."""
     system = build_constraints(n)
-    return tuple(tuple((mask, val) for mask, val in zip(system.unknowns, vec) if val != 0)
-                 for vec in nullspace(system.rows))
+    basis = nullspace(system.rows)
+    d = lcm(*(val.denominator for vec in basis for val in vec))
+    return tuple(tuple((mask, val.numerator * (d // val.denominator))
+                       for mask, val in zip(system.unknowns, vec) if val != 0)
+                 for vec in basis), d
 
 
 def sample_constrained_map(n: int, m: int, rng: Random,
                            coeff_bound: int = 3) -> MultiAffineMap:
     """A random rational map whose every coordinate satisfies the constraint
     system: each output coordinate is an independent small-integer combination
-    of the nullspace basis of the system."""
-    basis = _solution_basis(n)
-    coeffs: Dict[int, List[Scalar]] = {}
+    of the nullspace basis of the system.  The sums are taken in integers over
+    the basis's common denominator, each coefficient made a Fraction once."""
+    basis, d = _solution_basis(n)
+    if m < 1:
+        raise InputError("dimensions must be >= 1")
+    sums: Dict[int, List[int]] = {}
     for j in range(m):
-        weights = [Fraction(rng.randint(-coeff_bound, coeff_bound))
-                   for _ in basis]
-        for vec, w in zip(basis, weights):
-            if w == 0:
-                continue
-            for mask, val in vec:
-                row = coeffs.setdefault(mask, [Fraction(0)] * m)
-                row[j] += w * val
-    return MultiAffineMap(n, m, QQ, {k: tuple(v) for k, v in coeffs.items()})
+        for vec in basis:
+            w = rng.randint(-coeff_bound, coeff_bound)
+            if w:
+                for mask, val in vec:
+                    row = sums.get(mask)
+                    if row is None:
+                        row = sums[mask] = [0] * m
+                    row[j] += w * val
+    return _trusted(MultiAffineMap, n, m, QQ,
+                    {mask: tuple([Fraction(a, d) for a in row])
+                     for mask, row in sums.items() if any(row)})

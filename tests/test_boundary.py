@@ -42,6 +42,7 @@ from linemaps import (
     recover_diagonal_form,
     recover_plane_form,
     rref,
+    sample_constrained_map,
     solve,
     table_from_function,
     tabulate,
@@ -147,6 +148,10 @@ PRODUCERS = {
     "build_constraints": (
         Matrix, lambda rng, F: (build_constraints.__wrapped__, rng.randint(2, 6))),
     "construct_sharp_map": (Matrix, lambda rng, F: (construct_sharp_map, rng.choice((4, 6, 8)))),
+    # at n = 5, 6 and m = 1 the weights cancel a coefficient vector at four of
+    # the six seeds, and the sampler must drop it
+    "sample_constrained_map": (
+        MultiAffineMap, lambda rng, F: (sample_constrained_map, rng.randint(5, 6), 1, rng)),
     "identity_table": (ScalarFunctionTable, lambda rng, F: (identity_table, _small_prime(rng))),
     "bijections_fixing_0_1": (ScalarFunctionTable, lambda rng, F: (
         lambda p: list(bijections_fixing_0_1(p)), rng.choice((3, 5, 7)))),

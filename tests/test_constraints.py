@@ -4,6 +4,7 @@ four-direction examples with their fifth-direction refutation."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import time
 from fractions import Fraction
 from math import comb
@@ -41,7 +42,11 @@ from linemaps import (
     tabulate,
     vector,
 )
-from linemaps.constraints import _dense_entries, _row_labels, _symbolic_excess_degree
+from linemaps import constraints
+from linemaps.constraints import (
+    ConstraintCheck, LineDegreeViolation, StandardFamilyReport, _dense_entries, _row_labels,
+    _symbolic_excess_degree,
+)
 
 # ---------------------------------------------------------------------------
 # the linear system on coefficients
@@ -174,6 +179,79 @@ def test_satisfies_constraints_matches_the_dense_row_scan():
                     assert (check.row_index, check.label, check.coordinate) == want
 
 
+# per output coordinate: units of Z_3 too, so a scaled solution stays one mod 3
+SCALES = (Fraction(1, 2), Fraction(-2, 5), Fraction(7, 4), Fraction(-1, 7), Fraction(2))
+# three degree-2 coefficients whose sum is 0 in the field and no two of which
+# sum to 0: n >= 3 has one degree-2 condition, the sum of them all, so the map
+# stays a solution with all three and not with the first two.  Mod 3 each of
+# the second triple is 2, across denominators 2, 4 and 7
+CANCELLING = {QQ: (Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6)),
+              PrimeField(3): (Fraction(1, 2), Fraction(-1, 4), Fraction(5, 7))}
+
+
+def _rational_solution(n, rng):
+    """A seeded solution (m = 2) with each output coordinate times a rational
+    scale, plus fractional affine terms, which no condition constrains; the
+    denominators are units mod 3."""
+    sample, scales = sample_constrained_map(n, 2, rng), rng.choices(SCALES, k=2)
+    coeffs = {mask: [c * scale for c, scale in zip(u, scales)]
+              for mask, u in sample.coeffs.items()}
+    for mask in [0] + [1 << i for i in range(n)]:
+        row = coeffs.setdefault(mask, [Fraction(0)] * 2)
+        row[rng.randrange(2)] += Fraction(rng.randint(-5, 5), rng.choice((1, 2, 4, 5, 7)))
+    return coeffs
+
+
+def _perturbed(coeffs, masks, j, values):
+    """coeffs with values[i] added to coordinate j of masks[i]."""
+    coeffs = {mask: list(u) for mask, u in coeffs.items()}
+    for mask, value in zip(masks, values):
+        coeffs.setdefault(mask, [Fraction(0)] * 2)[j] += value
+    return coeffs
+
+
+def _as_map(n, field, coeffs):
+    mp = MultiAffineMap(n, 2, QQ, {mask: tuple(u) for mask, u in coeffs.items()})
+    return mp if field == QQ else reduce_mod(mp, field.p)
+
+
+def test_satisfies_constraints_matches_the_dense_row_scan_on_fractions():
+    # the common-denominator path: rational scales, fractional affine terms,
+    # and degree-2 entries whose sum cancels across denominators, then the
+    # same maps with the last of them dropped or a random entry added
+    rng = Random(29)
+    seen = {True: 0, False: 0}
+    for n in (2, 3, 4, 5, 6):
+        for field in (QQ, PrimeField(3)):
+            for _ in range(8):
+                coeffs = _rational_solution(n, rng)
+                cases = [coeffs]
+                if n >= 3:
+                    masks = rng.sample([mk for mk in range(1 << n) if mk.bit_count() == 2], 3)
+                    j = rng.randrange(2)
+                    cancel = CANCELLING[field]
+                    kept = _perturbed(coeffs, masks, j, cancel)
+                    torn = _perturbed(coeffs, masks[:2], j, cancel[:2])
+                    assert _first_violated_row(_as_map(n, field, kept)) is None
+                    assert _first_violated_row(_as_map(n, field, torn)) == (
+                        _row_labels(n).index(("sum", 2, ())), ("sum", 2, ()), j)
+                    cases += [kept, torn]
+                mask = rng.randrange(1 << n)
+                cases.append(_perturbed(coeffs, [mask], rng.randrange(2),
+                                        [Fraction(rng.choice((-5, 1, 7)), rng.choice((2, 4, 5)))]))
+                for case in cases:
+                    mp = _as_map(n, field, case)
+                    check = satisfies_constraints(mp)
+                    want = _first_violated_row(mp)
+                    seen[want is None] += 1
+                    if want is None:
+                        assert check == ConstraintCheck(True), (n, field)
+                    else:
+                        assert (check.ok, check.row_index, check.label,
+                                check.coordinate) == (False, *want), (n, field)
+    assert seen[True] > 50 and seen[False] > 50
+
+
 def test_violation_reports_first_row_and_coordinate():
     paraboloid = MultiAffineMap(2, 3, QQ, {
         0b01: (Fraction(1), Fraction(0), Fraction(0)),
@@ -250,10 +328,127 @@ def test_symbolic_excess_degree_matches_every_line_over_zp(p, n):
     assert 0 < passing < 12 and excess_seen > 0
 
 
+def _fraction_excess_degree(map_, b):
+    """The symbolic line degree with every product and sum taken in the map's
+    own field elements, Fractions over Q: the oracle for the integer-scaled
+    `_symbolic_excess_degree`."""
+    F = map_.field
+    totals = {}
+    for mask, u in map_.coeffs.items():
+        bits = [i for i in range(map_.n) if mask >> i & 1]
+        for r in range(2, len(bits) + 1):
+            for chosen in itertools.combinations(bits, r):
+                coeff = F.one()
+                for i in chosen:
+                    coeff *= b[i]
+                if F.is_zero(coeff):
+                    continue
+                key = (mask ^ sum(1 << i for i in chosen), r)
+                acc = totals.setdefault(key, [F.zero()] * map_.m)
+                for j, x in enumerate(u):
+                    acc[j] = F.convert(acc[j] + coeff * x)
+    return max((r for (_, r), acc in totals.items()
+                if not all(F.is_zero(c) for c in acc)), default=0)
+
+
+def _fractional_direction(n, rng):
+    """A direction with fractional entries, some zero, ending in 1."""
+    entries = [Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(n - 1)]
+    return tuple(entries) + (Fraction(1),)
+
+
+def test_symbolic_excess_degree_matches_the_fraction_expansion_over_q():
+    # fractional coefficients and fractional directions: b = (1/2, 1/3, 1)
+    # takes 3 x1 x2 / 2 - x1 x3 / 2 to a t^2 coefficient 1/4 - 1/4 = 0
+    b = (Fraction(1, 2), Fraction(1, 3), Fraction(1))
+    cancel = MultiAffineMap(3, 1, QQ, {0b011: (Fraction(3, 2),), 0b101: (Fraction(-1, 2),)})
+    bent = MultiAffineMap(3, 1, QQ, {0b011: (Fraction(3, 2),), 0b101: (Fraction(-1, 3),)})
+    assert _symbolic_excess_degree(cancel, b) == _fraction_excess_degree(cancel, b) == 0
+    assert _symbolic_excess_degree(bent, b) == _fraction_excess_degree(bent, b) == 2
+    rng = Random(31)
+    degrees = set()
+    for n in (2, 3, 4, 5):
+        dirs = (list(standard_family(QQ, n, True).directions)
+                + [_fractional_direction(n, rng) for _ in range(4)])
+        for _ in range(6):
+            solution = _rational_solution(n, rng)
+            noise = {mask: [Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(2)]
+                     for mask in range(1 << n) if rng.random() < 0.4}
+            for coeffs in (solution, noise):
+                mp = _as_map(n, QQ, coeffs)
+                for b in dirs:
+                    got = _symbolic_excess_degree(mp, b)
+                    assert got == _fraction_excess_degree(mp, b), (mp, b)
+                    degrees.add(got)
+    assert {0, 2, 3} <= degrees
+
+
+def test_standard_family_report_carries_the_unscaled_direction(monkeypatch):
+    # the report over Q against the Fraction expansion, once over the
+    # standard family and once over fractional directions in its place: each
+    # violation names the family's own b, not b times its denominators
+    rng = Random(37)
+    violations_seen = 0
+    for n in (3, 4, 5):
+        fractional = ((Fraction(1, 2), Fraction(1, 3)) + (Fraction(1),) * (n - 2),
+                      *(_fractional_direction(n, rng) for _ in range(3)))
+        for dirs in (standard_family(QQ, n, True).directions, fractional):
+            monkeypatch.setattr(constraints, "standard_family",
+                                lambda field, n, diagonal, dirs=dirs: LineFamily(field, n, dirs))
+            for _ in range(4):
+                mp = _as_map(n, QQ, _rational_solution(n, rng))
+                want = tuple(LineDegreeViolation(b, degree) for b in dirs
+                             if (degree := _fraction_excess_degree(mp, b)) >= 2)
+                report = check_standard_family(mp)
+                assert report == StandardFamilyReport(not want, len(dirs), want)
+                violations_seen += len(want)
+    assert violations_seen > 0
+
+
 def test_sampling_is_deterministic_given_the_seed():
     a = sample_constrained_map(3, 2, Random(123))
     b = sample_constrained_map(3, 2, Random(123))
     assert a.coeffs == b.coeffs
+
+
+def test_sampling_sums_over_the_common_denominator(monkeypatch):
+    # every basis up to n = 9 is integral, D = 1; scaling its vectors by
+    # SCALES (D = 140) takes the sampler through Fraction(sum, D), against the
+    # dense scan of the same scaled basis
+    plain = nullspace
+
+    def scaled_nullspace(rows):
+        return [tuple(c * k for c in vec)
+                for vec, k in zip(plain(rows), itertools.cycle(SCALES))]
+
+    monkeypatch.setattr(constraints, "nullspace", scaled_nullspace)
+    monkeypatch.setitem(globals(), "nullspace", scaled_nullspace)
+    constraints._solution_basis.cache_clear()
+    try:
+        for n in (3, 4, 5):
+            assert constraints._solution_basis(n)[1] == 140
+            for seed in range(4):
+                rng, oracle_rng = Random(seed), Random(seed)
+                got = sample_constrained_map(n, 2, rng)
+                want = _dense_scan_sample(n, 2, oracle_rng)
+                assert list(got.coeffs.items()) == list(want.coeffs.items()), (n, seed)
+                assert rng.random() == oracle_rng.random()
+                assert satisfies_constraints(got)
+    finally:
+        constraints._solution_basis.cache_clear()
+
+
+def test_sampling_refuses_a_dimension_below_one_before_drawing():
+    # the map is built unchecked, so the sampler checks m itself, after n (as
+    # the system does) and before the first draw
+    for m in (0, -1):
+        rng = Random(5)
+        state = rng.getstate()
+        with pytest.raises(InputError, match=r"^dimensions must be >= 1$"):
+            sample_constrained_map(4, m, rng)
+        assert rng.getstate() == state
+    with pytest.raises(InputError, match=r"^constraint system needs n >= 2$"):
+        sample_constrained_map(1, 0, Random(5))
 
 
 def _dense_scan_sample(n, m, rng, coeff_bound=3):
