@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .exact import (
     Field, InputError, InternalInconsistencyError, PrimeField, QQ,
-    ResourceError, unit_vector,
+    ResourceError, _nonzero_numerators, unit_vector,
 )
 from .grid import FiniteMapTable, LineFamily, _grid_size, table_from_json, table_to_json
 
@@ -221,10 +221,17 @@ def cmd_constraints(args) -> int:
     def text() -> Iterator[str]:
         # what `_emit` writes for system.to_json(), one row at a time: at
         # n = 12 the rows hold 11,354,112 entries, whose JSON tree and text
-        # would otherwise be built whole.  Sorted, "rows" comes before "unknowns"
+        # would otherwise be built whole.  Sorted, "rows" comes before
+        # "unknowns".  A row starts as the zero text repeated, and only its
+        # nonzero entries, found by the kernel's slot scan, are rendered:
+        # most entries are zero, and Fraction.__str__ is slow
         yield '{"rows":['
+        zero = _compact(QQ.to_json(QQ.zero()))
         for i, row in enumerate(system.rows.rows):
-            yield ("," if i else "") + _compact([QQ.to_json(c) for c in row])
+            cells = [zero] * len(row)
+            for j in _nonzero_numerators(row):
+                cells[j] = _compact(QQ.to_json(row[j]))
+            yield ("," if i else "") + "[" + ",".join(cells) + "]"
         unknowns = [list(mask_to_delta(m, system.n)) for m in system.unknowns]
         yield '],"unknowns":' + _compact(unknowns) + "}\n"
 

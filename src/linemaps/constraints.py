@@ -26,7 +26,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .exact import (
     Field, InputError, InternalInconsistencyError, Matrix, QQ, ResourceError,
-    Scalar, Vector, _trusted, nullspace, rank, unit_vector, vector, zero_vector,
+    Scalar, Vector, _Quotients, _trusted, nullspace, rank, unit_vector, vector,
+    zero_vector,
 )
 from .grid import DEFAULT_POINT_BUDGET, standard_family
 from .multiaffine import MultiAffineMap, curve_lies_in_line, mask_to_delta, restrict_to_line
@@ -436,7 +437,7 @@ def sample_constrained_map(n: int, m: int, rng: Random,
     """A random rational map whose every coordinate satisfies the constraint
     system: each output coordinate is an independent small-integer combination
     of the nullspace basis of the system.  The sums are taken in integers over
-    the basis's common denominator, each coefficient made a Fraction once."""
+    the basis's common denominator, and one Fraction is made per distinct sum."""
     basis, d = _solution_basis(n)
     if m < 1:
         raise InputError("dimensions must be >= 1")
@@ -450,6 +451,7 @@ def sample_constrained_map(n: int, m: int, rng: Random,
                     if row is None:
                         row = sums[mask] = [0] * m
                     row[j] += w * val
+    quotient = _Quotients()
     return _trusted(MultiAffineMap, n, m, QQ,
-                    {mask: tuple([Fraction(a, d) for a in row])
+                    {mask: tuple([quotient[a, d] for a in row])
                      for mask, row in sums.items() if any(row)})

@@ -4,6 +4,8 @@ and exact linear algebra: RREF, rank, solve, nullspace, independence.
 Matrices are dense tuples, but every reduction runs through one sparse
 integer elimination kernel (`_echelon`): rational rows are cleared of
 denominators and updated fraction-free, prime-field rows are reduced mod p.
+`nullspace` reads the integer echelon directly, making each distinct
+rational quotient of an entry by its row's pivot once per call (`_Quotients`).
 
 Everything here is a pure function over immutable values.  No floats, ever:
 rationals are `fractions.Fraction` (canonical lowest terms), prime-field
@@ -353,6 +355,15 @@ class RrefResult:
     pivots: Tuple[int, ...]
 
 
+def _nonzero_numerators(row: Vector) -> Dict[int, int]:
+    """{column: numerator} for the nonzero entries of a Q row.  It reads the
+    Fraction slots (`_numerator`, and `_denominator` in `_integer_rows`), not
+    the numerator and denominator properties: a property is a Python call
+    per entry and most entries are zero.  Every entry must be a Fraction,
+    which QQ.contains checks for a Matrix."""
+    return {j: x._numerator for j, x in enumerate(row) if x._numerator}
+
+
 def _integer_rows(field: Field, rows: Sequence[Vector]) -> Iterator[Dict[int, int]]:
     """Each row as a sparse {column: int} dict holding only its nonzero
     entries.  Over Q the row is scaled to a primitive integer vector (the
@@ -363,9 +374,11 @@ def _integer_rows(field: Field, rows: Sequence[Vector]) -> Iterator[Dict[int, in
         if not rational:
             yield {j: x for j, x in enumerate(row) if x}
             continue
-        nz = [(j, x) for j, x in enumerate(row) if x.numerator]
-        den = lcm(*[x.denominator for _, x in nz])
-        ints = {j: x.numerator * (den // x.denominator) for j, x in nz}
+        ints = _nonzero_numerators(row)
+        dens = [row[j]._denominator for j in ints]
+        if any(d != 1 for d in dens):
+            den = lcm(*dens)
+            ints = {j: v * (den // d) for (j, v), d in zip(ints.items(), dens)}
         g = gcd(*ints.values())
         yield {j: v // g for j, v in ints.items()} if g > 1 else ints
 
@@ -438,6 +451,17 @@ def _echelon(field: Field, rows: Sequence[Vector]) -> Dict[int, Dict[int, int]]:
     return basis
 
 
+class _Quotients(dict):
+    """Fraction(v, d) keyed by the int pair (v, d), each distinct quotient
+    made once, when first asked for.  For rows whose entries repeat a few
+    values, such as the ±1 entries of the constraint system's echelon; the
+    memo lives for one call."""
+
+    def __missing__(self, key: Tuple[int, int]) -> Fraction:
+        x = self[key] = Fraction(*key)
+        return x
+
+
 def _reduced_rows(field: Field, rows: Sequence[Vector]) -> List[Tuple[int, Dict[int, Scalar]]]:
     """(pivot column, sparse RREF row) pairs in pivot order, the entries in
     the field: each integer row divided by its pivot.  Each integer row is
@@ -484,17 +508,21 @@ def nullspace(m: Matrix) -> list:
     """
     F = m.field
     zero, one = F.zero(), F.one()
-    # for each free column j: the (pivot column, -entry) pairs of column j
+    # for each free column j: the (pivot column, -entry / pivot) pairs of
+    # column j, read off the integer echelon.  Over Q each distinct quotient
+    # is one Fraction; over Z_p every pivot is 1
+    quotient = _Quotients() if isinstance(F, Rationals) else None
     in_column: Dict[int, List[Tuple[int, Scalar]]] = {}
-    pivots = set()
-    for pc, row in _reduced_rows(F, m.rows):
-        pivots.add(pc)
+    echelon = _echelon(F, m.rows)
+    for pc, row in echelon.items():
+        pv = row[pc]
         for k, v in row.items():
             if k != pc:
-                in_column.setdefault(k, []).append((pc, F.convert(-v)))
+                x = quotient[-v, pv] if quotient is not None else -v % F.p
+                in_column.setdefault(k, []).append((pc, x))
     basis = []
     for j in range(m.ncols):
-        if j in pivots:
+        if j in echelon:
             continue
         v = [zero] * m.ncols
         v[j] = one

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .exact import (
-    Field, InputError, PrimeField, QQ, ResourceError, Vector, _to_json, exact_int,
+    Field, InputError, PrimeField, QQ, ResourceError, Vector, _to_json, _trusted, exact_int,
     normalize_coords, unit_vector, vector, vectors_parallel,
 )
 
@@ -94,10 +94,16 @@ class LineFamily:
 
 
 def standard_family(field: Field, n: int, with_diagonal: bool = False) -> LineFamily:
-    """L(e_1, ..., e_n) or L(e_1, ..., e_n, e_1+...+e_n)."""
+    """L(e_1, ..., e_n) or L(e_1, ..., e_n, e_1+...+e_n).
+
+    For n >= 2 these directions are pairwise non-parallel over every field
+    (the supports differ), so the family is built without the constructor's
+    pairwise test; at n = 1 the diagonal is e_1, which the constructor refuses."""
     dirs = [unit_vector(field, n, i) for i in range(n)]
     if with_diagonal:
         dirs.append((field.one(),) * n)
+    if n >= 2:
+        return _trusted(LineFamily, field, n, tuple(dirs))
     return LineFamily(field, n, tuple(dirs))
 
 

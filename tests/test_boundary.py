@@ -44,12 +44,13 @@ from linemaps import (
     rref,
     sample_constrained_map,
     solve,
+    standard_family,
     table_from_function,
     tabulate,
     tabulate_diagonal_form,
     verify_multiplicative_rigidity,
 )
-from linemaps import collineations, constraints, exact, multiaffine, projective, scalars
+from linemaps import collineations, constraints, exact, grid, multiaffine, projective, scalars
 from linemaps.exact import _trusted
 
 FIELDS = (QQ, PrimeField(7))
@@ -152,6 +153,11 @@ PRODUCERS = {
     # the six seeds, and the sampler must drop it
     "sample_constrained_map": (
         MultiAffineMap, lambda rng, F: (sample_constrained_map, rng.randint(5, 6), 1, rng)),
+    # over Q and GF(3), n = 2..5, with and without the diagonal
+    "standard_family": (LineFamily, lambda rng, F: (
+        lambda field: [standard_family(field, n, diagonal)
+                       for n in range(2, 6) for diagonal in (False, True)],
+        QQ if F == QQ else PrimeField(3))),
     "identity_table": (ScalarFunctionTable, lambda rng, F: (identity_table, _small_prime(rng))),
     "bijections_fixing_0_1": (ScalarFunctionTable, lambda rng, F: (
         lambda p: list(bijections_fixing_0_1(p)), rng.choice((3, 5, 7)))),
@@ -174,6 +180,7 @@ REFUSED = [
     (lambda: proj_table_from_map(ProjLinearMap(identity_matrix(PrimeField(5), 2)), 5.0),
      "p 5.0 is not an int"),
     (lambda: identity_table(9), "9 is not prime"),
+    (lambda: standard_family(QQ, 1, True), "family directions must be pairwise non-parallel"),
     (lambda: list(bijections_fixing_0_1(2)),
      "p = 2 is not supported (need at least three parallel lines)"),
 ]
@@ -187,7 +194,7 @@ def test_trusted_objects_pass_their_public_constructors(monkeypatch):
         built.append(_trusted(cls, *values))
         return built[-1]
 
-    for module in (exact, multiaffine, collineations, constraints, projective, scalars):
+    for module in (exact, grid, multiaffine, collineations, constraints, projective, scalars):
         monkeypatch.setattr(module, "_trusted", spy)
     for name, (cls, prepare) in PRODUCERS.items():
         for seed in range(6):

@@ -33,7 +33,7 @@ from linemaps import (
     vector,
     vectors_parallel,
 )
-from linemaps.exact import _is_prime
+from linemaps.exact import _is_prime, rank
 
 # ---------------------------------------------------------------------------
 # fields
@@ -360,3 +360,109 @@ def test_rref_of_the_constraint_systems_matches_dense_gauss_jordan():
         m = build_constraints(n).rows
         res = rref(m)
         assert (res.matrix.rows, res.rank, res.pivots) == _gauss_jordan(m), n
+
+
+# ---------------------------------------------------------------------------
+# the kernel's Q boundary: nullspace, solve and inverse read off Gauss-Jordan
+# ---------------------------------------------------------------------------
+
+
+def _assert_fractions(field, values):
+    if field == QQ:
+        for x in values:
+            assert type(x) is Fraction, x
+
+
+def _assert_agrees_with_gauss_jordan(m, rhs):
+    """rref, rank, nullspace, solve and inverse of m against the values the
+    dense `_gauss_jordan` oracle gives, in the same order; every Q entry a
+    Fraction."""
+    F = m.field
+    rows, rk, pivots = _gauss_jordan(m)
+    res = rref(m)
+    assert (res.matrix.rows, res.rank, res.pivots) == (rows, rk, pivots)
+    _assert_fractions(F, (x for row in res.matrix.rows for x in row))
+    assert rank(m) == rk
+    want = []
+    for j in range(m.ncols):
+        if j not in pivots:
+            v = [F.zero()] * m.ncols
+            v[j] = F.one()
+            for i, pc in enumerate(pivots):
+                v[pc] = F.convert(-rows[i][j])
+            want.append(tuple(v))
+    basis = nullspace(m)
+    assert basis == want
+    _assert_fractions(F, (x for v in basis for x in v))
+    for b in rhs:
+        aug_rows, _, aug_pivots = _gauss_jordan(matrix(F, [r + (x,) for r, x in zip(m.rows, b)]))
+        if m.ncols in aug_pivots:
+            assert solve(m, b) is None
+        else:
+            x = [F.zero()] * m.ncols
+            for i, pc in enumerate(aug_pivots):
+                x[pc] = aug_rows[i][m.ncols]
+            got = solve(m, b)
+            assert got == tuple(x)
+            _assert_fractions(F, got)
+    if m.nrows == m.ncols:
+        n = m.nrows
+        aug_rows, _, aug_pivots = _gauss_jordan(
+            matrix(F, [r + unit_vector(F, n, i) for i, r in enumerate(m.rows)]))
+        if aug_pivots[:n] != tuple(range(n)):
+            with pytest.raises(InputError, match="^matrix is singular$"):
+                inverse(m)
+        else:
+            got = inverse(m).rows
+            assert got == tuple(row[n:] for row in aug_rows)
+            _assert_fractions(F, (x for row in got for x in row))
+
+
+_BOUNDARY_ENTRIES = (2, -3, 4, 6, Fraction(1, 2), Fraction(-5, 6), Fraction(7, 4),
+                     Fraction(-2, 9), Fraction(10, 21))
+
+
+def _boundary_matrix(rng, field):
+    """A seeded matrix with non-unit and fractional entries (those whose
+    denominator the field inverts), and often zero, repeated or dependent
+    rows; square about one time in three."""
+    entries = [x for x in _BOUNDARY_ENTRIES
+               if field == QQ or Fraction(x).denominator % field.p]
+    nrows = rng.randint(1, 6)
+    ncols = nrows if rng.random() < 0.35 else rng.randint(1, 7)
+    rows = [[rng.choice(entries) if rng.random() < 0.6 else 0 for _ in range(ncols)]
+            for _ in range(nrows)]
+    for i in range(1, nrows):
+        shape = rng.random()
+        if shape < 0.15:
+            rows[i] = [0] * ncols
+        elif shape < 0.3:
+            rows[i] = list(rows[rng.randrange(i)])
+        elif shape < 0.45:
+            a, b = rng.choice(entries), rng.choice(entries)
+            j, k = rng.randrange(i), rng.randrange(i)
+            rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    return matrix(field, rows)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(7)], ids=str)
+def test_the_kernel_agrees_with_gauss_jordan_on_seeded_matrices(field):
+    for seed in range(150):
+        rng = Random(seed)
+        m = _boundary_matrix(rng, field)
+        # a right-hand side in the column space, and one drawn at random
+        weights = tuple(field.convert(rng.randint(-3, 3)) for _ in range(m.ncols))
+        rhs = (mat_vec(m, weights),
+               vector(field, [rng.choice((0, 1, Fraction(-5, 2))) for _ in range(m.nrows)]))
+        _assert_agrees_with_gauss_jordan(m, rhs)
+
+
+def test_the_kernel_agrees_with_gauss_jordan_on_the_signed_constraint_systems():
+    # the benchmark's input: each row of the system times a seeded sign
+    for n in range(3, 9):
+        rng = Random(n)
+        system = build_constraints(n)
+        m = matrix(QQ, [[c * k for c in row] for row in system.rows.rows
+                        for k in [rng.choice((-1, 1))]])
+        _assert_agrees_with_gauss_jordan(m, ())
+        assert len(nullspace(m)) == system.solution_dimension(), n
