@@ -282,18 +282,20 @@ def _diagonal_hypothesis(table: FiniteMapTable, fam: LineFamily) -> Tuple[List[P
     return dirs, None
 
 
-def _axis_read(p: int, values: Sequence[Point], along: Sequence[int]) -> Tuple[Point, Tuple[int, ...]]:
-    """The map read along a direction v of an injective table, given the flat
-    indices of the points a*v for a = 0, ..., p-1: w = F(v) - F(0), nonzero,
-    and f[a], the entry of F(a*v) - F(0) at w's first nonzero entry over that
-    of w, whose inverse is taken once.  No point is checked to be on the axis:
-    where the walk finds the axis line mapped onto a line, F(a*v) - F(0) =
-    f[a]*w, and each caller compares the form it reads with the whole table."""
-    base = values[0]
-    w = tuple([(a - b) % p for a, b in zip(values[along[1]], base)])
-    j0 = next(j for j, c in enumerate(w) if c)
-    inv, b = pow(w[j0], p - 2, p), base[j0]
-    return w, tuple([(values[i][j0] - b) * inv % p for i in along])
+def _axis_read(p: int, line: Sequence[Point]) -> Tuple[Point, Tuple[int, ...]]:
+    """The map read along a direction v of an injective table, given its
+    values F(a*v) at a = 0, ..., p-1: w = F(v) - F(0), nonzero, and f[a], the
+    entry of F(a*v) - F(0) at w's first nonzero entry over that of w, whose
+    inverse is taken once.  No point is checked to be on the axis: where the
+    walk finds the axis line mapped onto a line, F(a*v) - F(0) = f[a]*w, and
+    each caller compares the form it reads with the whole table."""
+    base = line[0]
+    w = tuple([(a - b) % p for a, b in zip(line[1], base)])
+    for j0, c in enumerate(w):
+        if c:
+            break
+    inv, b = pow(c, p - 2, p), base[j0]
+    return w, tuple([(y[j0] - b) * inv % p for y in line])
 
 
 # ===========================================================================
@@ -461,7 +463,7 @@ def recover_diagonal_form(table: FiniteMapTable, fam: LineFamily) -> DiagonalFor
     if failure is not None:
         raise InputError(failure)
     p, values = table.p, table.values
-    w, f = zip(*(_axis_read(p, values, [point_index(p, [a * c for c in v]) for a in range(p)])
+    w, f = zip(*(_axis_read(p, [values[point_index(p, [a * c for c in v])] for a in range(p)])
                  for v in dirs))
     form = _trusted(DiagonalForm, p, tuple(dirs), w, f, values[0])
     if tabulate_diagonal_form(form).values != table.values:
@@ -533,19 +535,15 @@ def recover_plane_form(table: FiniteMapTable) -> PlaneForm:
     base = values[0]
     # a*e1 = (a, 0) has flat index a*p, a*e2 = (0, a) index a, and (1, 1)
     # index p+1.  F is injective, so neither F(e1) - F(0) nor F(e2) - F(0) is zero
-    axes = (range(0, p * p, p), range(p))
-    (u1, f), (u2, g) = (_axis_read(p, values, along) for along in axes)
-    u3 = tuple((c - o - a - b) % p for c, o, a, b in zip(values[p + 1], base, u1, u2))
-    # F(s, t) = b + f(s) a1 + g(t) (a2 + f(s) a3) in each output column,
-    # over the grid in lexicographic order
-    for column, b, a1, a2, a3 in zip(zip(*values), base, u1, u2, u3):
-        form_column = []
-        for fs in f:
-            c0, c1 = b + fs * a1, a2 + fs * a3
-            form_column += [(c0 + gt * c1) % p for gt in g]
-        if tuple(form_column) != column:
-            break
-    else:
+    (u1, f), (u2, g) = _axis_read(p, values[::p]), _axis_read(p, values[:p])
+    u3 = tuple([(c - o - a - b) % p for c, o, a, b in zip(values[p + 1], base, u1, u2)])
+    # F(s, t) = b + f(s) a1 + g(t) (a2 + f(s) a3), one output column at a
+    # time over the grid in lexicographic order, and the columns compared
+    # with the table in one comparison
+    columns = [[(c0 + gt * c1) % p for fs in f for c0, c1 in [(b + fs * a1, a2 + fs * a3)]
+                for gt in g]
+               for b, a1, a2, a3 in zip(base, u1, u2, u3)]
+    if tuple(zip(*columns)) == values:
         return _trusted(PlaneForm, p, u1, u2, u3, f, g, base)
     # injective: the p images of an axis line are distinct, so into is onto.
     # Both axes are walked, not short-circuited, so the table's memo holds
@@ -560,10 +558,11 @@ def recover_plane_form(table: FiniteMapTable) -> PlaneForm:
 # ===========================================================================
 
 @lru_cache(maxsize=8)
-def _affine_transversal(p: int, n: int) -> Tuple[Tuple[int, ...], ...]:
+def _affine_transversal(p: int, n: int) -> Tuple[Tuple[Point, ...], ...]:
     """One affine bijection g of (Z_p)^n per ordered pair (y0, y1) of distinct
     points, with g(0) = y0 and g(e) = y1 for e = (0, ..., 0, 1), the point with
-    flat index 1; each as the permutation i -> flat index of g(point i).
+    flat index 1; each as its value table, the points g(point i) in order,
+    each point the one object `grid_points` gives.
 
     g(x) = y0 + Ax, where A is the identity with its last column set to
     v = y1 - y0 and, when v's first nonzero entry k is not the last, its column
@@ -578,8 +577,8 @@ def _affine_transversal(p: int, n: int) -> Tuple[Tuple[int, ...], ...]:
         cols = list(unit)
         k = next(j for j, c in enumerate(v) if c)
         cols[k], cols[-1] = cols[-1], v
-        maps.append(tuple(point_index(p, [a + sum(c * col[r] for c, col in zip(x, cols))
-                                          for r, a in enumerate(y0)])
+        maps.append(tuple(points[point_index(p, [a + sum(c * col[r] for c, col in zip(x, cols))
+                                                 for r, a in enumerate(y0)])]
                           for x in points))
     return tuple(maps)
 
@@ -605,7 +604,6 @@ def exhaustive_bijection_search(p: int, n: int, fam: LineFamily) -> List[FiniteM
     total = _grid_size(p, n)  # never p^n for a huge n
     # |AGL(n, p)| = p^n (p^n - 1) ... (p^n - p^(n-1)), a bound compared on its own
     _charge(total * math.prod(total - p ** i for i in range(n)))
-    points = tuple(grid_points(p, n))
 
     # the kernel's values are distinct flat indices, and p distinct collinear
     # points are a whole line: a line's images are collinear iff they are one
@@ -620,11 +618,12 @@ def exhaustive_bijection_search(p: int, n: int, fam: LineFamily) -> List[FiniteM
     pinned = _backtrack(domains, lines, lambda a, images: is_line(images(a)),
                         result_cost=total * (total - 1))
     # built only once the budget has counted the tables, which are at least as
-    # many as the maps.  g o G is G's flat indices read through g, a
-    # permutation of the flat indices (p^n >= 3 of them, so an itemgetter
-    # picks a tuple).  The tables are sorted as flat indices, whose order
-    # `point_index` makes that of the points, and then read as points
+    # many as the maps.  The values of g o G are g's value table read at G's
+    # flat indices, one pick per table (p^n >= 3 of them, so an itemgetter
+    # picks a tuple), and the tables are sorted once, as points.  With g
+    # outermost the list comes grouped by F(0) = g(0), which shortens the
+    # sort: x0 is the first point of a line through the origin, 0, and G(0) = 0
     transversal = _affine_transversal(p, n)
     picks = [itemgetter(*values) for values in pinned]
-    found = sorted(pick(g) for pick in picks for g in transversal)
-    return [_trusted(FiniteMapTable, p, n, n, itemgetter(*values)(points)) for values in found]
+    found = sorted([pick(g) for g in transversal for pick in picks])
+    return [_trusted(FiniteMapTable, p, n, n, values) for values in found]

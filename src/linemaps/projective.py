@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul, ne
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exact import (
@@ -100,6 +99,14 @@ def _point_id(point, p: int, n: int) -> int:
 # projective-linear maps
 # ===========================================================================
 
+def _canonical_rows(field: Field, rows: Sequence[Vector]) -> Tuple[Vector, ...]:
+    """A square matrix's rows scaled so that its first nonzero entry,
+    row-major, is 1."""
+    k = len(rows)
+    flat = _scaled(field, [x for row in rows for x in row], "zero matrix")
+    return tuple(flat[i:i + k] for i in range(0, len(flat), k))
+
+
 @dataclass(frozen=True)
 class ProjLinearMap:
     """The class of an invertible matrix modulo scalars, canonically scaled
@@ -112,8 +119,7 @@ class ProjLinearMap:
         if m.nrows != m.ncols:
             raise InputError("projective-linear maps need a square matrix")
         F, k = m.field, m.ncols
-        flat = _scaled(F, [x for row in m.rows for x in row], "zero matrix")
-        rows = tuple(flat[i:i + k] for i in range(0, len(flat), k))
+        rows = _canonical_rows(F, m.rows)
         if len(_echelon(F, rows)) != k:
             raise InputError("matrix must be invertible")
         object.__setattr__(self, "matrix", _trusted(Matrix, F, rows))
@@ -234,11 +240,29 @@ class ProjTable:
         return len(set(self.values)) == len(self.values)
 
 
-def _images(m: ProjLinearMap, p: int) -> Iterator[Coords]:
-    """The image of each point of PG(n,p) in canonical order, by integer row products."""
-    rows = m.matrix.rows
-    for c in pg_points(p, m.dim):
-        yield normalize_coords(p, [sum(map(mul, row, c)) for row in rows])
+def _image_blocks(rows: Sequence[Coords], p: int) -> Iterator[Tuple[Coords, ...]]:
+    """The images under the matrix rows (residues mod p) of the points of
+    PG(n,p), normalized, in canonical order one block at a time.  Block i
+    holds the points (0,)*i + (1,) + tail, i from n down to 0, and is built
+    column by column: lift coordinate r is row[i] + sum_k row[k]*t_k over the
+    tails t in lexicographic order, grown one tail entry at a time as
+    tabulate_diagonal_form grows its alphas.  Each lift is then scaled by the
+    inverse of its first nonzero entry, found as the first nonzero residue
+    across the columns."""
+    inverses = [0] + [pow(a, p - 2, p) for a in range(1, p)]
+    multiples = [[a * t % p for t in range(p)] for a in range(p)]
+    for i in range(len(rows) - 1, -1, -1):
+        columns = []
+        for row in rows:
+            column = [row[i]]
+            for a in row[i + 1:]:
+                column = [(c + s) % p for c in column for s in multiples[a]]
+            columns.append(column)
+        pivots = columns[0]
+        for column in columns[1:]:
+            pivots = [a or b for a, b in zip(pivots, column)]
+        scale = [inverses[a] for a in pivots]
+        yield tuple(zip(*[[x * s % p for x, s in zip(column, scale)] for column in columns]))
 
 
 def proj_table_from_map(m: ProjLinearMap, p: int) -> ProjTable:
@@ -246,7 +270,9 @@ def proj_table_from_map(m: ProjLinearMap, p: int) -> ProjTable:
         raise InputError("map is not over Z_p")
     if m.dim < 1:  # a 1x1 matrix: PG(0,p) is one point
         raise InputError("need n >= 1 and (p^(n+1)-1)/(p-1) values, got n = 0, 1 values")
-    return _trusted(ProjTable, p, m.dim, tuple(_images(m, p)))
+    pg_points(p, m.dim)  # the point budget, before any column is built
+    values = tuple(itertools.chain.from_iterable(_image_blocks(m.matrix.rows, p)))
+    return _trusted(ProjTable, p, m.dim, values)
 
 
 def proj_table_to_json(table: ProjTable) -> dict:
@@ -344,21 +370,25 @@ def decide_projective_linear(table: ProjTable) -> Optional[ProjLinearMap]:
     through a frame is unique, so the images of the standard frame
     e_0, ..., e_n, e_0 + ... + e_n decide: when they are not a frame no such
     map agrees with the table, and otherwise their frame matrix is the one
-    candidate, compared with the table at every point.
+    candidate.  Its images are built one block of points at a time, and the
+    first block that disagrees with the table ends the comparison.  Its
+    columns are the lifts scaled by nonzero frame weights, so it is
+    invertible: the map is scaled canonically without a second elimination.
     """
     if not table.is_injective():
         raise InputError("decision procedure needs an injective table")
-    p, n = table.p, table.n
-    gf, index, values = PrimeField(p), _pg_index(p, n), table.values
-    frame = identity_matrix(gf, n + 1).rows + ((1,) * (n + 1),)
-    candidate = _frame_matrix(gf, [values[index[c]] for c in frame])
+    p, n, values = table.p, table.n, table.values
+    gf, index = PrimeField(p), _pg_index(p, n)
+    frame = [tuple([int(i == j) for i in range(n + 1)]) for j in range(n + 1)]
+    candidate = _frame_matrix(gf, [values[index[c]] for c in frame + [(1,) * (n + 1)]])
     if candidate is None:
         return None
-    m = ProjLinearMap(candidate)
-    # the first point where the map and the table disagree ends the comparison
-    if any(map(ne, _images(m, p), values)):
-        return None
-    return m
+    start = 0
+    for block in _image_blocks(candidate.rows, p):
+        if block != values[start:start + len(block)]:
+            return None
+        start += len(block)
+    return _trusted(ProjLinearMap, _trusted(Matrix, gf, _canonical_rows(gf, candidate.rows)))
 
 
 # ===========================================================================

@@ -143,6 +143,10 @@ PRODUCERS = {
     "ProjLinearMap": (Matrix, lambda rng, F: (ProjLinearMap, _invertible(rng, F, 3))),
     "_frame_matrix": (Matrix, lambda rng, F: (
         decide_projective_linear, proj_table_from_map(m := _proj_map(rng), m.field.p))),
+    # the decision builds its map without the constructor's elimination: the
+    # public constructor reruns it, invertibility check included
+    "decide_projective_linear": (ProjLinearMap, lambda rng, F: (
+        decide_projective_linear, proj_table_from_map(m := _proj_map(rng), m.field.p))),
     "proj_table_from_map": (
         ProjTable, lambda rng, F: (proj_table_from_map, m := _proj_map(rng), m.field.p)),
     "embed_affine_table": (ProjTable, lambda rng, F: (embed_affine_table, _random_self_map(rng))),

@@ -38,8 +38,9 @@ from linemaps import (
     tabulate,
     transform_from_correspondence,
 )
-from linemaps.exact import normalize_coords, rank_of_vectors
-from linemaps.projective import _frame_weights, _incidence
+from linemaps import projective
+from linemaps.exact import mat_vec, normalize_coords, rank_of_vectors
+from linemaps.projective import _frame_weights, _image_blocks, _incidence
 
 # ---------------------------------------------------------------------------
 # points, spaces, lines
@@ -510,6 +511,89 @@ def test_decide_matches_the_rank_oracle(p, n):
         assert decide_projective_linear(table) == want
         if kind == "linear":
             assert want is not None
+
+
+def random_raw_rows(rng, p, n):
+    """Seeded rows of an invertible matrix over GF(p) whose first entry is
+    not 1, so that it is not in the canonical scaling."""
+    gf = PrimeField(p)
+    while True:
+        rows = [[rng.randrange(p) for _ in range(n + 1)] for _ in range(n + 1)]
+        rows[0][0] = rng.choice([0] + list(range(2, p)))
+        try:
+            ProjLinearMap(matrix(gf, rows))
+        except InputError:
+            continue
+        return rows
+
+
+@pytest.mark.parametrize("p,n", ((3, 2), (7, 2), (3, 3), (5, 3), (7, 3), (3, 4), (5, 4)))
+def test_proj_table_from_map_matches_apply_at_every_point(p, n):
+    # the column build, block by block, against one ProjPoint and one
+    # ProjLinearMap.apply per point.  The builder is also given the raw rows
+    # (the decision gives it an unscaled frame matrix), and the lifts of the
+    # canonical rows must have leading entries other than 1 too, so each
+    # table scales some lift
+    rng = Random(31 * p + n)
+    gf, pts = PrimeField(p), pg_points(p, n)
+    for _ in range(3):
+        rows = random_raw_rows(rng, p, n)
+        m = ProjLinearMap(matrix(gf, rows))
+        want = tuple(m.apply(ProjPoint(gf, c)).coords for c in pts)
+        assert proj_table_from_map(m, p).values == want
+        assert tuple(itertools.chain.from_iterable(_image_blocks(rows, p))) == want
+        assert any(next(x for x in mat_vec(m.matrix, c) if x) != 1 for c in pts)
+
+
+def block_starts(p, n):
+    """The index of the first point of each block of PG(n,p), block i being
+    the points (0,)*i + (1,) + tail, i from n down to 0, and the index past
+    the last point."""
+    return [(p ** k - 1) // (p - 1) for k in range(n + 2)]
+
+
+@pytest.mark.parametrize("p,n", ((3, 2), (3, 3), (5, 2), (5, 3)))
+def test_decide_on_swaps_at_the_block_boundaries(p, n):
+    # two images swapped: the single point of the first block with a point
+    # of each later block, the last point with a point of each earlier
+    # block, and two points of each block of more than one point; the rank
+    # oracle decides each table, and no swap leaves a linear table
+    rng = Random(7 * p + n)
+    starts = block_starts(p, n)
+    last = starts[-1] - 1
+    swaps = [(0, rng.randrange(a, b)) for a, b in zip(starts[1:], starts[2:])]
+    swaps += [(rng.randrange(a, b), last) for a, b in zip(starts, starts[1:-1])]
+    swaps += [tuple(rng.sample(range(a, b), 2)) for a, b in zip(starts[1:], starts[2:])]
+    for i, j in swaps:
+        values = list(proj_table_from_map(random_proj_linear(rng, p, n), p).values)
+        values[i], values[j] = values[j], values[i]
+        table = ProjTable(p, n, tuple(values))
+        assert decide_projective_linear(table) is None
+        assert rank_decision(table) is None, (i, j)
+
+
+def test_decide_stops_at_the_first_disagreeing_block(monkeypatch):
+    # PG(3,3) has blocks of 1, 3, 9 and 27 points; the frame's points are
+    # the first of each block and the last point, so a swap of the other two
+    # points of the second block keeps the candidate and fails that block
+    p, n = 3, 3
+    m = random_proj_linear(Random(5), p, n)
+    linear = proj_table_from_map(m, p)
+    values = list(linear.values)
+    values[2], values[3] = values[3], values[2]
+    built = []
+
+    def spy(rows, p):
+        for block in _image_blocks(rows, p):
+            built.append(len(block))
+            yield block
+
+    monkeypatch.setattr(projective, "_image_blocks", spy)
+    assert decide_projective_linear(ProjTable(p, n, tuple(values))) is None
+    assert built == [1, 3]
+    built.clear()
+    assert decide_projective_linear(linear) == m
+    assert built == [1, 3, 9, 27]
 
 
 # ---------------------------------------------------------------------------
