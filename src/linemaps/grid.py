@@ -288,7 +288,9 @@ def _affine_incidence(p: int, n: int) -> _Incidence:
 # refuses a grid whose |AGL(n, p)| passes it, as every affine map survives; that
 # admits n = 1 up to p = 997, (Z_p)^2 up to p = 7, and (Z_3)^3.  Pinned up to
 # AGL(n, p), one direction at p=3, n=2 takes 1,108 nodes for its 72 pinned
-# survivors and 5,184 for their tables (102,474 nodes without the pin).
+# survivors and 5,184 for their tables (102,474 nodes without the pin).  The
+# scalar lemmas charge their closed-form work to it as well: the pair checks
+# of the multiplicative lemma and the p^6 lookups of the additive one.
 SEARCH_NODE_BUDGET = 10 ** 6
 
 

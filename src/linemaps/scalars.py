@@ -14,19 +14,15 @@ from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from .exact import InputError, PrimeField, ResourceError, _to_json, _trusted, exact_int
-from .grid import _affine_incidence, _backtrack
+from .grid import _affine_incidence, _backtrack, _charge
 
 Table = Tuple[int, ...]
 
-# the largest p of each enumeration
-RATIO_MAX_P = 7  # (p-2)! bijections
-BRUTE_FORCE_MAX_P = 7  # p! permutations, cross-checking the power maps
+# the largest p of the two searches over (p-2)! scalars; the other lemmas
+# are guarded by the node budget of linemaps.grid alone, which by itself
+# would admit the ratio search up to p = 137
+RATIO_MAX_P = 7
 DIAGONAL_MAX_P = 7  # ((p-2)!)^2 pairs of scalars
-ADDITIVE_MAX_P = 5  # p^4 matrices
-# the pair checks of verify_multiplicative_rigidity, phi(p-1) p (p+1) at most:
-# is_multiplicative reads p(p+1)/2 pairs of g and of g2 for each power map.
-# It admits every p up to 131, and 139 and 151; p = 7919 ran 46 s unguarded
-MULT_PAIR_BUDGET = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -95,31 +91,21 @@ class RatioReport:
 def ratio_criterion(p: int) -> RatioReport:
     """Among bijections fixing 0 and 1, those for which the quotient
     (f(a+b) - f(b)) / f(a) does not depend on a (for every b) are exactly
-    the additive ones — checked by exhausting all (p-2)! candidates."""
+    the additive ones — checked over all (p-2)! candidates by the search
+    kernel.  At b = 0 the quotient is 1; for b >= 1 it is f(1+b) - f(b) at
+    a = 1, so f passes iff f(a+b) - f(b) = (f(1+b) - f(b)) f(a) for every
+    a >= 2 and b >= 1, a constraint on the slots a, b, a+b and 1+b."""
     PrimeField(p)
     if p > RATIO_MAX_P:
-        raise ResourceError(f"(p-2)! enumeration guarded at p <= {RATIO_MAX_P}")
-    passing: List[Table] = []
-    all_additive = True
-    additive_pass = True
-    count = 0
-    for f in bijections_fixing_0_1(p):
-        count += 1
-        v = f.values
-        ok = True
-        for b in range(p):
-            ratios = {(v[(a + b) % p] - v[b]) * pow(v[a], p - 2, p) % p
-                      for a in range(1, p)}
-            if len(ratios) > 1:
-                ok = False
-                break
-        if ok:
-            passing.append(v)
-            if not is_additive(f):
-                all_additive = False
-        elif is_additive(f):
-            additive_pass = False
-    return RatioReport(p, count, tuple(passing), all_additive, additive_pass)
+        raise ResourceError(f"the ratio search guarded at p <= {RATIO_MAX_P}")
+    sums = [(a, b, (a + b) % p, (1 + b) % p) for a in range(2, p) for b in range(1, p)]
+    passing = tuple(_backtrack([[0], [1]] + [range(2, p)] * (p - 2), [(t, t) for t in sums],
+                               lambda f, t: (f[t[2]] - f[t[1]]
+                                             - (f[t[3]] - f[t[1]]) * f[t[0]]) % p == 0))
+    # an additive f has f(a) = a f(1) = a: the identity is the one additive candidate
+    return RatioReport(p, factorial(p - 2), passing,
+                       all(is_additive(_trusted(ScalarFunctionTable, p, v)) for v in passing),
+                       tuple(range(p)) in passing)
 
 
 # ===========================================================================
@@ -142,15 +128,15 @@ def multiplicative_injections(p: int) -> List[ScalarFunctionTable]:
 def _brute_force_multiplicative_injections(p: int) -> List[Table]:
     """Every bijection of Z_p with f(ab) = f(a)f(b), by the search kernel."""
     return _backtrack([range(p)] * p,
-                      [((a, b, a * b % p), (a, b)) for a in range(p) for b in range(a, p)],
-                      lambda f, ab: f[ab[0] * ab[1] % p] == f[ab[0]] * f[ab[1]] % p)
+                      [((a, b, a * b % p),) * 2 for a in range(p) for b in range(a, p)],
+                      lambda f, t: f[t[2]] == f[t[0]] * f[t[1]] % p)
 
 
 @dataclass(frozen=True)
 class MultRigidityReport:
     p: int
     exponents: Tuple[int, ...]
-    brute_force_agrees: Optional[bool]       # None when p is too big to brute-force
+    brute_force_agrees: Optional[bool]       # None when the brute force passes the node budget
     shifted_identity_only: bool              # g(x) = f(x+1) - 1 multiplicative => f = id
     scaled_identity_only: bool               # g(x) = (f(x+1)-1)/(f(2)-1) likewise
     f2_equal_one: Tuple[Table, ...]          # candidates where the scaling is undefined
@@ -170,21 +156,24 @@ def verify_multiplicative_rigidity(p: int) -> MultRigidityReport:
     function g(x) = f(x+1) - 1 (and its f(2)-normalized variant) is
     multiplicative only for f = identity.
 
-    The structural enumeration by power maps is cross-checked against a brute
-    force over all permutations when p is small enough.  Past
-    MULT_PAIR_BUDGET pair checks it is refused before any map is built.
+    The power maps are cross-checked against a brute force over all
+    permutations by the search kernel; when that search passes the node
+    budget the cross-check is None.  The lemma's own pair checks,
+    phi(p-1) p (p+1) at most (is_multiplicative reads p(p+1)/2 pairs of g and
+    of g2 for each power map), are charged to the same budget before any map
+    is built: every p up to 131 runs, and so do 139 and 151.
     """
     PrimeField(p)
-    # phi(p-1) >= 1, so p(p+1) is compared first: a huge p lists no exponent
-    if (p * (p + 1) > MULT_PAIR_BUDGET
-            or len(exponents := _power_exponents(p)) * p * (p + 1) > MULT_PAIR_BUDGET):
-        raise ResourceError(f"phi(p-1) p (p+1) pair checks guarded at {MULT_PAIR_BUDGET}")
+    # phi(p-1) >= 1, so p(p+1) is charged first: a huge p lists no exponent
+    _charge(p * (p + 1))
+    exponents = _power_exponents(p)
+    _charge(len(exponents) * p * (p + 1))
     candidates = multiplicative_injections(p)
-
-    agrees: Optional[bool] = None
-    if p <= BRUTE_FORCE_MAX_P:
-        structural = sorted(f.values for f in candidates)
-        agrees = structural == sorted(_brute_force_multiplicative_injections(p))
+    try:
+        agrees: Optional[bool] = (sorted(f.values for f in candidates)
+                                  == _brute_force_multiplicative_injections(p))
+    except ResourceError:
+        agrees = None
 
     ident = tuple(range(p))
     shifted_ok = True
@@ -253,11 +242,11 @@ def verify_diagonal_rigidity(p: int, n: int = 2,
     PrimeField(p)
     if n != 2:
         raise ResourceError("only the plane case n=2 is within the search guard")
-    if p > DIAGONAL_MAX_P:
-        raise ResourceError(f"((p-2)!)^2 enumeration guarded at p <= {DIAGONAL_MAX_P}")
     x0 = _pinning_point(x0)
     if x0 == (0, 0) or any(c not in (0, 1) for c in x0):
         raise InputError("x0 must be a nonzero 0/1 vector")
+    if p > DIAGONAL_MAX_P:
+        raise ResourceError(f"((p-2)!)^2 enumeration guarded at p <= {DIAGONAL_MAX_P}")
     # slot x holds f1(x) and slot p+y holds p+f2(y), so all values differ
     f_domains = [[0], [1]] + [range(2, p)] * (p - 2)
     domains = f_domains + [[p + v for v in dom] for dom in f_domains]
@@ -305,14 +294,14 @@ def verify_additive_rigidity(p: int, n: int = 2,
     """Additive bijections of the plane over Z_p are exactly the invertible
     matrices (additivity forces linearity coordinate by coordinate), and all
     of them carry every line through x0 into a line — i.e. the pencil
-    condition adds nothing over a prime field.  Verified by enumeration.
+    condition adds nothing over a prime field.  Verified by enumeration, its
+    p^4 matrices times p^2 points charged to the search node budget first.
     """
     PrimeField(p)
     if n != 2:
         raise ResourceError("only the plane case n=2 is within the search guard")
-    if p > ADDITIVE_MAX_P:
-        raise ResourceError(f"matrix enumeration guarded at p <= {ADDITIVE_MAX_P}")
     x0 = tuple(c % p for c in _pinning_point(x0))
+    _charge(p ** 6)
     # points as flat indices x*p + y, so i // p and i % p are its coordinates
     size = p * p
     add = [[(i // p + j // p) % p * p + (i + j) % p for j in range(size)] for i in range(size)]

@@ -351,6 +351,17 @@ def test_scalar_lemmas_cli(capsys):
         capsys.readouterr()
 
 
+def test_a_bad_pinning_point_past_the_size_guard_is_an_input_error(capsys):
+    # p = 11 is past the guards of both plane lemmas: bad input still exits 2
+    for lemma, x0, expected in (("diag2str", "0,0", 2), ("diag2str", "2,1", 2),
+                                ("add1str", "1", 2), ("diag2str", "1,0", 3),
+                                ("add1str", "0,0", 3)):
+        code, _, err = _exit_code_and_time(
+            capsys, ["scalar-lemmas", "--p", "11", "--lemma", lemma, "--x0", x0])
+        assert code == expected, (lemma, x0)
+        assert err.startswith("input error: " if expected == 2 else "resource guard: ")
+
+
 def test_bad_flag_values_are_input_errors(capsys, tmp_path):
     # each of these once escaped as a traceback with exit 1 (a ZeroDivisionError,
     # a ValueError, an IndexError or a TypeError from the parse site)
@@ -496,7 +507,7 @@ def test_the_multiplicative_lemmas_refuse_a_prime_past_their_guard(capsys):
     for lemma in ("mult-id", "f2-id"):
         code, elapsed, err = _exit_code_and_time(
             capsys, ["scalar-lemmas", "--p", "7919", "--lemma", lemma])
-        assert code == 3 and err.startswith("resource guard: phi(p-1) p (p+1) pair checks")
+        assert code == 3 and err.startswith("resource guard: search passed its budget")
         assert elapsed < 0.1
 
 

@@ -85,6 +85,42 @@ def test_ratio_criterion_characterizes_additivity(p, total):
     assert report.passing == (tuple(range(p)),)
 
 
+def ratio_scan(p):
+    """The ratio criterion as a scan of every bijection fixing 0 and 1, each
+    quotient taken for every a and b: the oracle of the search."""
+    passing, all_additive, additive_pass, count = [], True, True, 0
+    for f in bijections_fixing_0_1(p):
+        count += 1
+        v = f.values
+        ok = all(len({(v[(a + b) % p] - v[b]) * pow(v[a], p - 2, p) % p
+                      for a in range(1, p)}) == 1 for b in range(p))
+        if ok:
+            passing.append(v)
+            all_additive = all_additive and is_additive(f)
+        elif is_additive(f):
+            additive_pass = False
+    return {"p": p, "candidates": count, "passing": [list(v) for v in passing],
+            "passing_all_additive": all_additive, "additive_all_passing": additive_pass,
+            "ok": all_additive and additive_pass}
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_ratio_search_matches_the_bijection_scan(p):
+    assert ratio_criterion(p).to_json() == ratio_scan(p)
+
+
+@pytest.mark.parametrize("p,nodes", ((3, 3), (5, 25), (7, 71), (11, 379)))
+def test_ratio_search_node_counts(monkeypatch, p, nodes):
+    # one constraint per (a, b), a >= 2 and b >= 1, checked as soon as its
+    # slots a, b, a+b and 1+b fill: that fixes the work per p
+    monkeypatch.setattr(scalars, "RATIO_MAX_P", p)
+    monkeypatch.setattr(grid, "SEARCH_NODE_BUDGET", nodes)
+    assert ratio_criterion(p).passing == (tuple(range(p)),)
+    monkeypatch.setattr(grid, "SEARCH_NODE_BUDGET", nodes - 1)
+    with pytest.raises(ResourceError, match=f"budget of {nodes - 1} nodes"):
+        ratio_criterion(p)
+
+
 def test_ratio_criterion_guard():
     with pytest.raises(ResourceError):
         ratio_criterion(11)
@@ -114,17 +150,27 @@ def test_multiplicative_injection_exponents(p, exponents):
     assert verify_multiplicative_rigidity(p).exponents == exponents
 
 
-@pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 17))
 def test_multiplicative_rigidity(p):
     report = verify_multiplicative_rigidity(p)
     assert report.ok
     assert report.shifted_identity_only
     assert report.scaled_identity_only
     assert report.f2_equal_one == ()
-    if p <= 7:
-        assert report.brute_force_agrees is True
-    else:
-        assert report.brute_force_agrees is None
+    assert report.brute_force_agrees is True
+
+
+def test_a_brute_force_past_the_budget_leaves_the_cross_check_open(monkeypatch):
+    # at p = 11 the 528 pair checks fit in 1,000 nodes and the 1,287 nodes
+    # of the brute force do not: the lemma still answers, without it
+    monkeypatch.setattr(grid, "SEARCH_NODE_BUDGET", 1000)
+    report = verify_multiplicative_rigidity(11)
+    assert report.brute_force_agrees is None
+    assert report.ok and report.exponents == (1, 3, 7, 9)
+    with pytest.raises(ResourceError, match="budget of 1000 nodes"):
+        _brute_force_multiplicative_injections(11)
+    monkeypatch.setattr(grid, "SEARCH_NODE_BUDGET", 1287)
+    assert verify_multiplicative_rigidity(11).brute_force_agrees is True
 
 
 def test_multiplicative_rigidity_guard(monkeypatch):
@@ -133,7 +179,7 @@ def test_multiplicative_rigidity_guard(monkeypatch):
         assert verify_multiplicative_rigidity(p).ok
     # unguarded, p = 7919 tested its 3,816 power maps for 46 s
     t0 = time.perf_counter()
-    with pytest.raises(ResourceError, match="guarded at 1000000"):
+    with pytest.raises(ResourceError, match="budget of 1000000 nodes"):
         verify_multiplicative_rigidity(7919)
     assert time.perf_counter() - t0 < 0.1
 
@@ -142,15 +188,15 @@ def test_multiplicative_rigidity_guard(monkeypatch):
 
     # the boundary, with no candidate built past it
     monkeypatch.setattr(scalars, "multiplicative_injections", never)
-    monkeypatch.setattr(scalars, "MULT_PAIR_BUDGET", 112)
+    monkeypatch.setattr(grid, "SEARCH_NODE_BUDGET", 112)
     with pytest.raises(AssertionError, match="reached"):
         verify_multiplicative_rigidity(7)  # phi(6) * 7 * 8 = 112
-    monkeypatch.setattr(scalars, "MULT_PAIR_BUDGET", 111)
-    with pytest.raises(ResourceError, match="guarded at 111"):
+    monkeypatch.setattr(grid, "SEARCH_NODE_BUDGET", 111)
+    with pytest.raises(ResourceError, match="budget of 111 nodes"):
         verify_multiplicative_rigidity(7)
     # p(p+1) alone passes the guard: the exponents of a huge p are not listed
     monkeypatch.setattr(scalars, "_power_exponents", never)
-    with pytest.raises(ResourceError, match="guarded at 111"):
+    with pytest.raises(ResourceError, match="budget of 111 nodes"):
         verify_multiplicative_rigidity(1000000007)
     with pytest.raises(InputError, match="not prime"):
         verify_multiplicative_rigidity(10 ** 9)
@@ -260,6 +306,19 @@ def test_diagonal_rigidity_guards():
 
 
 @pytest.mark.parametrize("verify,x0", (
+    (verify_diagonal_rigidity, (0, 0)),
+    (verify_diagonal_rigidity, (2, 1)),
+    (verify_diagonal_rigidity, (1.5, 0)),
+    (verify_additive_rigidity, (1, 2, 3)),
+    (verify_additive_rigidity, (True, 0)),
+))
+def test_a_bad_pinning_point_is_read_before_the_size_guard(verify, x0):
+    # p = 11 is past both lemmas' guards, yet bad input is an InputError
+    with pytest.raises(InputError, match="x0"):
+        verify(11, 2, x0)
+
+
+@pytest.mark.parametrize("verify,x0", (
     (verify_additive_rigidity, (1.5, 0)),      # int() would truncate it to (1, 0)
     (verify_additive_rigidity, (1, 2, 3)),     # indexing would drop the 3
     (verify_additive_rigidity, (1,)),          # indexing would raise IndexError
@@ -292,7 +351,7 @@ def test_one_pencil_is_not_enough():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("p,count", ((3, 48), (5, 480)))
+@pytest.mark.parametrize("p,count", ((3, 48), (5, 480), (7, 2016)))
 def test_additive_rigidity(p, count):
     report = verify_additive_rigidity(p)
     assert report.ok
@@ -303,10 +362,19 @@ def test_additive_rigidity(p, count):
 
 
 def test_additive_rigidity_guards():
-    with pytest.raises(ResourceError):
-        verify_additive_rigidity(7)
+    # p^4 matrices times p^2 points: 11^6 passes the node budget of 10^6
+    with pytest.raises(ResourceError, match="budget of 1000000 nodes"):
+        verify_additive_rigidity(11)
     with pytest.raises(InputError):
         verify_additive_rigidity(9)
+
+
+def test_additive_rigidity_budget_boundary(monkeypatch):
+    monkeypatch.setattr(grid, "SEARCH_NODE_BUDGET", 5 ** 6)
+    assert verify_additive_rigidity(5).ok
+    monkeypatch.setattr(grid, "SEARCH_NODE_BUDGET", 5 ** 6 - 1)
+    with pytest.raises(ResourceError, match="budget of 15624 nodes"):
+        verify_additive_rigidity(5)
 
 
 def apply_loop_additive_rigidity(p, x0):
