@@ -20,8 +20,8 @@ from .exact import (
     inverse, normalize_coords,
 )
 from .grid import (
-    FiniteMapTable, LineFamily, Point, _affine_incidence, _backtrack, _charge, _grid_point,
-    _grid_size, _line_kernel, grid_points, point_index,
+    FiniteMapTable, LineFamily, Point, _affine_incidence, _backtrack, _charge, _form_columns,
+    _grid_point, _grid_size, _horner, _line_kernel, grid_points, point_index,
 )
 
 
@@ -101,7 +101,7 @@ class _DirectionNumbers:
     DIFFERENCE_TABLE_BOUND.
 
     A value's code c(y) is the integer whose base-2p digits are its entries,
-    read by Horner's rule, column by column over the values.  For values y
+    read across the value columns by the grid's digit reader.  For values y
     and y0, c(y) - c(y0) + c((p, ..., p)) has the digits y_j - y0_j + p, all
     in [1, 2p): no digit borrows, and the number names the difference y - y0.
     It is the difference's key, and `numbers` lists the direction number of
@@ -110,7 +110,6 @@ class _DirectionNumbers:
     one number iff they are parallel."""
 
     def __init__(self, p: int, m: int):
-        self.p = p
         # the residue vector of each key digit by digit, then its number
         residues = [(d - p) % p for d in range(2 * p)]
         index = [0]
@@ -119,14 +118,7 @@ class _DirectionNumbers:
         numbers = [point_index(p, normalize_coords(p, v)) if any(v) else 0
                    for v in grid_points(p, m)]
         self.numbers = [numbers[i] for i in index]
-        (self.offset,) = self.codes([(p,) * m])
-
-    def codes(self, values: Sequence[Sequence[int]]) -> List[int]:
-        """The code of each value, in order."""
-        codes, radix = [0] * len(values), 2 * self.p
-        for column in zip(*values):
-            codes = [c * radix + y for c, y in zip(codes, column)]
-        return codes
+        (self.offset,) = _horner(2 * p, [[p]] * m)
 
 
 @lru_cache(maxsize=8)
@@ -174,7 +166,7 @@ def _walk(table: FiniteMapTable,
         else:
             codes = memo.get("_codes")
             if codes is None:
-                codes = memo["_codes"] = directions.codes(table.values)
+                codes = memo["_codes"] = _horner(2 * p, list(zip(*table.values)))
             known, offset = directions.numbers, directions.offset
         injective = table.is_injective()
         ref = None
@@ -313,18 +305,6 @@ class SpanInvariantReport:
         return _to_json(self)
 
 
-def _translate(p: int, columns: List[List[int]], v: Sequence[int], c: int) -> List[List[int]]:
-    """The points x + c*v (mod p), with the points x and the result kept as
-    coordinate columns."""
-    return [[(a + s) % p for a in column] if s else column
-            for column, s in zip(columns, (c * b % p for b in v))]
-
-
-def _concatenate(parts: Sequence[List[List[int]]]) -> List[List[int]]:
-    """The points of every part in turn, as coordinate columns."""
-    return [sum(columns, []) for columns in zip(*parts)]
-
-
 def verify_span_invariants(table: FiniteMapTable, fam: LineFamily) -> SpanInvariantReport:
     """For an injective table sending every family line onto a line, with
     parallel lines onto parallel lines and n independent directions, check
@@ -344,30 +324,22 @@ def verify_span_invariants(table: FiniteMapTable, fam: LineFamily) -> SpanInvari
     if failure is not None:
         return SpanInvariantReport(False, False, failure)
     values, base = table.values, table.values[0]
-    # span{v_1..v_{k-1}} and F(0) + span{w_1..w_{k-1}} as coordinate columns,
-    # grown one direction at a time; the slices c*v_k + dom (c in Z_p) make up
-    # span{v_1..v_k}, and the flat indices of a slice are read off its columns
-    dom, img = [[0]] * n, [[b] for b in base]
-    for k, v in enumerate(dirs, 1):
-        w = [(a - b) % p for a, b in zip(values[point_index(p, v)], base)]
-        slices = [_translate(p, dom, v, c) for c in range(p)]
-        img_slices = [_translate(p, img, w, c) for c in range(p)]
-        dom, img = _concatenate(slices), _concatenate(img_slices)
-        if k == 1:
-            continue
+    w = [[(a - b) % p for a, b in zip(values[point_index(p, v)], base)] for v in dirs]
+    # span{v_1..v_k} and F(0) + span{w_1..w_k} as coordinate columns over the
+    # coefficients (a_1, ..., a_k), a_k least significant: the slice
+    # v_k + span{v_1..v_{k-1}}, a_k = 1, is every p-th point from index 1
+    for k in range(2, n + 1):
+        # the coordinate rows of v_1..v_k, then those of w_1..w_k
+        columns = _form_columns(p, [*zip(*dirs[:k]), *zip(*w[:k])], [0] * n + list(base))
+        img = list(zip(*columns[n:]))
         # a span of rank r has p^r points
-        span = set(zip(*img))
+        span = set(img)
         if len(span) != p ** k:
             return SpanInvariantReport(False, True, "images of the directions are dependent", k)
-        images = []
-        for columns in slices:
-            flat = columns[0]
-            for column in columns[1:]:
-                flat = [i * p + a for i, a in zip(flat, column)]
-            images.append({values[i] for i in flat})
-        if set().union(*images) != span:
+        images = [values[i] for i in _horner(p, columns[:n])]
+        if set(images) != span:
             return SpanInvariantReport(False, True, "image of span != span of images", k)
-        if images[1] != set(zip(*img_slices[1])):
+        if set(images[1::p]) != set(img[1::p]):
             return SpanInvariantReport(False, True, "affine slice images disagree", k)
     return SpanInvariantReport(True, True)
 
@@ -428,18 +400,13 @@ class DiagonalForm:
 
 def tabulate_diagonal_form(form: DiagonalForm) -> FiniteMapTable:
     """The form's values over the grid, built column by column: alpha_i over
-    the grid in lexicographic order one coordinate at a time, then each
-    output coordinate as base_j plus sum_i f_i(alpha_i) w_ij, with the term
-    looked up per entry from its p values, reduced mod p: residues by
-    construction."""
-    p, size = form.p, form.p ** form.n
-    alphas = []
-    for row in form._u_inverse:
-        alpha = [0]
-        for r in row:
-            shifts = [r * a % p for a in range(p)]
-            alpha = [(c + s) % p for c in alpha for s in shifts]
-        alphas.append(alpha)
+    the grid in lexicographic order from the grid's form-column builder,
+    then each output coordinate as base_j plus sum_i f_i(alpha_i) w_ij, with
+    the term looked up per entry from its p values, reduced mod p: residues
+    by construction.  A grid past the point budget is refused first."""
+    p, n = form.p, form.n
+    size = _grid_size(p, n)
+    alphas = _form_columns(p, form._u_inverse, [0] * n)
     columns = []
     for j, b in enumerate(form.base):
         column = [b] * size
@@ -448,7 +415,7 @@ def tabulate_diagonal_form(form: DiagonalForm) -> FiniteMapTable:
                 term = [t * w[j] for t in f]
                 column = list(map(add, column, map(term.__getitem__, alpha)))
         columns.append([c % p for c in column])
-    return _trusted(FiniteMapTable, p, form.n, form.m, tuple(zip(*columns)))
+    return _trusted(FiniteMapTable, p, n, form.m, tuple(zip(*columns)))
 
 
 def recover_diagonal_form(table: FiniteMapTable, fam: LineFamily) -> DiagonalForm:
@@ -562,7 +529,8 @@ def _affine_transversal(p: int, n: int) -> Tuple[Tuple[Point, ...], ...]:
     """One affine bijection g of (Z_p)^n per ordered pair (y0, y1) of distinct
     points, with g(0) = y0 and g(e) = y1 for e = (0, ..., 0, 1), the point with
     flat index 1; each as its value table, the points g(point i) in order,
-    each point the one object `grid_points` gives.
+    each point the one object `grid_points` gives, picked at the flat indices
+    read off g's coordinate columns.
 
     g(x) = y0 + Ax, where A is the identity with its last column set to
     v = y1 - y0 and, when v's first nonzero entry k is not the last, its column
@@ -577,9 +545,7 @@ def _affine_transversal(p: int, n: int) -> Tuple[Tuple[Point, ...], ...]:
         cols = list(unit)
         k = next(j for j, c in enumerate(v) if c)
         cols[k], cols[-1] = cols[-1], v
-        maps.append(tuple(points[point_index(p, [a + sum(c * col[r] for c, col in zip(x, cols))
-                                                 for r, a in enumerate(y0)])]
-                          for x in points))
+        maps.append(itemgetter(*_horner(p, _form_columns(p, list(zip(*cols)), y0)))(points))
     return tuple(maps)
 
 

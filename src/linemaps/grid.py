@@ -1,10 +1,12 @@
 """The grid (Z_p)^n that every finite oracle runs on.
 
-Points of the grid in lexicographic order and their flat indices, families of
-lines parallel to finitely many directions, value tables of maps on the grid,
-the lines of one direction as flat indices into a value table, the incidence
-structure of AG(n,p) and PG(n,p), and the one backtracking search kernel.
-Only `exact` is imported, so every module that uses the grid sits above it.
+Points of the grid in lexicographic order and their flat indices, the one
+builder of affine-form columns over the grid and the one reader of digits
+across columns, families of lines parallel to finitely many directions, value
+tables of maps on the grid, the lines of one direction as flat indices into a
+value table, the incidence structure of AG(n,p) and PG(n,p), and the one
+backtracking search kernel.  Only `exact` is imported, so every module that
+uses the grid sits above it.
 """
 
 from __future__ import annotations
@@ -57,6 +59,33 @@ def point_index(p: int, point: Sequence[int]) -> int:
     for x in point:
         idx = idx * p + x % p
     return idx
+
+
+def _form_columns(p: int, rows: Sequence[Sequence[int]], consts: Sequence[int]) -> List[List[int]]:
+    """For each row of residues and its residue constant b, the values of
+    b + sum_k row[k] x_k mod p at the points x of (Z_p)^len(row), in
+    lexicographic order.  Each column is grown one coordinate at a time: an
+    entry c becomes the p entries c + a t mod p, t in Z_p, for a = row[k].
+    The multiples a t are read off a range, unreduced, so no table of
+    multiples is built or kept, however large p is."""
+    columns = []
+    for row, b in zip(rows, consts):
+        column = [b]
+        for a in row:
+            shifts = range(0, a * p, a) if a else [0] * p
+            column = [(c + s) % p for c in column for s in shifts]
+        columns.append(column)
+    return columns
+
+
+def _horner(radix: int, columns: Sequence[Sequence[int]]) -> List[int]:
+    """The ints whose digits in the radix, most significant first, are read
+    across the (at least one) columns.  At radix p the columns of points are
+    their flat indices."""
+    codes = list(columns[0])
+    for column in columns[1:]:
+        codes = [c * radix + y for c, y in zip(codes, column)]
+    return codes
 
 
 # ===========================================================================

@@ -19,7 +19,7 @@ from .exact import (
     _echelon, _reduced_rows, _to_json, _trusted, exact_int, identity_matrix, inverse,
     is_j_independent, mat_mul, mat_vec, normalize_coords, vector,
 )
-from .grid import DEFAULT_POINT_BUDGET, FiniteMapTable, _Incidence, point_index
+from .grid import DEFAULT_POINT_BUDGET, FiniteMapTable, _Incidence, _form_columns, point_index
 
 Coords = Tuple[int, ...]
 
@@ -244,20 +244,14 @@ def _image_blocks(rows: Sequence[Coords], p: int) -> Iterator[Tuple[Coords, ...]
     """The images under the matrix rows (residues mod p) of the points of
     PG(n,p), normalized, in canonical order one block at a time.  Block i
     holds the points (0,)*i + (1,) + tail, i from n down to 0, and is built
-    column by column: lift coordinate r is row[i] + sum_k row[k]*t_k over the
-    tails t in lexicographic order, grown one tail entry at a time as
-    tabulate_diagonal_form grows its alphas.  Each lift is then scaled by the
-    inverse of its first nonzero entry, found as the first nonzero residue
-    across the columns."""
+    column by column: lift coordinate r is row[i] + sum_k row[i+1+k]*t_k over
+    the tails t in lexicographic order, all n+1 columns from one call of the
+    grid's form-column builder.  Each lift is then scaled by the inverse of
+    its first nonzero entry, found as the first nonzero residue across the
+    columns."""
     inverses = [0] + [pow(a, p - 2, p) for a in range(1, p)]
-    multiples = [[a * t % p for t in range(p)] for a in range(p)]
     for i in range(len(rows) - 1, -1, -1):
-        columns = []
-        for row in rows:
-            column = [row[i]]
-            for a in row[i + 1:]:
-                column = [(c + s) % p for c in column for s in multiples[a]]
-            columns.append(column)
+        columns = _form_columns(p, [row[i + 1:] for row in rows], [row[i] for row in rows])
         pivots = columns[0]
         for column in columns[1:]:
             pivots = [a or b for a, b in zip(pivots, column)]

@@ -28,6 +28,7 @@ from linemaps import (
     exhaustive_bijection_search,
     grid_points,
     parallelism_report,
+    point_index,
     points_collinear,
     rank_of_vectors,
     recover_diagonal_form,
@@ -171,6 +172,46 @@ def test_table_from_function_refuses_a_grid_past_the_point_budget(n):
         table_from_function(3, n, 1, lambda x: calls.append(x) or (0,))
     assert time.perf_counter() - t0 < 1.0
     assert calls == []
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_form_columns_are_the_forms_at_every_grid_point(p):
+    # seeded rows of k = 0..4 coefficients, zeros among them, and their
+    # constants, against one evaluation of b + sum_k a_k x_k per point of
+    # itertools.product's lexicographic order.  One call takes rows of every
+    # length, and each row alone gives the same column
+    rng = Random(p)
+    rows = [tuple(rng.choice((0, 0) + tuple(range(1, p))) for _ in range(k))
+            for k in (0, 1, 2, 3, 4) for _ in range(3)]
+    consts = [rng.randrange(p) for _ in rows]
+    assert any(0 in row for row in rows) and any(row and 0 not in row for row in rows)
+    expected = [[(b + sum(a * x for a, x in zip(row, point))) % p
+                 for point in itertools.product(range(p), repeat=len(row))]
+                for row, b in zip(rows, consts)]
+    assert grid._form_columns(p, rows, consts) == expected
+    for row, b, column in zip(rows, consts, expected):
+        assert grid._form_columns(p, [row], [b]) == [column]
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_horner_reads_flat_indices_and_the_walk_codes(p):
+    # at radix p the coordinate columns of the grid's points give their flat
+    # indices; at radix 2p the columns of a table's values give the codes the
+    # line walk keeps, each value's entries as base-2p digits
+    for n in (1, 2, 3, 4):
+        points = list(grid_points(p, n))
+        assert grid._horner(p, list(zip(*points))) == [point_index(p, x) for x in points]
+    rng = Random(p)
+    for m in (1, 2, 3, 4):
+        table = FiniteMapTable(p, 2, m, tuple(tuple(rng.randrange(p) for _ in range(m))
+                                              for _ in range(p * p)))
+        codes = [sum(y * (2 * p) ** (m - 1 - j) for j, y in enumerate(value))
+                 for value in table.values]
+        assert grid._horner(2 * p, list(zip(*table.values))) == codes
+        check_family(table, standard_family(QQ, 2))
+        assert table.__dict__["_codes"] == codes
+        assert collineations._direction_numbers(p, m).offset == sum(
+            p * (2 * p) ** j for j in range(m))
 
 
 @st.composite
@@ -823,6 +864,24 @@ def test_tabulate_diagonal_form_is_apply_at_every_grid_point(p):
             assert tabulate_diagonal_form(form).values == tuple(map(form.apply, grid_points(p, n)))
 
 
+def test_tabulate_diagonal_form_refuses_a_grid_past_the_point_budget(monkeypatch):
+    # 3^13 = 1,594,323 values were tabulated in 3.4 s at a 590-MB peak
+    # before the budget was read
+    e = [tuple(int(i == j) for i in range(13)) for j in range(13)]
+    form = DiagonalForm(3, e, e, [(0, 1, 2)] * 13, (0,) * 13)
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceError, match="3\\^13 points exceeds the point budget"):
+        tabulate_diagonal_form(form)
+    assert time.perf_counter() - t0 < 0.1
+    # the budget is read when the form is tabulated: 25 points fit, 27 do not
+    monkeypatch.setattr(grid, "DEFAULT_POINT_BUDGET", 25)
+    plane = DiagonalForm(5, ((1, 0), (0, 1)), ((1, 2), (3, 4)), [(0, 1, 3, 2, 4)] * 2, (4, 0))
+    assert tabulate_diagonal_form(plane).values == tuple(map(plane.apply, grid_points(5, 2)))
+    e3 = [tuple(int(i == j) for i in range(3)) for j in range(3)]
+    with pytest.raises(ResourceError, match="3\\^3 points exceeds the point budget of 25"):
+        tabulate_diagonal_form(DiagonalForm(3, e3, e3, [(0, 1, 2)] * 3, (0, 0, 0)))
+
+
 def test_identity_diagonal_form():
     form = recover_diagonal_form(identity_table(3, 2), standard_family(QQ, 2))
     assert form.base == (0, 0)
@@ -1134,6 +1193,29 @@ def test_search_survivors_equal_checked_tables(p, n, dirs):
     checked = [FiniteMapTable(p, n, n, t.values) for t in tables]
     assert tables == checked
     assert [hash(t) for t in tables] == [hash(t) for t in checked]
+
+
+@pytest.mark.parametrize("p,n", ((3, 1), (5, 1), (3, 2), (5, 2), (7, 2), (3, 3)))
+def test_affine_transversal_is_y0_plus_ax_at_every_point(p, n):
+    # one map per ordered pair (y0, y1) of distinct points, in
+    # itertools.permutations order, each y0 + Ax with A the identity whose
+    # last column is v = y1 - y0 and whose column k, v's first nonzero
+    # entry, is e = (0, ..., 0, 1); evaluated point by point here
+    points = list(grid_points(p, n))
+    maps = collineations._affine_transversal(p, n)
+    assert len(maps) == len(points) * (len(points) - 1)
+    for values, (y0, y1) in zip(maps, itertools.permutations(points, 2)):
+        v = [(b - a) % p for a, b in zip(y0, y1)]
+        cols = [[int(i == j) for i in range(n)] for j in range(n)]
+        k = next(j for j, c in enumerate(v) if c)
+        cols[k], cols[-1] = cols[-1], v
+        assert values == tuple(tuple((a + sum(c * col[r] for c, col in zip(x, cols))) % p
+                                     for r, a in enumerate(y0)) for x in points)
+        assert (values[0], values[1]) == (y0, y1)  # g(0) = y0, g(e) = y1
+        assert sorted(values) == points
+    assert len(set(maps)) == len(maps)
+    # every table holds the same p^n point objects
+    assert len({id(x) for values in maps for x in values}) == len(points)
 
 
 # (directions, nodes of the pinned search, tables it expands to)

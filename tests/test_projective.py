@@ -4,6 +4,7 @@ linearity decision procedure, and the affine embedding."""
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -543,6 +544,21 @@ def test_proj_table_from_map_matches_apply_at_every_point(p, n):
         assert proj_table_from_map(m, p).values == want
         assert tuple(itertools.chain.from_iterable(_image_blocks(rows, p))) == want
         assert any(next(x for x in mat_vec(m.matrix, c) if x) != 1 for c in pts)
+
+
+def test_a_large_p_builds_no_table_quadratic_in_p():
+    # PG(1, p) has p + 1 points, so its image blocks need O(p) memory; a
+    # p x p table of multiples held 4 million ints at p = 2003, about 150 MB
+    p = 2003
+    m = ProjLinearMap(matrix(PrimeField(p), [[1, 2], [3, 5]]))
+    tracemalloc.start()
+    try:
+        table = proj_table_from_map(m, p)
+        assert decide_projective_linear(table) == m
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def block_starts(p, n):
