@@ -20,6 +20,7 @@ over Q, an int of any size over Z_p), test them for zero only through
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd, lcm
@@ -77,6 +78,38 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+# int <-> str conversion stops past 4300 digits, CPython's default limit, and
+# Fraction builds 10**exponent before it reduces.  So a literal is measured by
+# its text first: the digits it writes times a power of ten, over a power of
+# ten, as Fraction parses it (a superset of its grammar; anything else is
+# left to Fraction to refuse)
+_MAX_DIGITS = 4300
+_LITERAL = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)([\d_]*)(?:/([\d_]+)|(?:\.([\d_]*))?(?:[eE]([-+]?)([\d_]+))?)\s*")
+
+
+def _literal_digits(text: str) -> int:
+    """The most digits of an integer that Fraction builds from the literal,
+    counted from its text without building one; 0 for any other text."""
+    m = _LITERAL.fullmatch(text)
+    if m is None:
+        return 0
+    num, den, dec, sign, exp = (g.replace("_", "") if g else "" for g in m.groups())
+    exp = exp.lstrip("0")
+    if len(exp) > 4:  # 10**exponent alone passes the limit
+        return _MAX_DIGITS + 1
+    e = int(sign + (exp or "0"))
+    # 10**k has k + 1 digits
+    return max(len(num) + len(dec) + max(e, 0), len(den), len(dec) + max(-e, 0) + 1)
+
+
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), or an InputError for a literal past _MAX_DIGITS digits."""
+    if _literal_digits(text) > _MAX_DIGITS:
+        raise InputError(f"a literal of more than {_MAX_DIGITS} digits")
+    return Fraction(text)
+
+
 class Rationals:
     """The field Q.  Elements are Fraction values in lowest terms."""
 
@@ -86,7 +119,7 @@ class Rationals:
         if isinstance(x, int):
             return Fraction(x)
         if isinstance(x, str):
-            return Fraction(x)
+            return _fraction(x)
         raise InputError(f"cannot coerce {x!r} into Q")
 
     def zero(self) -> Fraction:
@@ -111,7 +144,7 @@ class Rationals:
 
     def parse(self, s) -> Fraction:
         if isinstance(s, str):
-            return Fraction(s)
+            return _fraction(s)
         if type(s) is int:
             return Fraction(s)
         raise InputError(f"bad rational literal {s!r}")

@@ -42,16 +42,7 @@ def _grid_size(p: int, n: int) -> int:
 
 def grid_points(p: int, n: int):
     """All of (Z_p)^n in lexicographic order (first coordinate most significant)."""
-    point = [0] * n
-    while True:
-        yield tuple(point)
-        i = n - 1
-        while i >= 0 and point[i] == p - 1:
-            point[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        point[i] += 1
+    return itertools.product(range(p), repeat=n)
 
 
 def point_index(p: int, point: Sequence[int]) -> int:
@@ -245,35 +236,38 @@ def table_from_json(obj: dict) -> FiniteMapTable:
 # the lines of one direction, and the incidence structure of a geometry
 # ===========================================================================
 
-def enumerate_lines(p: int, n: int, direction: Sequence[int]) -> List[List[Point]]:
-    """Partition (Z_p)^n into the p^{n-1} lines with the given direction.
-
-    Each line is returned as its sorted point list; the list of lines is
-    ordered by the hyperplane representative used to generate it.
-    """
-    PrimeField(p)
-    b = _grid_point(p, n, direction)
-    if all(c == 0 for c in b):
-        raise InputError("direction must be nonzero")
-    i0 = next(i for i, c in enumerate(b) if c)
-    lines = []
-    for rest in grid_points(p, n - 1) if n > 1 else [()]:
-        a = rest[:i0] + (0,) + rest[i0:]
-        line = sorted(tuple((a[i] + t * b[i]) % p for i in range(n)) for t in range(p))
-        lines.append(line)
-    return lines
+def _direction_lines(p: int, n: int, d: Point) -> Tuple[Tuple[Point, Tuple[int, ...]], ...]:
+    """The lines of (Z_p)^n in the direction d, residues with a leading 1 at
+    i0: for each base point a with a[i0] = 0, in lexicographic order, a and
+    the flat indices of a + t d, t = 0, ..., p - 1, which come sorted.  Each
+    coordinate of a + t d is a form in t (least significant) and the other
+    coordinates of a, so one `_form_columns` call gives every index."""
+    i0 = d.index(1)
+    rows = [[int(k == i) for k in range(n) if k != i0] + [c] for i, c in enumerate(d)]
+    idx = iter(_horner(p, _form_columns(p, rows, [0] * n)))
+    bases = (rest[:i0] + (0,) + rest[i0:] for rest in grid_points(p, n - 1))
+    return tuple(zip(bases, zip(*[idx] * p)))
 
 
 # A cached direction holds about 80 bytes per grid point.  The bound keeps
 # every direction of perfbench's families (28 keys in its grid-oracle
-# workload) and caps what a family with many directions can pin.
-@lru_cache(maxsize=32)
-def _line_kernel(p: int, n: int, direction: Point) -> Tuple[Tuple[Point, Tuple[int, ...]], ...]:
-    """The lines of `enumerate_lines(p, n, direction)`, each as its base
-    point line[0] and the flat indices of its points into a value table.
-    Keyed by the canonical direction: callers scale it by `normalize_coords`."""
-    return tuple((line[0], tuple(point_index(p, x) for x in line))
-                 for line in enumerate_lines(p, n, direction))
+# workload) and caps what a family with many directions can pin.  Whole
+# geometries are built from `_direction_lines` itself, and evict none.
+_line_kernel = lru_cache(maxsize=32)(_direction_lines)
+
+
+def enumerate_lines(p: int, n: int, direction: Sequence[int]) -> List[List[Point]]:
+    """Partition (Z_p)^n into the p^{n-1} lines with the given direction, each
+    its sorted point list, in the order of their base points.  A grid past the
+    point budget raises ResourceError."""
+    PrimeField(p)
+    _grid_size(p, n)
+    b = _grid_point(p, n, direction)
+    if all(c == 0 for c in b):
+        raise InputError("direction must be nonzero")
+    points = list(grid_points(p, n))
+    return [[points[x] for x in idx]
+            for _base, idx in _direction_lines(p, n, normalize_coords(p, b))]
 
 
 class _Incidence:
@@ -300,10 +294,10 @@ def _affine_incidence(p: int, n: int) -> _Incidence:
     """AG(n,p) on the flat indices, for the small grids of the searches and
     the plane lemmas.  Its p^(n-1) (p^n - 1)/(p - 1) lines come direction by
     direction, scaled to a leading 1 in lexicographic order ((0,1), (1,0),
-    ..., (1,p-1) in the plane), each direction's in `_line_kernel` order."""
+    ..., (1,p-1) in the plane), each direction's in `_direction_lines` order."""
     return _Incidence(p ** n, (idx for d in grid_points(p, n)
                                if any(d) and normalize_coords(p, d) == d
-                               for _base, idx in _line_kernel(p, n, d)))
+                               for _base, idx in _direction_lines(p, n, d)))
 
 
 # ===========================================================================

@@ -19,7 +19,10 @@ from .exact import (
     _echelon, _reduced_rows, _to_json, _trusted, exact_int, identity_matrix, inverse,
     is_j_independent, mat_mul, mat_vec, normalize_coords, vector,
 )
-from .grid import DEFAULT_POINT_BUDGET, FiniteMapTable, _Incidence, _form_columns, point_index
+from .grid import (
+    DEFAULT_POINT_BUDGET, FiniteMapTable, _Incidence, _direction_lines, _form_columns, grid_points,
+    point_index,
+)
 
 Coords = Tuple[int, ...]
 
@@ -74,7 +77,7 @@ def pg_points(p: int, n: int) -> Tuple[Coords, ...]:
             or (p ** (n + 1) - 1) // (p - 1) > DEFAULT_POINT_BUDGET):
         raise ResourceError(f"PG({n},{p}) has more than {DEFAULT_POINT_BUDGET} points")
     return tuple((0,) * i + (1,) + tail for i in range(n, -1, -1)
-                 for tail in itertools.product(range(p), repeat=n - i))
+                 for tail in grid_points(p, n - i))
 
 
 @lru_cache(maxsize=None)
@@ -287,26 +290,27 @@ def proj_table_from_json(obj: dict) -> ProjTable:
 
 @lru_cache(maxsize=None)
 def _incidence(p: int, n: int) -> _Incidence:
-    """PG(n,p) on the indices into pg_points, each pencil sorted.  Each line
-    is built once, from its reduced basis: b has its leading 1 at column j,
-    and a = head + (0,) + tail for a point head of PG(j-1,p).  b and the
-    a + t*b are normalized already and in sorted order, so nothing is
-    normalized or deduplicated; with j running down, the lines come sorted.
-    More than DEFAULT_POINT_BUDGET incidences raise ResourceError."""
-    index = _pg_index(p, n)
-    if len(index) * ((p ** n - 1) // (p - 1)) > DEFAULT_POINT_BUDGET:
+    """PG(n,p) on the indices into pg_points, each pencil sorted.  Block i,
+    the points (0,)*i + (1,) + x, is a copy of (Z_p)^(n-i) at the ids
+    start[i] + flat(x).  Each line is built once, from b, its point of the
+    highest block j, and the block i < j of its other p points: they are a
+    line of block i in the direction b[i+1:], closed by b.  With j and b
+    running up the ids and i down, the lines come sorted.  More than
+    DEFAULT_POINT_BUDGET incidences raise ResourceError."""
+    size = len(pg_points(p, n))
+    if size * ((p ** n - 1) // (p - 1)) > DEFAULT_POINT_BUDGET:
         raise ResourceError(
             f"PG({n},{p}) has more than {DEFAULT_POINT_BUDGET} point-line incidences")
+    start = [(p ** (n - i) - 1) // (p - 1) for i in range(n + 1)]
 
     def lines() -> Iterator[Tuple[int, ...]]:
         for j in range(n, 0, -1):
-            for b_tail in itertools.product(range(p), repeat=n - j):
-                b = index[(0,) * j + (1,) + b_tail]
-                for head in pg_points(p, j - 1):
-                    for tail in itertools.product(range(p), repeat=n - j):
-                        yield (b,) + tuple(index[head + (t,) + tuple(
-                            [(x + t * y) % p for x, y in zip(tail, b_tail)])] for t in range(p))
-    return _Incidence(len(index), lines())
+            for b, b_tail in enumerate(grid_points(p, n - j), start[j]):
+                for i in range(j - 1, -1, -1):
+                    d = (0,) * (j - i - 1) + (1,) + b_tail
+                    for _base, idx in _direction_lines(p, n - i, d):
+                        yield (b,) + tuple([start[i] + x for x in idx])
+    return _Incidence(size, lines())
 
 
 def lines_through(point, p: int, n: int) -> List[Tuple[Coords, ...]]:

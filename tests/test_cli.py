@@ -462,8 +462,9 @@ def test_a_rational_literal_past_the_digit_limit_is_refused_before_it_is_built(
     # example --alpha 1e4400 built the value and then failed to print it: a
     # ValueError traceback from _emit, exit 1; Fraction("1e9999999") alone took
     # 5 s.  The numerator and denominator as written are counted from the text
-    # (10**k has k + 1 digits), and Fraction is never called on such a literal
-    import linemaps.cli as cli_module
+    # (10**k has k + 1 digits) by the field's literal reader, and Fraction is
+    # never called on such a literal
+    import linemaps.exact as exact_module
 
     def never(text):
         raise AssertionError("Fraction was called")
@@ -471,7 +472,7 @@ def test_a_rational_literal_past_the_digit_limit_is_refused_before_it_is_built(
     huge = ("1e4400", "1e-5000", "1e9999999", "0e99999999", "1e4300", "1e-4300", "1" * 4301,
             "0." + "0" * 4299 + "1", "1/" + "1" * 4301, "1_0e4299", "1e" + "9" * 5000)
     with monkeypatch.context() as patched:
-        patched.setattr(cli_module, "Fraction", never)
+        patched.setattr(exact_module, "Fraction", never)
         for alpha in huge:
             code, elapsed, err = _exit_code_and_time(
                 capsys, ["example", "--name", "four-dir-1", "--alpha", alpha])
@@ -490,6 +491,25 @@ def test_a_rational_literal_past_the_digit_limit_is_refused_before_it_is_built(
                        (["--dirs-file", str(dirs)], "--dirs-file entry")):
         code, _, err = _exit_code_and_time(capsys, ["exhaust", "--p", "3", "--n", "2", *argv])
         assert (code, err) == (2, f"input error: bad {what}: a literal of more than 4300 digits\n")
+
+
+def _r3_map_json_with(value):
+    """The r3 example map's JSON with its first coefficient entry replaced."""
+    obj = map_to_json(example_r3_map(QQ))
+    obj["coeffs"][0]["value"][0] = value
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("value", ("1e20000000", "1e-5000"))
+def test_a_map_coefficient_past_the_digit_limit_is_an_input_error(capsys, tmp_path, value):
+    # "1e20000000" ran 32 s and exited 1 with a report; "1e-5000" exited 1
+    # with a ValueError traceback from formatting its denominator mod 5
+    path = tmp_path / "m.json"
+    path.write_text(_r3_map_json_with(value))
+    code, elapsed, err = _exit_code_and_time(
+        capsys, ["verify-family", "--map", str(path), "--field", "p:5", "--dirs", "e1"])
+    assert (code, err) == (2, "input error: bad map JSON: a literal of more than 4300 digits\n")
+    assert elapsed < 0.1
 
 
 def test_a_json_int_past_the_digit_limit_is_an_input_error(capsys, tmp_path):
@@ -869,10 +889,11 @@ def _proj_table_json(draw):
 def _map_json(draw):
     """The r3 example map, half the time with one fault: its n, m or field p
     replaced by a _JSON_INT, a coefficient repeated, a coefficient vector cut
-    short, or the coefficient list alone in place of the object."""
+    short, a coefficient value replaced by a bad literal, or the coefficient
+    list alone in place of the object."""
     obj = map_to_json(example_r3_map(QQ))
     text = json.dumps(obj)
-    spoil = draw(st.sampled_from(("n", "m", "field", "repeat", "short", "bare"))) \
+    spoil = draw(st.sampled_from(("n", "m", "field", "repeat", "short", "value", "bare"))) \
         if draw(st.booleans()) else None
     if spoil in ("n", "m"):
         text = text.replace(f'"{spoil}": 3', f'"{spoil}": {draw(_JSON_INT)}')
@@ -884,6 +905,9 @@ def _map_json(draw):
     elif spoil == "short":
         obj["coeffs"][0]["value"].pop()
         text = json.dumps(obj)
+    elif spoil == "value":
+        text = _r3_map_json_with(draw(st.sampled_from(
+            ("1e4300", "1e-4300", "1e99999999", "1/0", "abc", "1/5", True, 1.5, None))))
     elif spoil == "bare":
         text = json.dumps(obj["coeffs"])
     return text
@@ -931,6 +955,11 @@ def _file_argv(draw):
                {"t.json": json.dumps(table_to_json(table_from_function(3, 2, 2, tuple)))}))
 @example(case=(["verify-family", "--map=<dir>/r3.json", "--field=p:5", "--dirs=e1,e2,e3",
                 "--parallelism"], {"r3.json": json.dumps(map_to_json(example_r3_map(QQ)))}))
+# a coefficient past the digit limit, too large and too small
+@example(case=(["verify-family", "--map=<dir>/m.json", "--field=p:5", "--dirs=e1"],
+               {"m.json": _r3_map_json_with("1e20000000")}))
+@example(case=(["verify-family", "--map=<dir>/m.json", "--field=p:5", "--dirs=e1"],
+               {"m.json": _r3_map_json_with("1e-5000")}))
 @example(case=(["recover-form", "--table=<dir>/t.json", "--kind=plane"],
                {"t.json": json.dumps(table_to_json(table_from_function(
                    5, 2, 3, lambda x: (x[0], x[1], x[0] * x[1] % 5))))}))

@@ -153,6 +153,35 @@ def test_enumerate_lines_rejects_a_direction_of_the_wrong_length():
             enumerate_lines(5, n, bad)
 
 
+def test_enumerate_lines_refuses_a_grid_past_the_point_budget(monkeypatch):
+    # the direction (1, 0, ..., 0) of (Z_3)^25 ran until a 10-s timeout
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceError, match="3\\^25 points exceeds the point budget"):
+        enumerate_lines(3, 25, (1,) + (0,) * 24)
+    assert time.perf_counter() - t0 < 0.1
+    monkeypatch.setattr(grid, "DEFAULT_POINT_BUDGET", 25)
+    assert len(enumerate_lines(5, 2, (1, 2))) == 5
+    with pytest.raises(ResourceError, match="3\\^3 points exceeds the point budget"):
+        enumerate_lines(3, 3, (1, 0, 0))
+
+
+@pytest.mark.parametrize("p, n", ((3, 1), (5, 1), (3, 2), (7, 2), (3, 3), (5, 3), (3, 4)))
+def test_direction_lines_are_the_lines_built_point_by_point(p, n):
+    # every direction d with a leading 1 at i0: each base point a with
+    # a[i0] = 0, in lexicographic order, and the flat indices of a + t d for
+    # t = 0, ..., p - 1, which come sorted; the line kernel is the same lines
+    for d in itertools.product(range(p), repeat=n):
+        if not any(d) or normalize_coords(p, d) != d:
+            continue
+        i0 = d.index(1)
+        expected = tuple(
+            (a, tuple(point_index(p, [(x + t * y) % p for x, y in zip(a, d)]) for t in range(p)))
+            for a in itertools.product(range(p), repeat=n) if a[i0] == 0)
+        assert grid._direction_lines(p, n, d) == expected
+        assert all(list(idx) == sorted(idx) for _base, idx in expected)
+        assert grid._line_kernel(p, n, d) == expected
+
+
 @pytest.mark.parametrize("entry", ("enumerate_lines", "table_from_function"))
 def test_grid_entry_points_reject_a_p_that_is_not_an_int(entry):
     # a float p once gave a bare TypeError (range(3.0)) or a misleading

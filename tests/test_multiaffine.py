@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from random import Random
 
@@ -294,3 +295,25 @@ def test_map_json_bad_literals_are_input_errors():
         obj["coeffs"][0]["value"] = [bad, 0]
         with pytest.raises(InputError):
             map_from_json(obj)
+
+
+def test_a_rational_literal_past_the_digit_limit_is_refused_before_it_is_built():
+    # a map coefficient "1e20000000" was built by Fraction in 32 s, and
+    # "1e-5000" got as far as a ValueError formatting its 5,001-digit
+    # denominator; the literal's digits are now counted from its text
+    for bad in ("1e4300", "1e-4300", "1e99999999"):
+        obj = map_to_json(identity_map(QQ, 2))
+        obj["coeffs"][0]["value"] = [bad, 0]
+        t0 = time.perf_counter()
+        with pytest.raises(InputError, match="bad map JSON: a literal of more than 4300 digits"):
+            map_from_json(obj)
+        assert time.perf_counter() - t0 < 0.1
+    t0 = time.perf_counter()
+    with pytest.raises(InputError, match="a literal of more than 4300 digits"):
+        QQ.convert("1e9999999")
+    assert time.perf_counter() - t0 < 0.1
+    # at the limit the value is read exactly
+    obj = map_to_json(identity_map(QQ, 2))
+    obj["coeffs"][0]["value"] = ["1e4299", 0]
+    assert map_from_json(obj).coeffs[delta_to_mask([1, 0])] == (10 ** 4299, 0)
+    assert QQ.convert("1e4299") == 10 ** 4299

@@ -145,7 +145,7 @@ def test_two_points_lie_on_exactly_one_line(p, n):
                 assert sum(b in line for line in pencil) == 1
 
 
-@pytest.mark.parametrize("p,n", SMALL_SPACES)
+@pytest.mark.parametrize("p,n", SMALL_SPACES + ((3, 4), (13, 2)))
 def test_lines_through_matches_the_pair_scan_at_every_point(p, n):
     for x in pg_points(p, n):
         assert lines_through(x, p, n) == pair_scan_pencil(x, p, n)
