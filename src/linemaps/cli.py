@@ -216,9 +216,9 @@ def cmd_constraints(args) -> int:
 
 def cmd_construct_sharp(args) -> int:
     from .constraints import construct_sharp_map
-    from .multiaffine import map_to_json
+    from .multiaffine import map_to_json, mask_to_delta
     spec = construct_sharp_map(args.dim)
-    alphas = [{"delta": [(m >> i) & 1 for i in range(spec.dim)],
+    alphas = [{"delta": list(mask_to_delta(m, spec.dim)),
                "value": QQ.to_json(a)} for m, a in sorted(spec.alphas.items())]
     _emit({"dim": spec.dim, "degree": spec.map.degree(),
            "alphas": alphas, "map": map_to_json(spec.map)}, args.out)
@@ -401,10 +401,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ResourceError as exc:

@@ -21,7 +21,7 @@ from .exact import (
 )
 from .grid import (
     FiniteMapTable, LineFamily, Point, _affine_incidence, _backtrack, _charge, _form_columns,
-    _grid_point, _grid_size, _horner, _line_kernel, grid_points, point_index,
+    _grid_point, _grid_size, _horner, _line_bases, _line_kernel, grid_points, point_index,
 )
 
 
@@ -173,7 +173,7 @@ def _walk(table: FiniteMapTable,
         not_line: List[int] = []
         not_onto: List[int] = []
         not_parallel: List[int] = []
-        for i, (_base, idx) in enumerate(_line_kernel(p, table.n, key)):
+        for i, idx in enumerate(_line_kernel(p, table.n, key)):
             if directions is None:
                 y0, numbers = codes[idx[0]], set()
                 for y in map(codes.__getitem__, idx):
@@ -207,8 +207,8 @@ def _violations(table: FiniteMapTable, d: Point, key: Point,
     labelled with the family's own direction d and its line's base point."""
     if not numbered:
         return []
-    lines = _line_kernel(table.p, table.n, key)
-    return [Violation(d, lines[i][0], reason) for i, reason in numbered]
+    bases = _line_bases(table.p, table.n, key)
+    return [Violation(d, bases[i], reason) for i, reason in numbered]
 
 
 def check_family(table: FiniteMapTable, fam: LineFamily, mode: str = "onto") -> FamilyReport:
@@ -576,7 +576,7 @@ def exhaustive_bijection_search(p: int, n: int, fam: LineFamily) -> List[FiniteM
     # of the grid's lines
     is_line = _affine_incidence(p, n).is_line
     lines = [(idx, itemgetter(*idx)) for d in dirs
-             for _base, idx in _line_kernel(p, n, normalize_coords(p, d))]
+             for idx in _line_kernel(p, n, normalize_coords(p, d))]
     # the kernel fills the first line's slots first, then the rest in order
     x0, x1 = lines[0][0][:2]
     domains = [range(2, total)] * total

@@ -30,7 +30,7 @@ from .exact import (
     zero_vector,
 )
 from .grid import DEFAULT_POINT_BUDGET, standard_family
-from .multiaffine import MultiAffineMap, curve_lies_in_line, mask_to_delta, restrict_to_line
+from .multiaffine import MultiAffineMap, _bits, curve_lies_in_line, mask_to_delta, restrict_to_line
 
 RowLabel = Tuple  # ("vanish", mask) or ("sum", k, sorted index tuple)
 
@@ -233,7 +233,7 @@ def _symbolic_excess_degree(map_: MultiAffineMap, b: Vector) -> int:
         if size < 2:
             continue
         # distribute mask's variables between the base monomial T and t-powers
-        bits = [i for i in range(map_.n) if mask >> i & 1]
+        bits = list(_bits(mask))
         for r in range(2, size + 1):         # r = number of t factors
             for chosen in itertools.combinations(bits, r):
                 coeff = 1
@@ -241,10 +241,7 @@ def _symbolic_excess_degree(map_: MultiAffineMap, b: Vector) -> int:
                     coeff *= b[i]
                 if F.is_zero(coeff):
                     continue
-                t_mask = 0
-                for i in chosen:
-                    t_mask |= 1 << i
-                acc = totals.setdefault((mask ^ t_mask, r), [0] * map_.m)
+                acc = totals.setdefault((mask ^ _subset_mask(chosen), r), [0] * map_.m)
                 for j, x in enumerate(u):
                     acc[j] += coeff * x
     worst = 0

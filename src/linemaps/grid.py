@@ -236,17 +236,24 @@ def table_from_json(obj: dict) -> FiniteMapTable:
 # the lines of one direction, and the incidence structure of a geometry
 # ===========================================================================
 
-def _direction_lines(p: int, n: int, d: Point) -> Tuple[Tuple[Point, Tuple[int, ...]], ...]:
+def _direction_lines(p: int, n: int, d: Point) -> Tuple[Tuple[int, ...], ...]:
     """The lines of (Z_p)^n in the direction d, residues with a leading 1 at
-    i0: for each base point a with a[i0] = 0, in lexicographic order, a and
-    the flat indices of a + t d, t = 0, ..., p - 1, which come sorted.  Each
-    coordinate of a + t d is a form in t (least significant) and the other
-    coordinates of a, so one `_form_columns` call gives every index."""
+    i0: for each base point a with a[i0] = 0, in lexicographic order, the flat
+    indices of a + t d, t = 0, ..., p - 1, which come sorted, so a line's
+    first index is its base point.  Each coordinate of a + t d is a form in t
+    (least significant) and the other coordinates of a, so one
+    `_form_columns` call gives every index."""
     i0 = d.index(1)
     rows = [[int(k == i) for k in range(n) if k != i0] + [c] for i, c in enumerate(d)]
     idx = iter(_horner(p, _form_columns(p, rows, [0] * n)))
-    bases = (rest[:i0] + (0,) + rest[i0:] for rest in grid_points(p, n - 1))
-    return tuple(zip(bases, zip(*[idx] * p)))
+    return tuple(zip(*[idx] * p))
+
+
+def _line_bases(p: int, n: int, d: Point) -> List[Point]:
+    """The base points of the lines of `_direction_lines(p, n, d)`, in its
+    order: the points a with a[i0] = 0, in lexicographic order."""
+    i0 = d.index(1)
+    return list(itertools.product(*[range(p)] * i0, (0,), *[range(p)] * (n - 1 - i0)))
 
 
 # A cached direction holds about 80 bytes per grid point.  The bound keeps
@@ -266,8 +273,7 @@ def enumerate_lines(p: int, n: int, direction: Sequence[int]) -> List[List[Point
     if all(c == 0 for c in b):
         raise InputError("direction must be nonzero")
     points = list(grid_points(p, n))
-    return [[points[x] for x in idx]
-            for _base, idx in _direction_lines(p, n, normalize_coords(p, b))]
+    return [[points[x] for x in idx] for idx in _direction_lines(p, n, normalize_coords(p, b))]
 
 
 class _Incidence:
@@ -297,7 +303,7 @@ def _affine_incidence(p: int, n: int) -> _Incidence:
     ..., (1,p-1) in the plane), each direction's in `_direction_lines` order."""
     return _Incidence(p ** n, (idx for d in grid_points(p, n)
                                if any(d) and normalize_coords(p, d) == d
-                               for _base, idx in _direction_lines(p, n, d)))
+                               for idx in _direction_lines(p, n, d)))
 
 
 # ===========================================================================

@@ -10,7 +10,7 @@ fixing 1 are the identity, so nothing is lost in the stored skeleton).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .exact import (
     Field, InputError, Matrix, PrimeField, Scalar, Vector, _trusted,
@@ -22,6 +22,14 @@ from .grid import FiniteMapTable, _grid_size
 
 def mask_to_delta(mask: int, n: int) -> Tuple[int, ...]:
     return tuple((mask >> i) & 1 for i in range(n))
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def delta_to_mask(delta: Sequence[int]) -> int:
@@ -57,11 +65,6 @@ class MultiAffineMap:
     def degree(self) -> int:
         return max((mask.bit_count() for mask in self.coeffs), default=0)
 
-    def __eq__(self, other):
-        return (isinstance(other, MultiAffineMap) and self.n == other.n
-                and self.m == other.m and self.field == other.field
-                and self.coeffs == other.coeffs)
-
     def __hash__(self):
         return hash((self.n, self.m, self.field, tuple(sorted(self.coeffs.items()))))
 
@@ -79,11 +82,8 @@ def evaluate(map_: MultiAffineMap, x: Vector) -> Vector:
     out = [0] * map_.m
     for mask, u in map_.coeffs.items():
         prod = 1
-        mm = mask
-        while mm:
-            i = (mm & -mm).bit_length() - 1
+        for i in _bits(mask):
             prod *= x[i]
-            mm &= mm - 1
         if not F.is_zero(prod):
             for j, c in enumerate(u):
                 out[j] += prod * c
@@ -141,6 +141,33 @@ class UnivariateCurve:
         return acc
 
 
+def _substitute(map_: MultiAffineMap,
+                forms: Sequence[Sequence[Scalar]]) -> Dict[Tuple[int, ...], List[Scalar]]:
+    """F with each x_i replaced by the affine form c_i + sum_j a_ij y_j, given
+    as forms[i] = (c_i, a_i1, ..., a_ik), multiplied out: {exponent tuple of
+    (y_1, ..., y_k): coefficient row}.  While a product is expanded, an
+    exponent tuple is kept as the int sum_j e_j r^(j-1), r = n + 1 (no
+    exponent passes n), so multiplying by y_j adds r^(j-1) and by c_i adds 0.
+    The entries are unreduced; each caller reduces them once."""
+    F, r, k = map_.field, map_.n + 1, len(forms[0]) - 1
+    weights = [0] + [r ** j for j in range(k)]
+    terms = [[(weights[j], a) for j, a in enumerate(form) if not F.is_zero(a)] for form in forms]
+    rows: Dict[int, List[Scalar]] = {}
+    for mask, u in map_.coeffs.items():
+        product = {0: 1}
+        for i in _bits(mask):
+            step: Dict[int, Scalar] = {}
+            for key, c in product.items():
+                for w, a in terms[i]:
+                    step[key + w] = step.get(key + w, 0) + c * a
+            product = step
+        for key, c in product.items():
+            row = rows.setdefault(key, [0] * map_.m)
+            for j, x in enumerate(u):
+                row[j] += c * x
+    return {tuple(key // w % r for w in weights[1:]): row for key, row in rows.items()}
+
+
 def restrict_to_line(map_: MultiAffineMap, a: Vector, b: Vector) -> UnivariateCurve:
     """Exact expansion of t |-> F(a + t b) as a polynomial in t."""
     F = map_.field
@@ -150,22 +177,11 @@ def restrict_to_line(map_: MultiAffineMap, a: Vector, b: Vector) -> UnivariateCu
     b = vector(F, b)
     if vec_is_zero(F, b):
         raise InputError("direction must be nonzero")
-    # unreduced sums; UnivariateCurve reduces each coefficient once
-    coeffs = [[0] * map_.m for _ in range(map_.n + 1)]
-    for mask, u in map_.coeffs.items():
-        # multiply out prod_{i in mask} (a_i + t b_i), lowest degree first
-        poly = [1]
-        mm = mask
-        while mm:
-            i = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            poly = [c * a[i] + d * b[i] for c, d in zip(poly + [0], [0] + poly)]
-        for k, c in enumerate(poly):
-            if not F.is_zero(c):
-                row = coeffs[k]
-                for j, x in enumerate(u):
-                    row[j] += c * x
-    return UnivariateCurve(map_.m, F, tuple(map(tuple, coeffs)))
+    powers = _substitute(map_, list(zip(a, b)))
+    zero = (0,) * map_.m
+    # UnivariateCurve reduces each coefficient once, and trims the zero top ones
+    return UnivariateCurve(map_.m, F, tuple(tuple(powers.get((k,), zero))
+                                            for k in range(map_.n + 1)))
 
 
 def curve_lies_in_line(curve: UnivariateCurve) -> bool:
@@ -190,55 +206,17 @@ def compose(left: AffineMap, map_: MultiAffineMap, right: AffineMap) -> MultiAff
         raise InputError("field mismatch in composition")
     if right.matrix.nrows != map_.n or left.matrix.ncols != map_.m:
         raise InputError("dimension mismatch in composition")
-    n_in = right.matrix.ncols
-
-    # polynomial accumulator: exponent tuple (len n_in) -> coefficient
-    # vector, unreduced until the left map's mat_vec reduces it
-    acc: Dict[Tuple[int, ...], list] = {}
-
-    for mask, u in map_.coeffs.items():
-        # product over i in mask of the affine form (row i of right)
-        terms: Dict[Tuple[int, ...], Scalar] = {tuple([0] * n_in): 1}
-        mm = mask
-        while mm:
-            i = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            lin = [(None, right.offset[i])] + [
-                (j, right.matrix.rows[i][j]) for j in range(n_in)
-            ]
-            nxt: Dict[Tuple[int, ...], Scalar] = {}
-            for expo, c in terms.items():
-                for var, coeff in lin:
-                    if F.is_zero(coeff):
-                        continue
-                    if var is None:
-                        e2 = expo
-                    else:
-                        e2 = list(expo)
-                        e2[var] += 1
-                        e2 = tuple(e2)
-                    nxt[e2] = nxt.get(e2, 0) + c * coeff
-            terms = {e: c for e, c in nxt.items() if not F.is_zero(c)}
-        for expo, c in terms.items():
-            row = acc.setdefault(expo, [0] * map_.m)
-            for j, x in enumerate(u):
-                row[j] += c * x
-
-    out_coeffs: Dict[int, Vector] = {}
-    for expo, row in acc.items():
-        if vec_is_zero(F, tuple(row)):
+    coeffs: Dict[int, Vector] = {}
+    forms = [(c,) + row for c, row in zip(right.offset, right.matrix.rows)]
+    for expo, row in _substitute(map_, forms).items():
+        if vec_is_zero(F, row):
             continue
         if any(e > 1 for e in expo):
             raise InputError("composition is not multiaffine (a square survives)")
-        out_coeffs[delta_to_mask(expo)] = tuple(row)
-
-    # apply the left affine map: u -> A.u, and add the offset to the constant
-    final: Dict[int, Vector] = {}
-    for mask, u in out_coeffs.items():
-        final[mask] = mat_vec(left.matrix, u)
-    const = final.get(0, zero_vector(F, left.matrix.nrows))
-    final[0] = vec_add(F, const, left.offset)
-    return MultiAffineMap(n_in, left.matrix.nrows, F, final)
+        # the left affine map: u -> A.u, and its offset added to the constant
+        coeffs[delta_to_mask(expo)] = mat_vec(left.matrix, row)
+    coeffs[0] = vec_add(F, coeffs.get(0, zero_vector(F, left.matrix.nrows)), left.offset)
+    return MultiAffineMap(right.matrix.ncols, left.matrix.nrows, F, coeffs)
 
 
 def reduce_mod(map_: MultiAffineMap, p: int) -> MultiAffineMap:
@@ -305,13 +283,16 @@ def map_from_json(obj: dict) -> MultiAffineMap:
         F = field_from_json(obj["field"])
         coeffs: Dict[int, Vector] = {}
         for entry in obj.get("coeffs", ()):
-            delta = entry["delta"]
+            delta, value = entry["delta"], entry["value"]
+            # a string or an object would be read by its characters or keys
+            if type(delta) is not list or type(value) is not list:
+                raise InputError("delta and value must be lists")
             if len(delta) != n:
                 raise InputError("delta length != n")
             mask = delta_to_mask(delta)
             if mask in coeffs:
                 raise InputError("duplicate delta")
-            coeffs[mask] = tuple(F.parse(x) for x in entry["value"])
+            coeffs[mask] = tuple(F.parse(x) for x in value)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad map JSON: {exc}") from exc
     return MultiAffineMap(n, m, F, coeffs)

@@ -308,7 +308,7 @@ def _incidence(p: int, n: int) -> _Incidence:
             for b, b_tail in enumerate(grid_points(p, n - j), start[j]):
                 for i in range(j - 1, -1, -1):
                     d = (0,) * (j - i - 1) + (1,) + b_tail
-                    for _base, idx in _direction_lines(p, n - i, d):
+                    for idx in _direction_lines(p, n - i, d):
                         yield (b,) + tuple([start[i] + x for x in idx])
     return _Incidence(size, lines())
 

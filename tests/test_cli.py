@@ -435,6 +435,20 @@ def test_map_files_with_coerced_entries_are_input_errors(capsys, tmp_path):
         assert captured.err.startswith("input error: "), spoil.__name__
 
 
+@pytest.mark.parametrize("value", ("12", {"3": 0, "4": 1}))
+def test_a_map_coefficient_that_is_not_a_list_is_an_input_error(capsys, tmp_path, value):
+    # the reader took a string coefficient by its characters and an object by
+    # its keys, so this map became x -> (x, 2x) or (3x, 4x) and the command
+    # printed {"ok": true, ...} and exited 0
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 1, "m": 2, "field": {"type": "rational"},
+                                "coeffs": [{"delta": [1], "value": value}]}))
+    assert main(["verify-family", "--map", str(path), "--field", "p:5", "--dirs", "e1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: bad map JSON: delta and value must be lists\n"
+
+
 def test_internal_inconsistency_has_its_own_exit_code(capsys, monkeypatch):
     # the command imports construct_sharp_map when it runs, so it is patched
     # where it is defined

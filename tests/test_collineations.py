@@ -167,18 +167,23 @@ def test_enumerate_lines_refuses_a_grid_past_the_point_budget(monkeypatch):
 
 @pytest.mark.parametrize("p, n", ((3, 1), (5, 1), (3, 2), (7, 2), (3, 3), (5, 3), (3, 4)))
 def test_direction_lines_are_the_lines_built_point_by_point(p, n):
-    # every direction d with a leading 1 at i0: each base point a with
-    # a[i0] = 0, in lexicographic order, and the flat indices of a + t d for
-    # t = 0, ..., p - 1, which come sorted; the line kernel is the same lines
+    # every direction d with a leading 1 at i0: for each base point a with
+    # a[i0] = 0, in lexicographic order, the flat indices of a + t d for
+    # t = 0, ..., p - 1, which come sorted, so the first is a's own index;
+    # `_line_bases` gives the a in that order, and the line kernel is the
+    # same lines
     for d in itertools.product(range(p), repeat=n):
         if not any(d) or normalize_coords(p, d) != d:
             continue
         i0 = d.index(1)
+        bases = [a for a in itertools.product(range(p), repeat=n) if a[i0] == 0]
         expected = tuple(
-            (a, tuple(point_index(p, [(x + t * y) % p for x, y in zip(a, d)]) for t in range(p)))
-            for a in itertools.product(range(p), repeat=n) if a[i0] == 0)
+            tuple(point_index(p, [(x + t * y) % p for x, y in zip(a, d)]) for t in range(p))
+            for a in bases)
         assert grid._direction_lines(p, n, d) == expected
-        assert all(list(idx) == sorted(idx) for _base, idx in expected)
+        assert all(list(idx) == sorted(idx) for idx in expected)
+        assert grid._line_bases(p, n, d) == bases
+        assert [point_index(p, a) for a in bases] == [idx[0] for idx in expected]
         assert grid._line_kernel(p, n, d) == expected
 
 
@@ -381,11 +386,12 @@ def parallel_violations_by_vectors_parallel(table, fam):
     """`_parallel_violations` with the field-generic `vectors_parallel` as its
     parallel test: the oracle of the line test it asks instead."""
     p, values, gf = table.p, table.values, PrimeField(table.p)
+    points = list(grid_points(p, table.n))
     violations = []
     for d in collineations._residue_directions(table.p, table.n, fam):
         ref = None
-        for base, idx in grid._line_kernel(p, table.n, normalize_coords(p, d)):
-            images = [values[i] for i in idx]
+        for idx in grid._line_kernel(p, table.n, normalize_coords(p, d)):
+            base, images = points[idx[0]], [values[i] for i in idx]
             if not points_collinear(p, images):
                 return None
             delta = tuple((a - b) % p for a, b in zip(images[1], images[0]))
@@ -451,10 +457,11 @@ def check_family_by_line_loop(table, fam, mode):
     """`check_family` as one loop over every family line, with no walk memo:
     the oracle of the reports built from `_walk`."""
     p, values = table.p, table.values
+    points = list(grid_points(p, table.n))
     violations = []
     for d in collineations._residue_directions(table.p, table.n, fam):
-        for base, idx in grid._line_kernel(p, table.n, normalize_coords(p, d)):
-            images = [values[i] for i in idx]
+        for idx in grid._line_kernel(p, table.n, normalize_coords(p, d)):
+            base, images = points[idx[0]], [values[i] for i in idx]
             if not points_collinear(p, images):
                 violations.append(Violation(d, base, "not-a-line"))
             elif mode == "onto" and len(set(images)) < p:
@@ -466,12 +473,13 @@ def parallel_violations_by_line_loop(table, dirs):
     """`_parallel_violations` as one loop over every line of the directions,
     with no walk memo."""
     p, values = table.p, table.values
+    points = list(grid_points(p, table.n))
     origin = (0,) * table.m
     violations = []
     for d in dirs:
         ref = None
-        for base, idx in grid._line_kernel(p, table.n, normalize_coords(p, d)):
-            images = [values[i] for i in idx]
+        for idx in grid._line_kernel(p, table.n, normalize_coords(p, d)):
+            base, images = points[idx[0]], [values[i] for i in idx]
             if not points_collinear(p, images):
                 return None
             delta = tuple((a - b) % p for a, b in zip(images[1], images[0]))

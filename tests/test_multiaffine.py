@@ -280,6 +280,17 @@ def test_map_json_rejects_delta_entries_that_are_not_ints():
             map_from_json(obj)
 
 
+def test_map_json_rejects_a_delta_or_value_that_is_not_a_list():
+    # a string value was read by its characters and an object by its keys:
+    # "12" became the vector (1, 2) and {"3": 0, "4": 1} became (3, 4)
+    for key, bad in (("value", "12"), ("value", {"3": 0, "4": 1}),
+                     ("delta", "10"), ("delta", {"1": 0, "0": 1})):
+        obj = map_to_json(identity_map(QQ, 2))
+        obj["coeffs"][0][key] = bad
+        with pytest.raises(InputError, match="delta and value must be lists"):
+            map_from_json(obj)
+
+
 def test_map_json_rejects_bool_coefficients():
     for field in (QQ, PrimeField(7)):
         obj = map_to_json(identity_map(field, 2))
