@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .exact import (
     InputError, InternalInconsistencyError, Matrix, PrimeField, _echelon, _to_json, _trusted,
-    inverse, normalize_coords,
+    _trusted_batch, inverse, normalize_coords,
 )
 from .grid import (
     FiniteMapTable, LineFamily, Point, _affine_incidence, _backtrack, _charge, _form_columns,
@@ -592,4 +592,4 @@ def exhaustive_bijection_search(p: int, n: int, fam: LineFamily) -> List[FiniteM
     transversal = _affine_transversal(p, n)
     picks = [itemgetter(*values) for values in pinned]
     found = sorted([pick(g) for g in transversal for pick in picks])
-    return [_trusted(FiniteMapTable, p, n, n, values) for values in found]
+    return _trusted_batch(FiniteMapTable, p, n, n, found)

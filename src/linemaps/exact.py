@@ -259,6 +259,24 @@ def _trusted(cls, *values):
     return obj
 
 
+def _trusted_batch(cls, *values) -> list:
+    """The batch form of _trusted: one cls per entry of values[-1], a sequence
+    of values of the last field, all sharing the other fields, values[:-1].
+    The first is built by _trusted; each of the others copies the first's
+    fields in one dict update and replaces the last."""
+    *shared, lasts = values
+    out = [_trusted(cls, *shared, value) for value in lasts[:1]]
+    if out:
+        common, last = out[0].__dict__, cls.__match_args__[-1]
+        for value in lasts[1:]:
+            obj = object.__new__(cls)
+            memo = obj.__dict__
+            memo.update(common)
+            memo[last] = value
+            out.append(obj)
+    return out
+
+
 def _to_json(value, *extra: str):
     """A report, form or table as JSON.  An int, bool, string or None is kept,
     a tuple becomes a list, and a dataclass becomes the dict of its fields,

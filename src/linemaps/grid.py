@@ -52,19 +52,23 @@ def point_index(p: int, point: Sequence[int]) -> int:
     return idx
 
 
+def _grow(p: int, column: Sequence[int], a: int) -> List[int]:
+    """The column grown by one coordinate: each entry c becomes the p entries
+    c + a t mod p, t in Z_p.  The multiples a t are read off a range,
+    unreduced, so no table of multiples is built or kept, however large p is."""
+    shifts = range(0, a * p, a) if a else [0] * p
+    return [(c + s) % p for c in column for s in shifts]
+
+
 def _form_columns(p: int, rows: Sequence[Sequence[int]], consts: Sequence[int]) -> List[List[int]]:
     """For each row of residues and its residue constant b, the values of
     b + sum_k row[k] x_k mod p at the points x of (Z_p)^len(row), in
-    lexicographic order.  Each column is grown one coordinate at a time: an
-    entry c becomes the p entries c + a t mod p, t in Z_p, for a = row[k].
-    The multiples a t are read off a range, unreduced, so no table of
-    multiples is built or kept, however large p is."""
+    lexicographic order: [b] grown by each row[k] in turn."""
     columns = []
     for row, b in zip(rows, consts):
         column = [b]
         for a in row:
-            shifts = range(0, a * p, a) if a else [0] * p
-            column = [(c + s) % p for c in column for s in shifts]
+            column = _grow(p, column, a)
         columns.append(column)
     return columns
 
@@ -249,9 +253,13 @@ def _direction_lines(p: int, n: int, d: Point) -> Tuple[Tuple[int, ...], ...]:
     return tuple(zip(*[idx] * p))
 
 
+@lru_cache(maxsize=32)
 def _line_bases(p: int, n: int, d: Point) -> List[Point]:
     """The base points of the lines of `_direction_lines(p, n, d)`, in its
-    order: the points a with a[i0] = 0, in lexicographic order."""
+    order: the points a with a[i0] = 0, in lexicographic order.  Cached under
+    the line kernel's key and bound (under half its bytes per direction), so
+    the reports of a table's violations build them once per direction; the
+    cached lists are shared, and only read."""
     i0 = d.index(1)
     return list(itertools.product(*[range(p)] * i0, (0,), *[range(p)] * (n - 1 - i0)))
 

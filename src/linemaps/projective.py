@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exact import (
     Field, InputError, InternalInconsistencyError, Matrix, PrimeField, ResourceError, Vector,
-    _echelon, _reduced_rows, _to_json, _trusted, exact_int, identity_matrix, inverse,
+    _echelon, _to_json, _trusted, exact_int, identity_matrix, inverse,
     is_j_independent, mat_mul, mat_vec, normalize_coords, vector,
 )
 from .grid import (
-    DEFAULT_POINT_BUDGET, FiniteMapTable, _Incidence, _direction_lines, _form_columns, grid_points,
-    point_index,
+    DEFAULT_POINT_BUDGET, FiniteMapTable, _Incidence, _direction_lines, _form_columns, _grow,
+    grid_points, point_index,
 )
 
 Coords = Tuple[int, ...]
@@ -163,13 +164,17 @@ def proj_general_position(points: Sequence[ProjPoint]) -> bool:
 def _frame_weights(field: Field, lifts: Sequence[Vector]) -> Optional[Vector]:
     """The w with lifts[n+1] = sum w_j lifts[j] (j <= n) for n+2 lifts in
     dimension n+1, or None when they are not a frame.  The one elimination is
-    the test: rank n+1 and a weight in every RREF row, which fails on a free
-    column, on a pivot in the last one, and on a zero w_j."""
+    the test: rank n+1 and a weight in every echelon row, which fails on a
+    free column, on a pivot in the last one, and on a zero w_j.  The weights
+    are read off the integer echelon: over Z_p each row's pivot is 1, over Q
+    the row is divided by it."""
     k = len(lifts) - 1
-    reduced = _reduced_rows(field, list(zip(*lifts)))
-    if len(reduced) != k or any(k not in row for _, row in reduced):
+    basis = _echelon(field, list(zip(*lifts)))
+    if len(basis) != k or any(k not in row for row in basis.values()):
         return None
-    return tuple(row[k] for _, row in reduced)
+    if isinstance(field, PrimeField):
+        return tuple([basis[j][k] for j in range(k)])
+    return tuple([Fraction(basis[j][k], basis[j][j]) for j in range(k)])
 
 
 def _frame_matrix(field: Field, lifts: Sequence[Vector]) -> Optional[Matrix]:
@@ -243,23 +248,40 @@ class ProjTable:
         return len(set(self.values)) == len(self.values)
 
 
+def _scaled_lifts(columns: Sequence[List[int]], p: int,
+                  inverses: Sequence[int]) -> Tuple[Coords, ...]:
+    """The lifts whose coordinates are read across the columns, each scaled by
+    the inverse of its first nonzero entry, found as the first nonzero
+    residue across the columns."""
+    pivots = columns[0]
+    for column in columns[1:]:
+        pivots = [a or b for a, b in zip(pivots, column)]
+    scale = [inverses[a] for a in pivots]
+    return tuple(zip(*[[x * s % p for x, s in zip(column, scale)] for column in columns]))
+
+
 def _image_blocks(rows: Sequence[Coords], p: int) -> Iterator[Tuple[Coords, ...]]:
     """The images under the matrix rows (residues mod p) of the points of
-    PG(n,p), normalized, in canonical order one block at a time.  Block i
-    holds the points (0,)*i + (1,) + tail, i from n down to 0, and is built
-    column by column: lift coordinate r is row[i] + sum_k row[i+1+k]*t_k over
-    the tails t in lexicographic order, all n+1 columns from one call of the
-    grid's form-column builder.  Each lift is then scaled by the inverse of
-    its first nonzero entry, found as the first nonzero residue across the
-    columns."""
+    PG(n,p), normalized, in canonical order in two parts: the hyperplane
+    x_0 = 0, then the chart x_0 = 1.  Each part is built column by column,
+    one column per image coordinate r.
+
+    The hyperplane is blocks n, ..., 1, block i the points (0,)*i + (1,) +
+    tail, where coordinate r is row[i] + sum_k row[i+1+k] t_k over the tails
+    t in lexicographic order.  One staged pass builds them all: block 1 is
+    seeded with row[1], and the stage of each later row[i] grows blocks
+    i-1, ..., 1 by it, then puts block i in front, seeded with row[i].  The
+    chart, block 0, is one call of the grid's form-column builder."""
     inverses = [0] + [pow(a, p - 2, p) for a in range(1, p)]
-    for i in range(len(rows) - 1, -1, -1):
-        columns = _form_columns(p, [row[i + 1:] for row in rows], [row[i] for row in rows])
-        pivots = columns[0]
-        for column in columns[1:]:
-            pivots = [a or b for a, b in zip(pivots, column)]
-        scale = [inverses[a] for a in pivots]
-        yield tuple(zip(*[[x * s % p for x, s in zip(column, scale)] for column in columns]))
+    hyperplane = []
+    for row in rows:
+        column = [row[1]]
+        for a in row[2:]:
+            column = [a] + _grow(p, column, a)
+        hyperplane.append(column)
+    yield _scaled_lifts(hyperplane, p, inverses)
+    yield _scaled_lifts(_form_columns(p, [row[1:] for row in rows], [row[0] for row in rows]),
+                        p, inverses)
 
 
 def proj_table_from_map(m: ProjLinearMap, p: int) -> ProjTable:
@@ -368,25 +390,28 @@ def decide_projective_linear(table: ProjTable) -> Optional[ProjLinearMap]:
     through a frame is unique, so the images of the standard frame
     e_0, ..., e_n, e_0 + ... + e_n decide: when they are not a frame no such
     map agrees with the table, and otherwise their frame matrix is the one
-    candidate.  Its images are built one block of points at a time, and the
-    first block that disagrees with the table ends the comparison.  Its
-    columns are the lifts scaled by nonzero frame weights, so it is
-    invertible: the map is scaled canonically without a second elimination.
+    candidate.  e_j is the first point of block j, at (p^(n-j) - 1)/(p - 1),
+    and e_0 + ... + e_n is at twice block 0's start.  The candidate's columns
+    are the lifts scaled by their nonzero frame weights, so it is invertible
+    and is scaled canonically, on ints, without a second elimination.  Its
+    images are built in two parts, and a table that disagrees on the
+    hyperplane x_0 = 0 never has the chart built.
     """
     if not table.is_injective():
         raise InputError("decision procedure needs an injective table")
     p, n, values = table.p, table.n, table.values
-    gf, index = PrimeField(p), _pg_index(p, n)
-    frame = [tuple([int(i == j) for i in range(n + 1)]) for j in range(n + 1)]
-    candidate = _frame_matrix(gf, [values[index[c]] for c in frame + [(1,) * (n + 1)]])
-    if candidate is None:
+    gf, chart = PrimeField(p), (p ** n - 1) // (p - 1)
+    lifts = [values[(p ** (n - j) - 1) // (p - 1)] for j in range(n + 1)]
+    weights = _frame_weights(gf, lifts + [values[2 * chart]])
+    if weights is None:
         return None
-    start = 0
-    for block in _image_blocks(candidate.rows, p):
-        if block != values[start:start + len(block)]:
-            return None
-        start += len(block)
-    return _trusted(ProjLinearMap, _trusted(Matrix, gf, _canonical_rows(gf, candidate.rows)))
+    k = n + 1
+    flat = normalize_coords(p, [w * x for row in zip(*lifts) for w, x in zip(weights, row)])
+    rows = tuple([flat[i:i + k] for i in range(0, k * k, k)])
+    parts = _image_blocks(rows, p)
+    if next(parts) != values[:chart] or next(parts) != values[chart:]:
+        return None
+    return _trusted(ProjLinearMap, _trusted(Matrix, gf, rows))
 
 
 # ===========================================================================

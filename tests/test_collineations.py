@@ -604,6 +604,27 @@ def test_scaled_directions_share_a_walk_and_keep_their_labels(example_table_p5):
     assert [label[v.direction] for v in by_axes] == [v.direction for v in by_scaled]
 
 
+def test_a_report_reads_each_directions_base_points_once():
+    # a table with violations in both directions of (Z_7)^2: the base points
+    # are read under the line kernel's key, once per direction, however many
+    # reports and tables ask for them
+    grid._line_bases.cache_clear()
+    fam = standard_family(QQ, 2)
+
+    def bent():
+        return table_from_function(7, 2, 2, lambda x: (x[0] * x[0] % 7, x[1] * x[0] % 7))
+
+    table = bent()
+    report = check_family(table, fam)
+    assert {v.direction for v in report.violations} == {(1, 0), (0, 1)}
+    assert not check_family(table, fam, "into").ok
+    assert check_family(bent(), fam) == report
+    info = grid._line_bases.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    for v in report.violations:
+        assert v.base in grid._line_bases(7, 2, v.direction)
+
+
 @pytest.mark.parametrize("n, walks", ((2, 3), (3, 7)))
 def test_a_diagonal_job_walks_each_direction_once(monkeypatch, n, walks):
     # the call chain of a diagonal-form job: the standard+diagonal family
@@ -1230,6 +1251,22 @@ def test_search_survivors_equal_checked_tables(p, n, dirs):
     checked = [FiniteMapTable(p, n, n, t.values) for t in tables]
     assert tables == checked
     assert [hash(t) for t in tables] == [hash(t) for t in checked]
+
+
+def test_search_survivors_compare_hash_print_and_memoize_as_checked_tables():
+    # the survivors of the one-direction (Z_3)^2 search share their p, n and m
+    # but no instance dict: each one's injectivity memo is its own
+    tables = exhaustive_bijection_search(3, 2, LineFamily(QQ, 2, ((1, 0),)))
+    assert len(tables) == 5184
+    checked = [FiniteMapTable(3, 2, 2, t.values) for t in tables]
+    assert [repr(t) for t in tables] == [repr(t) for t in checked]
+    assert len({id(t.__dict__) for t in tables}) == len(tables)
+    first, second = tables[:2]
+    assert "_injective" not in first.__dict__
+    assert first.is_injective() and first.__dict__["_injective"] is True
+    assert "_injective" not in second.__dict__
+    assert list(second.__dict__) == ["p", "n", "m", "values"]
+    assert first == checked[0] and hash(first) == hash(checked[0])
 
 
 @pytest.mark.parametrize("p,n", ((3, 1), (5, 1), (3, 2), (5, 2), (7, 2), (3, 3)))

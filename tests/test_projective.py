@@ -588,10 +588,68 @@ def test_decide_on_swaps_at_the_block_boundaries(p, n):
         assert rank_decision(table) is None, (i, j)
 
 
+def transposition_kinds(p, n, swaps):
+    """How many of the swaps lie in the hyperplane x_0 = 0, how many in the
+    chart x_0 = 1, and how many cross between them."""
+    chart = block_starts(p, n)[n]
+    return Counter("hyperplane" if j < chart else "chart" if i >= chart else "across"
+                   for i, j in map(sorted, swaps))
+
+
+def assert_transpositions_match_the_rank_oracle(p, n, swaps):
+    values = proj_table_from_map(random_proj_linear(Random(p + 10 * n), p, n), p).values
+    for i, j in swaps:
+        swapped = list(values)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        table = ProjTable(p, n, tuple(swapped))
+        assert decide_projective_linear(table) == rank_decision(table), (i, j)
+
+
+def test_decide_on_every_transposition_of_a_linear_plane_mod_3():
+    swaps = list(itertools.combinations(range(13), 2))
+    assert len(swaps) == 78
+    assert transposition_kinds(3, 2, swaps) == {"hyperplane": 6, "chart": 36, "across": 36}
+    assert_transpositions_match_the_rank_oracle(3, 2, swaps)
+
+
+@pytest.mark.parametrize("p,n", ((3, 3), (5, 2)))
+def test_decide_on_seeded_transpositions(p, n):
+    rng = Random(100 * p + n)
+    size = len(pg_points(p, n))
+    swaps = [rng.sample(range(size), 2) for _ in range(200)]
+    assert set(transposition_kinds(p, n, swaps)) == {"hyperplane", "chart", "across"}
+    assert_transpositions_match_the_rank_oracle(p, n, swaps)
+
+
+def per_block_images(rows, p):
+    """The images under the matrix rows of PG(n,p), block by block, each
+    block one ProjPoint per point, grouped as the builder's two parts."""
+    gf, n = PrimeField(p), len(rows) - 1
+    m = ProjLinearMap(matrix(gf, rows))
+    blocks = [tuple(m.apply(ProjPoint(gf, (0,) * i + (1,) + tail)).coords
+                    for tail in itertools.product(range(p), repeat=n - i))
+              for i in range(n, -1, -1)]
+    return [tuple(itertools.chain.from_iterable(blocks[:-1])), blocks[-1]]
+
+
+@pytest.mark.parametrize("p,n", ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (5, 3), (3, 4)))
+def test_image_parts_are_the_hyperplane_and_the_chart(p, n):
+    # two parts, built from raw rows: the hyperplane x_0 = 0 (one point at
+    # n = 1) and the chart x_0 = 1, each against the images block by block
+    rng = Random(53 * p + n)
+    for _ in range(3):
+        rows = random_raw_rows(rng, p, n)
+        parts = list(_image_blocks(rows, p))
+        assert [len(part) for part in parts] == [(p ** n - 1) // (p - 1), p ** n]
+        assert all(c[0] == 0 for c in pg_points(p, n)[:len(parts[0])])
+        assert parts == per_block_images(rows, p)
+
+
 def test_decide_stops_at_the_first_disagreeing_block(monkeypatch):
-    # PG(3,3) has blocks of 1, 3, 9 and 27 points; the frame's points are
-    # the first of each block and the last point, so a swap of the other two
-    # points of the second block keeps the candidate and fails that block
+    # PG(3,3) has a hyperplane x_0 = 0 of 13 points and a chart of 27; the
+    # frame's points are the first point of each block and (1, 1, 1, 1), id
+    # 26, so a swap of ids 2 and 3, two hyperplane points off the frame,
+    # keeps the candidate and fails the hyperplane before the chart is built
     p, n = 3, 3
     m = random_proj_linear(Random(5), p, n)
     linear = proj_table_from_map(m, p)
@@ -600,16 +658,16 @@ def test_decide_stops_at_the_first_disagreeing_block(monkeypatch):
     built = []
 
     def spy(rows, p):
-        for block in _image_blocks(rows, p):
-            built.append(len(block))
-            yield block
+        for part in _image_blocks(rows, p):
+            built.append(len(part))
+            yield part
 
     monkeypatch.setattr(projective, "_image_blocks", spy)
     assert decide_projective_linear(ProjTable(p, n, tuple(values))) is None
-    assert built == [1, 3]
+    assert built == [13]
     built.clear()
     assert decide_projective_linear(linear) == m
-    assert built == [1, 3, 9, 27]
+    assert built == [13, 27]
 
 
 # ---------------------------------------------------------------------------
