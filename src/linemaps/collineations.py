@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from .exact import (
@@ -290,6 +290,23 @@ def _axis_read(p: int, line: Sequence[Point]) -> Tuple[Point, Tuple[int, ...]]:
     return w, tuple([(y[j0] - b) * inv % p for y in line])
 
 
+def _along(table: FiniteMapTable, dirs: Sequence[Point]) -> Tuple[Point, ...]:
+    """The table's values at sum a_i u_i, with a over (Z_p)^n in lexicographic
+    order: one pick at the flat indices of those points' form columns."""
+    p, n = table.p, table.n
+    return itemgetter(*_horner(p, _form_columns(p, list(zip(*dirs)), [0] * n)))(table.values)
+
+
+def _span_table(p: int, w: Sequence[Point], base: Point) -> Tuple[Point, ...]:
+    """base + sum y_i w_i at the points y of (Z_p)^n in lexicographic order."""
+    return tuple(zip(*_form_columns(p, list(zip(*w)), base)))
+
+
+def _span_at(p: int, w: Sequence[Point], base: Point, ys: Sequence[Sequence[int]]) -> Tuple[Point, ...]:
+    """base + sum y_i w_i at each y read across the columns ys: one pick of the span table."""
+    return itemgetter(*_horner(p, ys))(_span_table(p, w, base))
+
+
 # ===========================================================================
 # span invariants (the parallelism lemma's three conclusions)
 # ===========================================================================
@@ -317,29 +334,25 @@ def verify_span_invariants(table: FiniteMapTable, fam: LineFamily) -> SpanInvari
 
     Both sides are compared translated by F(0), which is one bijection.
     Failures of the hypotheses are reported as such, not as conclusion
-    failures.
-    """
+    failures."""
     p, n = table.p, table.n
     dirs, failure = _diagonal_hypothesis(table, fam)
     if failure is not None:
         return SpanInvariantReport(False, False, failure)
-    values, base = table.values, table.values[0]
-    w = [[(a - b) % p for a, b in zip(values[point_index(p, v)], base)] for v in dirs]
-    # span{v_1..v_k} and F(0) + span{w_1..w_k} as coordinate columns over the
-    # coefficients (a_1, ..., a_k), a_k least significant: the slice
-    # v_k + span{v_1..v_{k-1}}, a_k = 1, is every p-th point from index 1
+    # along the v's and in F(0) + sum a_i w_i, a alike: v_i is entry p^(n-1-i),
+    # span{v_1..v_k} and F(0) + span{w_1..w_k} every p^(n-k)-th entry, the slice
+    # a_k = 1 every p-th of those from the second; a span of rank r has p^r points
+    along, base = _along(table, dirs), table.values[0]
+    w = [[(a - b) % p for a, b in zip(along[p ** (n - 1 - i)], base)] for i in range(n)]
+    img = _span_table(p, w, base)
     for k in range(2, n + 1):
-        # the coordinate rows of v_1..v_k, then those of w_1..w_k
-        columns = _form_columns(p, [*zip(*dirs[:k]), *zip(*w[:k])], [0] * n + list(base))
-        img = list(zip(*columns[n:]))
-        # a span of rank r has p^r points
-        span = set(img)
+        step = p ** (n - k)
+        span = set(img[::step])
         if len(span) != p ** k:
             return SpanInvariantReport(False, True, "images of the directions are dependent", k)
-        images = [values[i] for i in _horner(p, columns[:n])]
-        if set(images) != span:
+        if set(along[::step]) != span:
             return SpanInvariantReport(False, True, "image of span != span of images", k)
-        if set(images[1::p]) != set(img[1::p]):
+        if set(along[step::step * p]) != set(img[step::step * p]):
             return SpanInvariantReport(False, True, "affine slice images disagree", k)
     return SpanInvariantReport(True, True)
 
@@ -350,8 +363,9 @@ def verify_span_invariants(table: FiniteMapTable, fam: LineFamily) -> SpanInvari
 
 @dataclass(frozen=True)
 class DiagonalForm:
-    """F(sum a_i u_i) = base + sum f_i(a_i) w_i with independent u's and w's
-    and scalar bijections f_i fixing 0 and 1."""
+    """F(sum a_i u_i) = base + sum f_i(a_i) w_i.  Its fields are not checked to
+    be independent or bijections: `apply` needs independent u's, tabulation
+    takes any p values per f_i, and a recovered form has bijections fixing 0, 1."""
 
     p: int
     u: Tuple[Point, ...]
@@ -360,8 +374,7 @@ class DiagonalForm:
     base: Point
 
     def __post_init__(self):
-        # every field read as exact ints mod p, so a tabulated form holds
-        # residues by construction
+        # exact ints mod p, so a tabulated form holds residues by construction
         p, n, m = self.p, len(self.u), len(self.base)
         PrimeField(p)
         if not n or not m or len(self.w) != n or len(self.f) != n:
@@ -381,8 +394,7 @@ class DiagonalForm:
 
     @cached_property
     def _u_inverse(self) -> Tuple[Tuple[int, ...], ...]:
-        """The rows of the inverse of the matrix with columns u: row i takes
-        x to its alpha_i."""
+        """The rows of U^-1, U the matrix with columns u: row i takes x to alpha_i."""
         return inverse(_trusted(Matrix, PrimeField(self.p), tuple(zip(*self.u)))).rows
 
     def apply(self, x: Sequence[int]) -> Point:
@@ -399,43 +411,31 @@ class DiagonalForm:
 
 
 def tabulate_diagonal_form(form: DiagonalForm) -> FiniteMapTable:
-    """The form's values over the grid, built column by column: alpha_i over
-    the grid in lexicographic order from the grid's form-column builder,
-    then each output coordinate as base_j plus sum_i f_i(alpha_i) w_ij, with
-    the term looked up per entry from its p values, reduced mod p: residues
-    by construction.  A grid past the point budget is refused first."""
+    """The form's values at alpha = U^-1 x, the form columns of U^-1's rows over
+    the grid.  A grid past the point budget is refused first."""
     p, n = form.p, form.n
-    size = _grid_size(p, n)
+    _grid_size(p, n)
     alphas = _form_columns(p, form._u_inverse, [0] * n)
-    columns = []
-    for j, b in enumerate(form.base):
-        column = [b] * size
-        for alpha, f, w in zip(alphas, form.f, form.w):
-            if w[j]:
-                term = [t * w[j] for t in f]
-                column = list(map(add, column, map(term.__getitem__, alpha)))
-        columns.append([c % p for c in column])
-    return _trusted(FiniteMapTable, p, n, form.m, tuple(zip(*columns)))
+    ys = [list(map(fi.__getitem__, alpha)) for fi, alpha in zip(form.f, alphas)]
+    return _trusted(FiniteMapTable, p, n, form.m, _span_at(p, form.w, form.base, ys))
 
 
 def recover_diagonal_form(table: FiniteMapTable, fam: LineFamily) -> DiagonalForm:
     """Recover u_i, w_i, f_i, base from a table satisfying the hypotheses
     (injective, onto for n independent directions, parallelism preserved).
 
-    The result is re-verified against the table at every grid point; a
-    mismatch means the preconditions were mis-checked and raises an internal
-    inconsistency error rather than returning a bogus form.
-    """
+    The table is read along the u's, never inverted: axis i, a*u_i, is every
+    p^(n-1-i)-th of the first p^(n-i) values, and the form at y = f(alpha), the
+    product of the f's, is compared with all of them.  A mismatch means the
+    preconditions were mis-checked: an internal inconsistency, never a bogus form."""
     dirs, failure = _diagonal_hypothesis(table, fam)
     if failure is not None:
         raise InputError(failure)
-    p, values = table.p, table.values
-    w, f = zip(*(_axis_read(p, [values[point_index(p, [a * c for c in v])] for a in range(p)])
-                 for v in dirs))
-    form = _trusted(DiagonalForm, p, tuple(dirs), w, f, values[0])
-    if tabulate_diagonal_form(form).values != table.values:
+    p, n, along = table.p, table.n, _along(table, dirs)
+    w, f = zip(*(_axis_read(p, along[:p ** (n - i):p ** (n - 1 - i)]) for i in range(n)))
+    if _span_at(p, w, along[0], list(zip(*itertools.product(*f)))) != along:
         raise InternalInconsistencyError("recovered diagonal form does not reproduce the table")
-    return form
+    return _trusted(DiagonalForm, p, tuple(dirs), w, f, along[0])
 
 
 # ===========================================================================

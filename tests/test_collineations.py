@@ -1015,6 +1015,64 @@ def test_diagonal_form_evaluator_agrees_with_forward_tabulation(p, n):
             assert recover_diagonal_form(table, LineFamily(QQ, n, form.u)) == form
 
 
+def diagonal_form_pointwise(table, dirs):
+    """The diagonal form read point by point through `table.apply`: w_i =
+    F(u_i) - F(0), and f_i(a) the entry of F(a u_i) - F(0) at w_i's first
+    nonzero entry over that of w_i.  None unless `form.apply` agrees with the
+    table at every grid point: the oracle of the recovery, which reads the
+    table along the u's in one pick and never inverts them."""
+    p, n = table.p, table.n
+    base = table.apply((0,) * n)
+    w, f = [], []
+    for u in dirs:
+        axis = [tuple((a - b) % p for a, b in zip(table.apply([t * c for c in u]), base))
+                for t in range(p)]
+        j = next(j for j, c in enumerate(axis[1]) if c)
+        w.append(axis[1])
+        f.append(tuple(d[j] * pow(axis[1][j], -1, p) % p for d in axis))
+    form = DiagonalForm(p, dirs, w, f, base)
+    if all(form.apply(x) == table.apply(x) for x in grid_points(p, n)):
+        return form
+    return None
+
+
+@pytest.mark.parametrize("p, n", ((3, 2), (5, 2), (3, 3), (5, 3)))
+def test_diagonal_recovery_raises_exactly_when_the_pointwise_reading_disagrees(monkeypatch, p, n):
+    # the hypotheses are waved through, as in the span test, so that the
+    # check against the whole table is reached: on seeded bijections, and on
+    # diagonal forms along non-axis directions, as they are and with one pair
+    # of values swapped
+    monkeypatch.setattr(collineations, "_diagonal_hypothesis", lambda table, fam: (
+        collineations._residue_directions(table.p, table.n, fam), None))
+    rng = Random(100 * p + n)
+    outcomes = Counter()
+    for _ in range(4):
+        while True:
+            dirs = random_independent(rng, p, n, n)
+            if all(sum(map(bool, u)) > 1 for u in dirs):
+                break
+        tables = [FiniteMapTable(p, n, n, tuple(rng.sample(list(grid_points(p, n)), p ** n)))]
+        for m in (n, n + 1):
+            f = tuple((0, 1) + tuple(rng.sample(range(2, p), p - 2)) for _ in range(n))
+            form = DiagonalForm(p, dirs, random_independent(rng, p, n, m), f,
+                                tuple(rng.randrange(p) for _ in range(m)))
+            values = list(tabulate_diagonal_form(form).values)
+            tables.append(FiniteMapTable(p, n, m, tuple(values)))
+            i, j = rng.sample(range(p ** n), 2)
+            values[i], values[j] = values[j], values[i]
+            tables.append(FiniteMapTable(p, n, m, tuple(values)))
+        fam = LineFamily(QQ, n, dirs)
+        for table in tables:
+            expected = diagonal_form_pointwise(table, dirs)
+            outcomes[expected is None] += 1
+            if expected is None:
+                with pytest.raises(InternalInconsistencyError, match="diagonal form"):
+                    recover_diagonal_form(table, fam)
+            else:
+                assert recover_diagonal_form(table, fam) == expected
+    assert outcomes[True] and outcomes[False]
+
+
 def test_diagonal_form_reads_its_fields_as_residues():
     e = ((1, 0), (0, 1))
     ident = ((0, 1, 2), (0, 1, 2))
