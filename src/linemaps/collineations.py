@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .exact import (
     InputError, InternalInconsistencyError, Matrix, PrimeField, _echelon, _to_json, _trusted,
-    _trusted_batch, inverse, normalize_coords,
+    _trusted_batch, exact_int, inverse, normalize_coords,
 )
 from .grid import (
     FiniteMapTable, LineFamily, Point, _affine_incidence, _backtrack, _charge, _form_columns,
@@ -29,24 +29,28 @@ from .grid import (
 # the onto/into oracle
 # ===========================================================================
 
-def _residue_directions(p: int, n: int, fam: LineFamily) -> List[Point]:
+def _residue_directions(p: int, n: int, fam: LineFamily) -> Tuple[Point, ...]:
     """The family's directions as residue vectors mod p, an odd prime,
-    deduplicated up to scaling; the family must have dimension n."""
+    deduplicated up to scaling; the family must have dimension n.  Reduced
+    once per family and p, and kept in the family's instance dict as
+    `FiniteMapTable` keeps its walks: neither ==, hash nor repr reads it.
+    p is checked to be an int first, so 3.0 or True never reads the entry of
+    3 or 1; a direction that vanishes mod p raises and stores nothing."""
     if fam.n != n:
         raise InputError("family dimension != table dimension")
     if isinstance(fam.field, PrimeField) and fam.field.p != p:
         raise InputError(f"family over {fam.field} checked against a table over Z_{p}")
-    gf = PrimeField(p)
-    out: List[Point] = []
-    seen = set()
-    for d in fam.directions:
-        dd = tuple(gf.convert(c) for c in d)
-        if not any(dd):
-            raise InputError("direction reduces to zero mod p")
-        canon = normalize_coords(p, dd)
-        if canon not in seen:
-            seen.add(canon)
-            out.append(dd)
+    residues = fam.__dict__.setdefault("_residues", {})
+    out = residues.get(exact_int(p, "p"))
+    if out is None:
+        gf = PrimeField(p)
+        seen = {}
+        for d in fam.directions:
+            dd = tuple(gf.convert(c) for c in d)
+            if not any(dd):
+                raise InputError("direction reduces to zero mod p")
+            seen.setdefault(normalize_coords(p, dd), dd)
+        out = residues[p] = tuple(seen.values())
     return out
 
 
@@ -253,7 +257,7 @@ def parallelism_report(table: FiniteMapTable, fam: LineFamily) -> FamilyReport:
     return FamilyReport(not violations, violations)
 
 
-def _diagonal_hypothesis(table: FiniteMapTable, fam: LineFamily) -> Tuple[List[Point], Optional[str]]:
+def _diagonal_hypothesis(table: FiniteMapTable, fam: LineFamily) -> Tuple[Tuple[Point, ...], Optional[str]]:
     """The family's directions mod p and the first hypothesis of the
     diagonal-form lemma that the table fails (None when it meets them all):
     n independent directions, injective, every family line onto a line,
@@ -292,7 +296,11 @@ def _axis_read(p: int, line: Sequence[Point]) -> Tuple[Point, Tuple[int, ...]]:
 
 def _along(table: FiniteMapTable, dirs: Sequence[Point]) -> Tuple[Point, ...]:
     """The table's values at sum a_i u_i, with a over (Z_p)^n in lexicographic
-    order: one pick at the flat indices of those points' form columns."""
+    order: one pick at the flat indices of those points' form columns.  Along
+    e_1, ..., e_n in order those indices are 0, 1, ..., so the view is the
+    table's own values (residues: d_i = 1 = sum(d) makes d the axis e_i)."""
+    if all(d[i] == 1 == sum(d) for i, d in enumerate(dirs)):
+        return table.values
     p, n = table.p, table.n
     return itemgetter(*_horner(p, _form_columns(p, list(zip(*dirs)), [0] * n)))(table.values)
 

@@ -223,24 +223,26 @@ def _symbolic_excess_degree(map_: MultiAffineMap, b: Vector) -> int:
     and, being multiaffine in w, it vanishes at every point of the field (Q
     or Z_p alike) iff all these coefficients vanish.  The coefficients and b
     are taken in integers: b times lam scales the t^k coefficient by lam^k.
+    Only the variables in supp(b) are distributed, as a product with a zero
+    b_i vanishes; those b_i are units (nonzero rationals, or nonzero residues
+    mod a prime), so every product taken is nonzero.
     """
     F = map_.field
     lam = lcm(*(c.denominator for c in b))
     b = [c.numerator * (lam // c.denominator) for c in b]
+    support = _subset_mask([i for i, c in enumerate(b) if c])
     totals: Dict[Tuple[int, int], List[int]] = {}
     for mask, u in _integer_coeffs(map_).items():
-        size = mask.bit_count()
-        if size < 2:
+        moving = mask & support
+        if moving.bit_count() < 2:
             continue
-        # distribute mask's variables between the base monomial T and t-powers
-        bits = list(_bits(mask))
-        for r in range(2, size + 1):         # r = number of t factors
+        # distribute mask's variables in supp(b) between the base monomial T and t-powers
+        bits = list(_bits(moving))
+        for r in range(2, len(bits) + 1):    # r = number of t factors
             for chosen in itertools.combinations(bits, r):
                 coeff = 1
                 for i in chosen:
                     coeff *= b[i]
-                if F.is_zero(coeff):
-                    continue
                 acc = totals.setdefault((mask ^ _subset_mask(chosen), r), [0] * map_.m)
                 for j, x in enumerate(u):
                     acc[j] += coeff * x

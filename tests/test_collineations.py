@@ -1615,6 +1615,51 @@ def test_family_over_another_prime_field_is_rejected():
             oracle(table, fam)
 
 
+def test_residue_directions_are_kept_per_prime_and_checked_every_call():
+    # (1, 2) and (1, -1) are one direction mod 3, and (3, 3) vanishes mod 3
+    dirs = ((1, 2), (1, -1), (3, 3))
+    fam = LineFamily(QQ, 2, dirs)
+    shown = (hash(fam), repr(fam))
+    for p in (3, 5, 7, 3, 7, 5, 3):
+        if p == 3:
+            with pytest.raises(InputError, match="reduces to zero mod p"):
+                collineations._residue_directions(p, 2, fam)
+        else:
+            assert (collineations._residue_directions(p, 2, fam)
+                    == collineations._residue_directions(p, 2, LineFamily(QQ, 2, dirs)))
+    assert fam == LineFamily(QQ, 2, dirs) and (hash(fam), repr(fam)) == shown
+    # a search at 3 keeps the family's directions mod 3; a p that equals 3 or
+    # 1 and hashes alike, but is not an int, must not read them
+    pair = LineFamily(QQ, 2, dirs[:2])
+    assert len(exhaustive_bijection_search(3, 2, pair)) == 5184
+    for p in (3.0, True):
+        with pytest.raises(InputError, match="is not an int"):
+            exhaustive_bijection_search(p, 2, pair)
+
+
+@pytest.mark.parametrize("p, n", ((3, 2), (5, 2), (3, 3), (5, 3)))
+def test_the_view_along_directions_is_the_table_at_their_combinations(p, n):
+    # the view against table.apply at sum a_i u_i, a in lexicographic order:
+    # the axes in order are the table itself; permuted or scaled axes and
+    # other independent sets are picked
+    rng = Random(41 * p + n)
+    table = FiniteMapTable(p, n, 2, tuple((rng.randrange(p), rng.randrange(p))
+                                          for _ in range(p ** n)))
+    axes = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    assert collineations._along(table, axes) is table.values
+    sets = [axes[::-1], [(2,) + (0,) * (n - 1)] + axes[1:],
+            [tuple(c * rng.randrange(1, p) for c in e) for e in axes]]
+    while len(sets) < 6:
+        dirs = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(n)]
+        if rank_of_vectors(PrimeField(p), dirs) == n and dirs != axes:
+            sets.append(dirs)
+    for dirs in sets:
+        expected = tuple(table.apply([sum(c * u[j] for c, u in zip(a, dirs)) % p
+                                      for j in range(n)])
+                         for a in grid_points(p, n))
+        assert collineations._along(table, dirs) == expected, dirs
+
+
 def test_table_validation():
     with pytest.raises(InputError):
         table_from_json({"p": 5, "n": 2, "m": 2, "values": [[0, 0]]})

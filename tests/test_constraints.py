@@ -351,6 +351,26 @@ def _fraction_excess_degree(map_, b):
                 if not all(F.is_zero(c) for c in acc)), default=0)
 
 
+@pytest.mark.parametrize("p", (3, 5))
+def test_symbolic_excess_degree_over_zp_distributes_the_support_of_b_only(p):
+    # the standard family's supports have size 1 or n; directions with 1 to
+    # n-1 zero entries reach masks that meet supp(b) in part, on dense maps
+    F = PrimeField(p)
+    rng = Random(53 * p)
+    degrees = set()
+    for n in range(3, 7):
+        for _ in range(3):
+            mp = MultiAffineMap(n, 2, F, {mask: (rng.randrange(1, p), rng.randrange(p))
+                                          for mask in range(1 << n)})
+            for _ in range(6):
+                zeros = rng.sample(range(n), rng.randint(1, n - 1))
+                b = tuple(0 if i in zeros else rng.randrange(1, p) for i in range(n))
+                got = _symbolic_excess_degree(mp, b)
+                assert got == _fraction_excess_degree(mp, b), (mp, b)
+                degrees.add(got)
+    assert {0, 2, 3, 4, 5} <= degrees
+
+
 def _fractional_direction(n, rng):
     """A direction with fractional entries, some zero, ending in 1."""
     entries = [Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(n - 1)]
